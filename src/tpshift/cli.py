@@ -16,6 +16,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -87,9 +88,20 @@ def _float_list(obj, name: str) -> list:
     if not isinstance(obj, list) or not obj:
         raise ValueError(f"{name} must be a nonempty list of numbers")
     try:
-        return [float(v) for v in obj]
-    except (TypeError, ValueError) as exc:
+        vals = [float(v) for v in obj]
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name} must contain numbers: {exc}") from exc
+    if not all(math.isfinite(v) for v in vals):
+        raise ValueError(f"{name} must contain finite numbers")
+    return vals
+
+
+def _int_value(obj, name: str) -> int:
+    if isinstance(obj, float) and obj.is_integer():
+        obj = int(obj)
+    if not isinstance(obj, int) or isinstance(obj, bool):
+        raise ValueError(f"{name} must be an integer, got {obj!r}")
+    return obj
 
 
 def _function_from(data: dict) -> SISFunction:
@@ -217,9 +229,11 @@ def _run_retrieve(data: dict, seed: int):
     mags = _float_list(_need(sample_obj, "magnitudes"), "magnitudes")
     sample = MagnitudeSample(lam=points, magnitudes=tuple(mags))
     support = _need(data, "support")
-    max_changes = int(_need(data, "max_changes"))
-    result = solve_signs(params, sample, (int(support[0]), int(support[1])),
-                         max_changes)
+    if not isinstance(support, list) or len(support) != 2:
+        raise ValueError("support must be [klo, khi]")
+    support = tuple(_int_value(k, "support") for k in support)
+    max_changes = _int_value(_need(data, "max_changes"), "max_changes")
+    result = solve_signs(params, sample, support, max_changes)
     payload = {"coeffs": result.coeffs.to_json_dict(),
                "signs": list(result.signs.signs),
                "change_points": list(result.signs.change_points),

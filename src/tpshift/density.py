@@ -66,8 +66,9 @@ class DensityProfile:
 
 def _validate_radii(radii) -> np.ndarray:
     arr = np.asarray(list(radii), dtype=float)
-    if arr.size == 0 or np.any(arr <= 0) or np.any(np.diff(arr) <= 0):
-        raise ValueError("radii must be a nonempty increasing list of positive reals")
+    if arr.size == 0 or not np.all(np.isfinite(arr)) or np.any(arr <= 0) \
+            or np.any(np.diff(arr) <= 0):
+        raise ValueError("radii must be a nonempty increasing list of finite positive reals")
     return arr
 
 
@@ -170,8 +171,8 @@ def circ_density_lattice(points: PointSet, alpha: float, radii) -> DensityProfil
     evaluated exactly from the sorted moduli and prefix sums of their logs.
     """
     alpha = float(alpha)
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     rs = _validate_radii(radii)
     mods = _pair_moduli(points, alpha, float(rs[-1]))
     prefix = np.concatenate([[0.0], np.cumsum(np.log(mods))]) if mods.size else np.zeros(1)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import next_fast_len
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 
 from .errors import QuadratureError
 
@@ -82,7 +82,7 @@ class GeneratorParams:
             raise ValueError(f"unknown generator fields: {sorted(unknown)}")
         try:
             return cls(float(d["c0"]), float(d["gamma"]), tuple(d.get("deltas", ())))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"invalid generator params: {exc}") from exc
 
 
@@ -235,13 +235,19 @@ class TimeDomainTable:
         n = len(self.values)
         half = (n - 1) // 2 * self.grid_step
         xs = self.origin + np.arange(n) * self.grid_step - half
-        self._lo = xs[0]
-        self._hi = xs[-1]
         self._spline = CubicSpline(xs, self.values)
 
     @property
     def half_width(self) -> float:
         return (len(self.values) - 1) // 2 * self.grid_step
+
+    @property
+    def steps_per_unit(self) -> int | None:
+        """N when grid_step == 1/N for an integer N, else None."""
+        n = round(1.0 / self.grid_step)
+        if n >= 1 and abs(n * self.grid_step - 1.0) <= 1e-12:
+            return n
+        return None
 
     def interpolation_error_bound(self) -> float:
         """Quartic-order bound (5/384) h^4 max|g''''|, estimated from the samples."""
@@ -251,12 +257,45 @@ class TimeDomainTable:
         return 5.0 / 384.0 * self.grid_step**4 * float(np.max(np.abs(d4)))
 
     def eval(self, x):
-        arr = np.asarray(x, dtype=float)
-        out = np.zeros(arr.shape)
-        inside = (arr >= self._lo) & (arr <= self._hi)
-        if inside.any():
-            out[inside] = self._spline(arr[inside])
-        return out
+        return eval_pieces(self._spline, x)
+
+    def shift_sum(self, shifts, weights, radius: float) -> PPoly:
+        """The piecewise cubic sum_k w_k s(. - k) of the table spline s.
+
+        With grid_step = 1/N an integer shift k moves s's pieces by exactly
+        k*N, so the sum's piece coefficients are slice-adds of s's and agree
+        with summing shifted spline values up to rounding.  Only s's pieces
+        within `radius` of the origin enter.  Direct adds keep the sum
+        exactly 0 wherever no kept piece reaches, where an FFT convolution
+        would leave rounding noise.  Evaluate the result with eval_pieces.
+        """
+        n_per = self.steps_per_unit
+        if n_per is None:
+            raise ValueError(f"grid step {self.grid_step} is not 1/N for an integer N")
+        n_half = (len(self.values) - 1) // 2
+        reach = min(int(math.ceil(radius * n_per)), n_half)
+        width = 2 * reach
+        kept = self._spline.c[:, n_half - reach:n_half + reach]
+        shifts = np.asarray(shifts, dtype=int)
+        k0 = int(shifts.min())
+        coef = np.zeros((kept.shape[0], (int(shifts.max()) - k0) * n_per + width))
+        for k, w in zip(shifts, weights):
+            if w != 0.0:
+                start = (k - k0) * n_per
+                coef[:, start:start + width] += w * kept
+        first = k0 * n_per - reach
+        breaks = self.origin + (first + np.arange(coef.shape[1] + 1)) / n_per
+        return PPoly(coef, breaks)
+
+
+def eval_pieces(pieces: PPoly, x) -> np.ndarray:
+    """Evaluate a piecewise polynomial inside its breakpoint range and 0 outside."""
+    arr = np.asarray(x, dtype=float)
+    out = np.zeros(arr.shape)
+    inside = (arr >= pieces.x[0]) & (arr <= pieces.x[-1])
+    if inside.any():
+        out[inside] = pieces(arr[inside])
+    return out
 
 
 def _fixed_grid_inverse_ft(params: GeneratorParams, x0: float, step: float,

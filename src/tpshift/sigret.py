@@ -387,9 +387,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         dens = tuple(float(d) for d in self.densities)
+        support = tuple(int(k) for k in self.support)
+        window = tuple(float(w) for w in self.window)
+        if len(support) != 2 or len(window) != 2:
+            raise ValueError("support must be [klo, khi] and window [lo, hi]")
+        if not all(math.isfinite(v) for v in dens + window + (self.noise, self.pair_offset)):
+            raise ValueError("densities, window, noise and pair_offset must be finite")
         object.__setattr__(self, "densities", dens)
-        object.__setattr__(self, "support", (int(self.support[0]), int(self.support[1])))
-        object.__setattr__(self, "window", (float(self.window[0]), float(self.window[1])))
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "window", window)
         if any(d <= 0 for d in dens):
             raise ValueError("densities must be positive")
         if self.trials < 0:
@@ -429,7 +435,7 @@ class ExperimentConfig:
                        window=tuple(d["window"]), max_changes=int(d["max_changes"]),
                        noise=float(d.get("noise", 0.0)),
                        pair_offset=float(d.get("pair_offset", 0.0)))
-        except TypeError as exc:
+        except (TypeError, OverflowError) as exc:
             raise ValueError(f"invalid experiment config: {exc}") from exc
 
 

@@ -10,12 +10,14 @@ that relate f to its image under that operator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import IdenticallyZeroError
-from .generator import GeneratorParams, TimeDomainTable, build_table, reduce, tail_bound
+from .generator import (GeneratorParams, TimeDomainTable, build_table, eval_pieces, reduce,
+                        tail_bound)
 
 # Dropped far-tail contributions per unit coefficient stay below this.
 EVAL_TAIL_TOL = 1e-13
@@ -24,7 +26,6 @@ EVAL_TAIL_TOL = 1e-13
 SCAN_STEP = 0.02
 BISECT_TOL = 1e-10
 TOUCH_TOL = 1e-9
-ZERO_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ class CoeffSeq:
             raise ValueError("coefficient sequence must be {'offset': int, 'coeffs': [...]}")
         try:
             return cls(int(d["offset"]), tuple(d["coeffs"]))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"invalid coefficient sequence: {exc}") from exc
 
 
@@ -81,10 +82,15 @@ class PointSet:
 
     def __post_init__(self):
         pts = tuple(float(p) for p in self.points)
+        window = tuple(float(w) for w in self.window)
+        if len(window) != 2:
+            raise ValueError(f"window must be [lo, hi], got {self.window}")
+        if not all(math.isfinite(v) for v in pts + window):
+            raise ValueError("points and window must be finite")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "window", (float(self.window[0]), float(self.window[1])))
+        object.__setattr__(self, "window", window)
         object.__setattr__(self, "touch_points", tuple(float(p) for p in self.touch_points))
-        lo, hi = self.window
+        lo, hi = window
         if not lo < hi:
             raise ValueError(f"window must be nondegenerate, got {self.window}")
         for p, q in zip(pts, pts[1:]):
@@ -108,8 +114,16 @@ class PointSet:
             raise ValueError("point set must be {'points': [...], 'window': [lo, hi]}")
         try:
             return cls(tuple(d["points"]), tuple(d["window"]))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"invalid point set: {exc}") from exc
+
+
+# The bisection costs about as much as summing f's pieces, and every function
+# over the same generator needs the same radius.
+@lru_cache(maxsize=64)
+def _tail_radius(params: GeneratorParams) -> float:
+    """Radius past which g's envelope stays below EVAL_TAIL_TOL per unit coefficient."""
+    return tail_bound(params).decay_radius(EVAL_TAIL_TOL * params.time_amplitude)
 
 
 def support_margin(params: GeneratorParams) -> float:
@@ -120,9 +134,14 @@ def support_margin(params: GeneratorParams) -> float:
 class SISFunction:
     """A shift combination f = sum c_k g(. - k) with cached evaluation tables.
 
-    Immutable after construction.  Tables for g and g' cover the coefficient
-    support plus the envelope decay radius, so evaluations anywhere have
-    absolute error at the table-interpolation level (<= 1e-8).
+    Tables for g and g' cover the coefficient support plus the envelope
+    decay radius, with a grid step 1/N so that integer shifts move their
+    spline pieces by whole pieces.  f and f' are each evaluated through one
+    piecewise cubic, summed from the tables' pieces on first use, so
+    evaluations anywhere have absolute error at the table-interpolation
+    level (<= 1e-8).  Coefficients and tables are fixed after construction;
+    concurrent first evaluations build the same pieces twice, which is
+    harmless.
     """
 
     def __init__(self, params: GeneratorParams, coeffs: CoeffSeq,
@@ -136,18 +155,33 @@ class SISFunction:
                 table = build_table(params, half_width, step)
             if deriv_table is None:
                 deriv_table = build_table(params, half_width, step, deriv=True)
+        for t in (table, deriv_table):
+            if t.steps_per_unit is None:
+                raise ValueError(f"table grid step {t.grid_step} is not 1/N for an integer N")
         self.table = table
         self.deriv_table = deriv_table
 
     @staticmethod
     def _table_geometry(params: GeneratorParams, coeffs: CoeffSeq) -> tuple:
         span = len(coeffs.coeffs)
-        radius = tail_bound(params).decay_radius(EVAL_TAIL_TOL * params.time_amplitude)
-        half_width = max(span + radius + 2.0, 1.0)
+        half_width = max(span + _tail_radius(params) + 2.0, 1.0)
         # Resolve relative to the Gaussian width so quartic interpolation
         # error stays below the evaluation contract for sharp generators.
-        step = min(0.01, 0.008 / max(1.0, math.sqrt(params.gauss_rate)))
+        step = 1.0 / math.ceil(125.0 * max(1.0, math.sqrt(params.gauss_rate)))
         return half_width, step
+
+    def _shift_sum(self, table: TimeDomainTable):
+        # The extra unit covers g', which g's envelope does not bound directly.
+        radius = _tail_radius(self.params) + 1.0
+        return table.shift_sum(self.coeffs.support_indices(), self.coeffs.coeffs, radius)
+
+    @cached_property
+    def _pieces(self):
+        return self._shift_sum(self.table)
+
+    @cached_property
+    def _deriv_pieces(self):
+        return self._shift_sum(self.deriv_table)
 
     def support_window(self, margin: float | None = None) -> tuple:
         ks = self.coeffs.support_indices()
@@ -155,28 +189,19 @@ class SISFunction:
         return (float(ks[0] - pad), float(ks[-1] + pad))
 
 
+def _eval_at(pieces, x):
+    vals = eval_pieces(pieces, x)
+    return float(vals) if np.ndim(x) == 0 else vals
+
+
 def eval_f(f: SISFunction, x):
     """Evaluate f(x) = sum_k c_k g(x - k); accepts a scalar or an array."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros(arr.shape)
-    for k, c in zip(f.coeffs.support_indices(), f.coeffs.coeffs):
-        if c != 0.0:
-            out += c * f.table.eval(arr - k)
-    if np.ndim(x) == 0:
-        return float(out[0])
-    return out
+    return _eval_at(f._pieces, x)
 
 
 def eval_deriv(f: SISFunction, x):
     """Evaluate f'(x) = sum_k c_k g'(x - k)."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros(arr.shape)
-    for k, c in zip(f.coeffs.support_indices(), f.coeffs.coeffs):
-        if c != 0.0:
-            out += c * f.deriv_table.eval(arr - k)
-    if np.ndim(x) == 0:
-        return float(out[0])
-    return out
+    return _eval_at(f._deriv_pieces, x)
 
 
 def apply_rolle_op(f: SISFunction, delta: float) -> SISFunction:
@@ -204,14 +229,17 @@ def find_zeros(f: SISFunction, interval: tuple, scan_step: float = SCAN_STEP) ->
     are flagged as touch candidates instead of resolved.
     """
     lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise ValueError(f"interval must be nondegenerate, got {interval}")
+    if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"interval must be finite and nondegenerate, got {interval}")
     n = int(math.ceil((hi - lo) / scan_step)) + 1
     grid = np.linspace(lo, hi, n)
     vals = eval_f(f, grid)
 
     scale = np.max(np.abs(vals))
-    if np.mean(np.abs(vals) < ZERO_FLOOR) >= 0.99:
+    # Below this peak nothing on the grid rises above the tails the
+    # evaluation drops, so no sign change is meaningful.
+    floor = f.params.time_amplitude * sum(abs(c) for c in f.coeffs.coeffs) * EVAL_TAIL_TOL
+    if scale <= floor:
         raise IdenticallyZeroError(
             f"f is numerically zero on [{lo}, {hi}] ({scale:.3e} peak)")
 
@@ -313,8 +341,8 @@ def segment_inequality(zf: PointSet, zf1: PointSet, t: float) -> SegmentReport:
     same sum over zf1.  Reports both and whether lhs <= rhs + 1e-12.
     """
     t = float(t)
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not (t > 0 and math.isfinite(t)):
+        raise ValueError(f"t must be positive and finite, got {t}")
 
     def chord_sum(ps: PointSet) -> float:
         x = ps.as_array()

@@ -1,8 +1,11 @@
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import tpshift.cli as cli
 from tpshift.errors import ChainViolationError, QuadratureError
@@ -19,6 +22,29 @@ def run(argv):
 
 
 GAUSS = {"c0": 1.0, "gamma": math.pi**2, "deltas": []}
+RETRIEVE_PTS = (np.arange(-12, 16) / 3.0).tolist()
+RETRIEVE = {"generator": GAUSS,
+            "sample": {"points": {"points": RETRIEVE_PTS, "window": [-4.0, 5.0]},
+                       "magnitudes": [abs(math.exp(-x * x) - math.exp(-(x - 1) ** 2))
+                                      / math.sqrt(math.pi) for x in RETRIEVE_PTS]},
+            "support": [0, 1], "max_changes": 3}
+POINTS = {"points": [-1.0, 0.0, 2.0], "window": [-3.0, 3.0]}
+PAIR = {"offset": 0, "coeffs": [1.0, -1.0]}
+# One small valid config per command; the fuzz test breaks one field at a time.
+BASE_CONFIGS = {
+    "gen": {"generator": GAUSS, "xi": [0.5], "x": [0.0]},
+    "eval": {"generator": GAUSS, "coeffs": PAIR, "x": [0.0, 0.5], "deriv": True},
+    "zeros": {"generator": GAUSS, "coeffs": PAIR, "interval": [-4.0, 5.0]},
+    "density": {"points": POINTS, "radii": [1.0, 2.0], "alphas": [1.0]},
+    "lemma1": {"points": POINTS, "radii": [1.0, 2.0], "alphas": [0.5, 1.0]},
+    "jensen": {"generator": GAUSS, "coeffs": PAIR, "radii": [2.0]},
+    "interlace": {"generator": {"c0": 1.0, "gamma": math.pi**2, "deltas": [0.45]},
+                  "coeffs": {"offset": -2, "coeffs": [1.0, -0.5, 0.8, -1.2, 0.3]},
+                  "interval": [-6.0, 6.0], "ts": [5.0]},
+    "retrieve": RETRIEVE,
+    "experiment": {"generator": GAUSS, "densities": [2.5], "trials": 1, "seed": 3,
+                   "support": [-2, 2], "window": [-4.0, 4.0], "max_changes": 8},
+}
 
 
 class TestValidation:
@@ -34,6 +60,28 @@ class TestValidation:
 
     def test_missing_config_flag_exits_2(self):
         assert run(["density"]) == 2
+
+    @pytest.mark.parametrize("command,config", [
+        ("retrieve", dict(RETRIEVE, support=5)),
+        ("retrieve", dict(RETRIEVE, support=[0, 1, 2])),
+        ("retrieve", dict(RETRIEVE, max_changes=[1])),
+        ("retrieve", dict(RETRIEVE, max_changes=math.inf)),
+        ("density", {"points": {"points": [0.0], "window": [1]}, "radii": [1.0]}),
+        ("density", {"points": POINTS, "radii": [math.nan]}),
+        ("density", {"points": POINTS, "radii": [1.0], "alphas": [math.inf]}),
+        ("density", {"points": {"points": [math.nan], "window": [-1.0, 1.0]},
+                     "radii": [1.0]}),
+        ("zeros", {"generator": GAUSS, "coeffs": PAIR, "interval": [0.0, math.inf]}),
+        ("zeros", {"generator": GAUSS, "coeffs": dict(PAIR, offset=math.inf),
+                   "interval": [0.0, 1.0]}),
+        ("interlace", dict(BASE_CONFIGS["interlace"], ts=[math.inf])),
+        ("experiment", dict(BASE_CONFIGS["experiment"], support=[1])),
+        ("experiment", dict(BASE_CONFIGS["experiment"], trials=math.inf)),
+        ("experiment", dict(BASE_CONFIGS["experiment"], window=[-4.0, math.nan])),
+    ])
+    def test_malformed_shapes_and_nonfinite_values_exit_2(self, tmp_path, command, config):
+        path = write_config(tmp_path, "cfg.json", config)
+        assert run([command, "--config", path, "--quiet"]) == 2
 
     def test_schema_violation_exits_2(self, tmp_path):
         path = write_config(tmp_path, "cfg.json",
@@ -196,3 +244,43 @@ class TestExitCodeMapping:
         monkeypatch.setitem(cli._HANDLERS, "lemma1", fake)
         path = write_config(tmp_path, "z.json", {"anything": 1})
         assert run(["lemma1", "--config", path, "--quiet"]) == 4
+
+
+# Magnitudes stay small: the fuzz checks types and shapes, not how much work
+# an extreme but valid size (a tiny gamma, a huge interval) asks for.
+_NUMBERS = st.one_of(st.integers(-3, 8),
+                     st.sampled_from([0.0, -1.5, 0.5, 2.5, 7.0, math.nan, math.inf,
+                                      -math.inf]))
+_SCALARS = st.one_of(st.none(), st.booleans(), _NUMBERS, st.text(max_size=2))
+_VALUES = st.recursive(
+    _SCALARS, lambda kids: st.one_of(st.lists(kids, max_size=3),
+                                     st.dictionaries(st.text(max_size=2), kids, max_size=2)),
+    max_leaves=5)
+
+
+def _field_paths(config, prefix=()):
+    paths = []
+    for key, value in config.items():
+        paths.append(prefix + (key,))
+        if isinstance(value, dict):
+            paths += _field_paths(value, prefix + (key,))
+    return paths
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_schema_fuzz_exit_codes_are_documented(tmp_path, data):
+    command = data.draw(st.sampled_from(sorted(BASE_CONFIGS)))
+    config = copy.deepcopy(BASE_CONFIGS[command])
+    path = data.draw(st.sampled_from(_field_paths(config)))
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        parent[path[-1]] = data.draw(_VALUES)
+    else:
+        del parent[path[-1]]
+    cfg = tmp_path / "fuzz.json"
+    cfg.write_text(json.dumps(config))
+    assert run([command, "--config", str(cfg), "--quiet"]) in {0, 2, 3, 4}

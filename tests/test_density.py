@@ -108,6 +108,12 @@ class TestCircDirect:
         prof = tp.circ_density_direct(pts, [2.0, 5.0])
         assert prof.values == (0.0, 0.0)
 
+    def test_rejects_nonfinite_radii(self):
+        pts = tp.PointSet(points=(0.0,), window=(-1.0, 1.0))
+        for radii in ([math.nan], [math.inf], [1.0, math.inf]):
+            with pytest.raises(ValueError):
+                tp.circ_density_direct(pts, radii)
+
     def test_half_lattice_converges_to_two(self):
         pts = lattice_points(0.5, 400.0)
         prof = tp.circ_density_direct(pts, [50.0, 100.0])
@@ -170,8 +176,9 @@ class TestCircLattice:
 
     def test_rejects_bad_alpha(self):
         pts = lattice_points(1.0, 10.0)
-        with pytest.raises(ValueError):
-            tp.circ_density_lattice(pts, 0.0, [2.0])
+        for alpha in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                tp.circ_density_lattice(pts, alpha, [2.0])
 
 
 class TestLemma1Relations:

@@ -6,6 +6,18 @@ import pytest
 import tpshift as tp
 from tpshift.errors import IdenticallyZeroError
 
+GAUSS_RATE_ONE = math.pi**2
+DELTAS_BY_M = {0: (), 1: (0.45,), 2: (0.45, -0.3), 3: (0.45, -0.3, 0.2)}
+
+
+def per_shift_sum(f, x, deriv=False):
+    """Reference f(x) (or f'(x)): one table lookup per shift, summed."""
+    table = f.deriv_table if deriv else f.table
+    out = np.zeros(np.shape(x))
+    for k, c in zip(f.coeffs.support_indices(), f.coeffs.coeffs):
+        out += c * table.eval(np.asarray(x, dtype=float) - k)
+    return out
+
 
 class TestCoeffSeqAndPointSet:
     def test_coeffs_reject_empty_and_nonfinite(self):
@@ -24,6 +36,18 @@ class TestCoeffSeqAndPointSet:
         with pytest.raises(ValueError):
             tp.PointSet(points=(), window=(2.0, 2.0))
 
+    def test_pointset_rejects_nonfinite_and_malformed_window(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                tp.PointSet(points=(bad,), window=(-1.0, 1.0))
+            with pytest.raises(ValueError):
+                tp.PointSet(points=(), window=(-1.0, bad))
+        for window in ((1.0,), (0.0, 1.0, 2.0)):
+            with pytest.raises(ValueError):
+                tp.PointSet(points=(), window=window)
+        with pytest.raises(ValueError):
+            tp.PointSet.from_json_dict({"points": [0.0], "window": [1]})
+
     def test_json_round_trips(self):
         c = tp.CoeffSeq(-3, (0.5, -1.0, 2.0))
         assert tp.CoeffSeq.from_json_dict(c.to_json_dict()) == c
@@ -33,10 +57,12 @@ class TestCoeffSeqAndPointSet:
 
 class TestEvalF:
     def test_single_shift_equals_generator(self, gauss_params, fn_factory):
-        f = fn_factory(gauss_params, 0, (1.0,))
-        for x in (-2.0, -0.3, 0.0, 0.7, 1.9):
-            assert tp.eval_f(f, x) == pytest.approx(
-                tp.time_eval(gauss_params, x), abs=1e-8)
+        sharp = tp.GeneratorParams(1.0, 1.0)
+        for params in (gauss_params, sharp):
+            f = fn_factory(params, 0, (1.0,))
+            for x in (-2.0, -0.3, 0.0, 0.013, 0.7, 1.9):
+                assert tp.eval_f(f, x) == pytest.approx(
+                    tp.time_eval(params, x), abs=1e-8)
 
     def test_symmetric_pair_at_midpoint(self, gauss_params, fn_factory):
         f = fn_factory(gauss_params, 0, (1.0, 1.0))
@@ -59,6 +85,45 @@ class TestEvalF:
             xs = rng.uniform(-6, 6, 40)
             assert np.allclose(tp.eval_f(fsum, xs),
                                tp.eval_f(f1, xs) + tp.eval_f(f2, xs), atol=1e-9)
+
+
+class TestSplineOfF:
+    """eval_f / eval_deriv against the per-shift sum they replace."""
+
+    @pytest.mark.parametrize("m,gamma", [(0, GAUSS_RATE_ONE), (1, GAUSS_RATE_ONE),
+                                         (2, GAUSS_RATE_ONE), (3, GAUSS_RATE_ONE),
+                                         (0, 1.0), (1, 1.0)])
+    def test_matches_per_shift_sum(self, m, gamma):
+        params = tp.GeneratorParams(1.0, gamma, DELTAS_BY_M[m])
+        c = np.random.default_rng(100 + m).standard_normal(12)
+        c[3] = 0.0
+        f = tp.SISFunction(params, tp.CoeffSeq(-5, tuple(c)))
+        tol = 1e-12 * np.sum(np.abs(c))
+        lo, hi = f._pieces.x[[0, -1]]
+        step = f.table.grid_step
+        inside = np.linspace(-7.0, 8.0, 1501)
+        edges = np.array([lo, lo + 0.3 * step, hi - 0.3 * step, hi])
+        outside = np.array([lo - 0.3 * step, lo - 1.0, hi + 0.3 * step, hi + 1.0, 1e6])
+        for xs in (inside, edges, outside):
+            assert np.max(np.abs(tp.eval_f(f, xs) - per_shift_sum(f, xs))) <= tol
+            assert np.max(np.abs(tp.eval_deriv(f, xs) - per_shift_sum(f, xs, True))) <= tol
+        assert np.all(tp.eval_f(f, outside) == 0.0)
+        assert np.all(tp.eval_deriv(f, outside) == 0.0)
+        assert tp.eval_f(f, 0.37) == pytest.approx(per_shift_sum(f, 0.37), abs=tol)
+
+    def test_sharp_generator_gets_finer_unit_fraction_step(self):
+        f = tp.SISFunction(tp.GeneratorParams(1.0, 1.0), tp.CoeffSeq(0, (1.0,)))
+        assert f.table.steps_per_unit == math.ceil(125.0 * math.pi)
+        assert f.table.grid_step == 1.0 / f.table.steps_per_unit
+
+    def test_rejects_table_step_not_unit_fraction(self, gauss_params):
+        table = tp.build_table(gauss_params, 10.0, 0.003)
+        good = tp.build_table(gauss_params, 10.0, 0.01)
+        coeffs = tp.CoeffSeq(0, (1.0,))
+        with pytest.raises(ValueError):
+            tp.SISFunction(gauss_params, coeffs, table=table, deriv_table=good)
+        with pytest.raises(ValueError):
+            tp.SISFunction(gauss_params, coeffs, table=good, deriv_table=table)
 
 
 class TestEvalDeriv:
@@ -156,6 +221,23 @@ class TestFindZeros:
         with pytest.raises(IdenticallyZeroError):
             tp.find_zeros(f, (-3.0, 3.0))
 
+    def test_wide_interval_is_not_numerically_zero(self, gauss_params, fn_factory):
+        # Over 99.9% of this grid lies in the tails, yet the peak is 0.41.
+        f = fn_factory(gauss_params, 0, (1.0, -1.0))
+        zeros = tp.find_zeros(f, (-1000.0, 1000.0))
+        assert zeros.points == pytest.approx((0.5,), abs=1e-9)
+
+    def test_tiny_coefficients_are_not_numerically_zero(self, gauss_params, fn_factory):
+        f = fn_factory(gauss_params, 0, (1e-13, -1e-13))
+        zeros = tp.find_zeros(f, (-5.0, 5.0))
+        assert zeros.points == pytest.approx((0.5,), abs=1e-9)
+
+    def test_rejects_nonfinite_interval(self, gauss_params, fn_factory):
+        f = fn_factory(gauss_params, 0, (1.0, -1.0))
+        for interval in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
+            with pytest.raises(ValueError):
+                tp.find_zeros(f, interval)
+
 
 class TestInterlacing:
     def test_explicit_interlacing(self):
@@ -205,6 +287,12 @@ class TestSegmentInequality:
         empty = tp.PointSet(points=(), window=(-1.0, 1.0))
         with pytest.raises(ValueError):
             tp.segment_inequality(empty, empty, 0.0)
+
+    def test_rejects_nonfinite_t(self):
+        empty = tp.PointSet(points=(), window=(-1.0, 1.0))
+        for t in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                tp.segment_inequality(empty, empty, t)
 
     def test_random_rolle_images_satisfy_inequality(self, m2_params, fn_factory):
         rng = np.random.default_rng(43)
