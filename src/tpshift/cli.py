@@ -238,7 +238,10 @@ def _run_retrieve(data: dict, seed: int):
                "signs": list(result.signs.signs),
                "change_points": list(result.signs.change_points),
                "residual": result.residual,
-               "sign_changes": result.sign_changes}
+               "sign_changes": result.sign_changes,
+               "nodes": result.nodes,
+               "patterns": result.patterns,
+               "second_pass": result.second_pass}
     rows = [("index", "point", "sign")]
     rows += [(i, p, s) for i, (p, s) in
              enumerate(zip(points.points, result.signs.signs))]

@@ -17,8 +17,6 @@ magnitude gets sign +1, making the {f, -f} quotient concrete.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
@@ -88,12 +86,20 @@ class SignPattern:
 
 @dataclass(frozen=True)
 class RetrievalResult:
-    """Recovered coefficients and signs, canonicalized up to the global sign."""
+    """Recovered coefficients and signs, canonicalized up to the global sign.
+
+    nodes counts the partial patterns whose prefix residual was evaluated,
+    patterns the complete patterns scored, and second_pass tells whether the
+    unrestricted second pass of the search ran.  All three are deterministic.
+    """
 
     coeffs: CoeffSeq
     signs: SignPattern
     residual: float
     sign_changes: int
+    nodes: int
+    patterns: int
+    second_pass: bool
 
 
 def _support_range(support) -> np.ndarray:
@@ -157,32 +163,29 @@ class _PatternFitter:
     """Shared least-squares machinery for all sign patterns of one instance.
 
     The design matrix is fixed; only the right-hand side changes with the
-    pattern.  One reduced QR gives full residuals; QR factors of row
-    prefixes give lower bounds for partial patterns (adding rows can only
-    increase the minimal sum of squares).
+    pattern.  One reduced QR gives full residuals.  Partial patterns use
+    sequential row-updating QR (Golub & Van Loan, section 6.5): row p gets
+    one orthogonal (m+1)x(m+1) transform T_p, the Q.T of the complete QR of
+    [R_p; a_p], which maps the carried state (w, v_p) to (w', e_p).  The
+    running sum of e_p^2 is the least-squares residual of the rows seen so
+    far, so it never decreases as rows are added and bounds every
+    completion from below.
     """
 
     def __init__(self, a: np.ndarray):
         self.a = a
         self.n, self.m = a.shape
         self.q_full = np.linalg.qr(a, mode="reduced")[0]
-        self._q_prefix = {}
-
-    def q_prefix(self, p: int) -> np.ndarray:
-        q = self._q_prefix.get(p)
-        if q is None:
-            q = np.linalg.qr(self.a[:p], mode="reduced")[0]
-            self._q_prefix[p] = q
-        return q
+        self.row_updates = []
+        r = np.zeros((self.m, self.m))
+        for row in a:
+            q, r_next = np.linalg.qr(np.vstack([r, row]), mode="complete")
+            self.row_updates.append(q.T)
+            r = r_next[:self.m]
 
     def sse_full(self, v: np.ndarray) -> float:
         w = self.q_full.T @ v
         return max(float(v @ v - w @ w), 0.0)
-
-    def sse_prefix(self, v: np.ndarray, p: int) -> float:
-        vp = v[:p]
-        w = self.q_prefix(p).T @ vp
-        return max(float(vp @ vp - w @ w), 0.0)
 
 
 class _BudgetExceeded(Exception):
@@ -195,45 +198,55 @@ def _pattern_search(fitter: _PatternFitter, mags: np.ndarray, branch_at: np.ndar
     """Depth-first walk over slot decisions, pruned by prefix residuals.
 
     branch_at masks the slots where a flip may be placed; elsewhere the sign
-    carries over.  A partial pattern is abandoned once the least-squares
-    residual of the samples seen so far exceeds the acceptance threshold or
-    the best complete pattern found anywhere (state is shared between
-    phases), whichever is smaller: such branches can neither be accepted nor
-    optimal among accepted patterns.  Raises _BudgetExceeded past the
-    pattern budget.
+    carries over.  Each node carries the row-updated right-hand side w and
+    the least-squares residual of the samples seen so far; a partial
+    pattern is abandoned once that residual exceeds the acceptance
+    threshold or the best complete pattern found anywhere (state is shared
+    between phases), whichever is smaller: such branches can neither be
+    accepted nor optimal among accepted patterns.  Raises _BudgetExceeded
+    past the pattern budget.
     """
-    n = fitter.n
+    n, m = fitter.n, fitter.m
     n_slots = n - 1
-    signs = np.ones(n)
-    v = signs * mags
+    signs = [1.0] * n
+    orders = [((True, False) if first else (False, True)) if free else (False,)
+              for free, first in zip(branch_at, flip_first)]
+    # Both children of a node share T_p[:, :m] @ w; they differ only in the
+    # sign of the last column's contribution mags[p] * T_p[:, m].
+    heads = [t[:, :m] for t in fitter.row_updates]
+    tails = [mags[p] * t[:, m] for p, t in enumerate(fitter.row_updates)]
+    bound = min(state["sse"] + prune_eps, accept_sse)
 
     def leaf():
-        sse = fitter.sse_full(v)
+        nonlocal bound
+        sse = fitter.sse_full(np.array(signs) * mags)
         state["patterns"] += 1
         if sse < state["sse"]:
             state["sse"] = sse
-            state["signs"] = signs.copy()
+            state["signs"] = np.array(signs)
+            bound = min(sse + prune_eps, accept_sse)
         if state["patterns"] > budget:
             raise _BudgetExceeded()
 
-    def walk(j: int, changes: int):
+    def walk(j: int, changes: int, w: np.ndarray, sse: float):
         if j == n_slots:
             leaf()
             return
-        if branch_at[j]:
-            order = (True, False) if flip_first[j] else (False, True)
-        else:
-            order = (False,)
-        for do_flip in order:
+        p = j + 1
+        shared = heads[p] @ w
+        for do_flip in orders[j]:
             if do_flip and changes == max_changes:
                 continue
-            signs[j + 1] = -signs[j] if do_flip else signs[j]
-            v[j + 1] = signs[j + 1] * mags[j + 1]
-            sse = fitter.sse_prefix(v, j + 2)
-            if sse <= min(state["sse"] + prune_eps, accept_sse):
-                walk(j + 1, changes + (1 if do_flip else 0))
+            signs[p] = -signs[j] if do_flip else signs[j]
+            we = shared + tails[p] if signs[p] > 0 else shared - tails[p]
+            e = float(we[m])
+            child = sse + e * e
+            state["nodes"] += 1
+            if child <= bound:
+                walk(p, changes + do_flip, we[:m], child)
 
-    walk(0, 0)
+    root = tails[0]
+    walk(0, 0, root[:m], float(root[m]) ** 2)
 
 
 def _dip_scores(mags: np.ndarray) -> np.ndarray:
@@ -255,7 +268,8 @@ def _canonicalize(signs: np.ndarray, mags: np.ndarray) -> np.ndarray:
     return signs
 
 
-def _package(params, sample, support, signs, fitter, table) -> RetrievalResult:
+def _package(sample, support, signs, fitter, nodes, patterns,
+             second_pass) -> RetrievalResult:
     mags = sample.mags_array()
     signs = _canonicalize(np.asarray(signs), mags)
     v = signs * mags
@@ -266,7 +280,8 @@ def _package(params, sample, support, signs, fitter, table) -> RetrievalResult:
     ks = _support_range(support)
     pattern = SignPattern.from_signs(signs.astype(int))
     return RetrievalResult(coeffs=CoeffSeq(int(ks[0]), tuple(c)), signs=pattern,
-                           residual=rms, sign_changes=len(pattern.change_points))
+                           residual=rms, sign_changes=len(pattern.change_points),
+                           nodes=nodes, patterns=patterns, second_pass=second_pass)
 
 
 def solve_signs(params: GeneratorParams, sample: MagnitudeSample, support,
@@ -306,15 +321,17 @@ def solve_signs(params: GeneratorParams, sample: MagnitudeSample, support,
 
     accept_sse = (ACCEPT_REL_TOL * peak) ** 2 * n
     prune_eps = (1e-9 * peak) ** 2 * n
-    state = {"sse": math.inf, "signs": None, "patterns": 0}
+    state = {"sse": math.inf, "signs": None, "patterns": 0, "nodes": 0}
 
     def accepted() -> bool:
         return state["signs"] is not None and state["sse"] < accept_sse
 
+    second_pass = False
     try:
         _pattern_search(fitter, mags, candidates, flip_first, max_changes,
                         accept_sse, prune_eps, budget, state)
         if not accepted() and not candidates.all():
+            second_pass = True
             _pattern_search(fitter, mags, np.ones(n_slots, dtype=bool), flip_first,
                             max_changes, accept_sse, prune_eps, budget, state)
     except _BudgetExceeded:
@@ -325,7 +342,8 @@ def solve_signs(params: GeneratorParams, sample: MagnitudeSample, support,
         raise SearchBudgetError(
             f"no sign pattern within tolerance after {state['patterns']} patterns "
             f"(best RMS {best_rms:.3e})")
-    return _package(params, sample, support, state["signs"], fitter, table)
+    return _package(sample, support, state["signs"], fitter, state["nodes"],
+                    state["patterns"], second_pass)
 
 
 def brute_force_signs(params: GeneratorParams, sample: MagnitudeSample, support,
@@ -368,7 +386,7 @@ def brute_force_signs(params: GeneratorParams, sample: MagnitudeSample, support,
             if sse < best_sse:
                 best_sse = sse
                 best_signs = signs
-    return _package(params, sample, support, best_signs, fitter, table)
+    return _package(sample, support, best_signs, fitter, 0, total, False)
 
 
 @dataclass(frozen=True)
@@ -482,23 +500,15 @@ def _draw_sampling_set(rng: np.random.Generator, density: float, window: tuple,
     return PointSet(points=tuple(pts), window=window)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("TPSHIFT_THREADS", "0")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
-
-
 def run_threshold_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Seeded success-rate sweep of the solver across sampling densities.
 
     Per trial: draw a jittered-lattice sampling set and random real
     coefficients, hand the solver |f| on the set, and declare success when
     the recovered function matches f or -f within 1e-4 * max|f| on a dense
-    check grid.  Trials are independent jobs keyed by (density, trial) with
-    per-trial RNG streams spawned from the master seed, so reports do not
-    depend on execution order; TPSHIFT_THREADS > 1 enables a thread pool.
+    check grid.  Each trial draws from its own RNG stream spawned from the
+    master seed and keyed by (density, trial), so reports do not depend on
+    the order trials run in.
     """
     if config.trials == 0:
         return ExperimentReport(config=config, rows=())
@@ -534,18 +544,9 @@ def run_threshold_experiment(config: ExperimentConfig) -> ExperimentReport:
         ok = err <= 1e-4 * float(np.max(np.abs(f_true)))
         return ok, result.residual
 
-    jobs = [(di, ti) for di in range(len(config.densities))
-            for ti in range(config.trials)]
-    workers = _worker_count()
-    if workers > 1 and jobs:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda j: run_trial(*j), jobs))
-    else:
-        outcomes = [run_trial(*j) for j in jobs]
-
     rows = []
     for di, d in enumerate(config.densities):
-        chunk = outcomes[di * config.trials:(di + 1) * config.trials]
+        chunk = [run_trial(di, ti) for ti in range(config.trials)]
         succ = sum(1 for ok, _ in chunk if ok)
         residuals = [r for _, r in chunk if not math.isnan(r)]
         mean_res = float(np.mean(residuals)) if residuals else math.nan

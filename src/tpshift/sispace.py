@@ -25,7 +25,10 @@ EVAL_TAIL_TOL = 1e-13
 # scale >= 1 so 0.02 leaves a wide margin.
 SCAN_STEP = 0.02
 BISECT_TOL = 1e-10
+# Grid minima of |f| below this times the grid peak are touch candidates.
 TOUCH_TOL = 1e-9
+# Largest zero-scan grid; longer intervals are refused before allocating.
+MAX_SCAN_POINTS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -72,8 +75,9 @@ class PointSet:
     """Finite sorted set of real points with its observation window.
 
     touch_points carries flagged near-touch locations from a zero scan (grid
-    local minima of |f| below TOUCH_TOL without a sign change); they are kept
-    out of `points`, which holds sign-change zeros only.
+    local minima of |f| below TOUCH_TOL times the scan peak without a sign
+    change); they are kept out of `points`, which holds sign-change zeros
+    only.
     """
 
     points: tuple
@@ -225,13 +229,19 @@ def find_zeros(f: SISFunction, interval: tuple, scan_step: float = SCAN_STEP) ->
 
     Scans at scan_step, then bisects each bracket to absolute tolerance
     BISECT_TOL.  Zeros are simple sign changes, counted without multiplicity;
-    grid local minima of |f| below TOUCH_TOL without an adjacent sign change
-    are flagged as touch candidates instead of resolved.
+    grid local minima of |f| below TOUCH_TOL times the grid peak without an
+    adjacent sign change are flagged as touch candidates instead of resolved.
+    Raises ValueError when the scan grid would exceed MAX_SCAN_POINTS.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"interval must be finite and nondegenerate, got {interval}")
-    n = int(math.ceil((hi - lo) / scan_step)) + 1
+    steps = (hi - lo) / scan_step
+    if not steps < MAX_SCAN_POINTS:
+        raise ValueError(
+            f"interval [{lo}, {hi}] at step {scan_step} needs more than "
+            f"{MAX_SCAN_POINTS} scan points")
+    n = int(math.ceil(steps)) + 1
     grid = np.linspace(lo, hi, n)
     vals = eval_f(f, grid)
 
@@ -276,7 +286,7 @@ def find_zeros(f: SISFunction, interval: tuple, scan_step: float = SCAN_STEP) ->
     inner = np.arange(1, n - 1)
     is_min = (np.abs(vals[inner]) <= np.abs(vals[inner - 1])) & \
              (np.abs(vals[inner]) <= np.abs(vals[inner + 1]))
-    small = np.abs(vals[inner]) < TOUCH_TOL
+    small = np.abs(vals[inner]) < TOUCH_TOL * scale
     crossing = (prod[inner - 1] < 0.0) | (prod[inner] < 0.0)
     nonzero_here = np.abs(vals[inner]) > 0.0
     for i in inner[is_min & small & ~crossing & nonzero_here]:

@@ -124,6 +124,13 @@ class TestCommands:
         report = json.loads(out.read_text())
         assert report["result"]["points"] == pytest.approx([0.5], abs=1e-9)
 
+    @pytest.mark.parametrize("command", ["zeros", "interlace"])
+    def test_oversized_interval_exits_2(self, tmp_path, capsys, command):
+        config = dict(BASE_CONFIGS[command], interval=[-1e15, 1e15])
+        path = write_config(tmp_path, "huge.json", config)
+        assert run([command, "--config", path, "--quiet"]) == 2
+        assert "scan points" in capsys.readouterr().err
+
     def test_eval_command(self, tmp_path):
         path = write_config(tmp_path, "e.json",
                             {"generator": GAUSS,
@@ -181,6 +188,9 @@ class TestCommands:
         assert run(["retrieve", "--config", path, "--out", str(out), "--quiet"]) == 0
         report = json.loads(out.read_text())
         assert report["result"]["sign_changes"] == 1
+        assert report["result"]["patterns"] >= 1
+        assert report["result"]["nodes"] >= len(pts) - 1
+        assert report["result"]["second_pass"] is False
 
     def test_retrieve_budget_failure_exits_3(self, tmp_path):
         pts = (np.arange(-12, 16) / 3.0).tolist()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tpshift as tp
+from tpshift import sigret
 from tpshift.errors import RankDeficiencyError, SearchBudgetError
 
 
@@ -165,6 +166,45 @@ class TestSolveSigns:
         assert rms_rest <= 1e-6 * scale
 
 
+class TestCarriedBound:
+    """The row-updated prefix residual that prunes the sign search."""
+
+    def test_carried_sse_is_the_prefix_least_squares_residual(self):
+        rng = np.random.default_rng(37)
+        a = rng.standard_normal((40, 9))
+        v = rng.standard_normal(40)
+        fitter = sigret._PatternFitter(a)
+        m = fitter.m
+        w = np.zeros(m)
+        sse = 0.0
+        previous = 0.0
+        for p, t in enumerate(fitter.row_updates):
+            we = t @ np.append(w, v[p])
+            w, sse = we[:m], sse + we[m] ** 2
+            c, *_ = np.linalg.lstsq(a[:p + 1], v[:p + 1], rcond=None)
+            resid = a[:p + 1] @ c - v[:p + 1]
+            assert sse == pytest.approx(resid @ resid, abs=1e-9 * (v @ v))
+            assert sse >= previous
+            previous = sse
+        assert sse == pytest.approx(fitter.sse_full(v), abs=1e-9 * (v @ v))
+
+    def test_counters(self, gauss_params, fn_factory):
+        # Integer samples put |f| at its local peak on both sides of the zero
+        # at 0.5, so the crossing slot is no candidate of the first pass.
+        f = fn_factory(gauss_params, 0, (1.0, -1.0))
+        lam = tp.PointSet(points=tuple(np.arange(-3.0, 5.0)), window=(-4.0, 5.0))
+        sample = tp.sample_magnitudes(f, lam)
+        res = tp.solve_signs(gauss_params, sample, (0, 1), 3)
+        again = tp.solve_signs(gauss_params, sample, (0, 1), 3)
+        assert res.second_pass
+        assert res.signs.change_points == (3,)
+        assert (res.nodes, res.patterns) == (again.nodes, again.patterns)
+        assert res.nodes >= 7 and res.patterns >= 1
+        oracle = tp.brute_force_signs(gauss_params, sample, (0, 1), 3)
+        assert oracle.signs == res.signs
+        assert (oracle.nodes, oracle.patterns, oracle.second_pass) == (0, 64, False)
+
+
 class TestBruteForce:
     def test_agrees_with_solver_on_small_instances(self, gauss_params, fn_factory):
         rng = np.random.default_rng(23)
@@ -232,15 +272,6 @@ class TestExperiment:
         r2 = tp.run_threshold_experiment(cfg)
         assert r1.csv_text() == r2.csv_text()
         assert r1.to_json_dict() == r2.to_json_dict()
-
-    def test_thread_pool_matches_sequential(self, gauss_params, monkeypatch):
-        cfg = tp.ExperimentConfig(generator=gauss_params, densities=(2.5,), trials=4,
-                                  seed=5, support=(-4, 4), window=(-6.0, 6.0),
-                                  max_changes=14)
-        seq = tp.run_threshold_experiment(cfg)
-        monkeypatch.setenv("TPSHIFT_THREADS", "4")
-        par = tp.run_threshold_experiment(cfg)
-        assert seq.csv_text() == par.csv_text()
 
     def test_success_at_good_density(self, gauss_params):
         cfg = tp.ExperimentConfig(generator=gauss_params, densities=(2.5,), trials=6,

@@ -232,6 +232,24 @@ class TestFindZeros:
         zeros = tp.find_zeros(f, (-5.0, 5.0))
         assert zeros.points == pytest.approx((0.5,), abs=1e-9)
 
+    @pytest.mark.parametrize("middle", [0.2, -2.0 / math.e * (1.0 - 1e-10)])
+    def test_touch_points_do_not_depend_on_scale(self, gauss_params, fn_factory,
+                                                 middle):
+        # (1, 0.2, 1) has no touch; the second middle coefficient makes f dip
+        # to about 4e-11 at x = 1 without crossing.
+        scans = [tp.find_zeros(fn_factory(gauss_params, 0, (s, middle * s, s)),
+                               (-4.0, 6.0)) for s in (1.0, 1e-12, 1e6)]
+        for scan in scans[1:]:
+            assert scan.points == scans[0].points
+            assert scan.touch_points == scans[0].touch_points
+        assert scans[0].touch_points == (() if middle > 0 else (1.0,))
+
+    def test_rejects_oversized_scan_before_allocating(self, gauss_params, fn_factory):
+        f = fn_factory(gauss_params, 0, (1.0, -1.0))
+        for interval in ((-1e15, 1e15), (-1e308, 1e308)):
+            with pytest.raises(ValueError, match="scan points"):
+                tp.find_zeros(f, interval)
+
     def test_rejects_nonfinite_interval(self, gauss_params, fn_factory):
         f = fn_factory(gauss_params, 0, (1.0, -1.0))
         for interval in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
