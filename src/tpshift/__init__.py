@@ -22,11 +22,11 @@ from .sispace import (CoeffSeq, InterlaceReport, PointSet, SegmentReport,
 from .density import (DensityProfile, RelationReport, SubadditivityReport,
                       beurling_lower_profile, check_lemma1, circ_density_direct,
                       circ_density_lattice, circ_inner_integral,
-                      circ_subadditivity, union_points)
+                      circ_subadditivity, pair_moduli, union_points)
 from .jensen import (BaseCaseReport, DiskZeroCount, JensenContext, build_context,
                      count_zeros_disk, fit_growth_constant, jensen_lhs,
-                     jensen_rhs, lattice_zero_moduli, log_abs_f_complex,
-                     safe_radius, verify_base_case)
+                     jensen_rhs, log_abs_f_complex, safe_radius,
+                     verify_base_case)
 from .sigret import (ExperimentConfig, ExperimentReport, MagnitudeSample,
                      RetrievalResult, SignPattern, brute_force_signs,
                      design_matrix, fit_coeffs, run_threshold_experiment,

@@ -26,6 +26,8 @@ import numpy as np
 from .sispace import PointSet
 
 PROFILE_KINDS = ("beurling_lower", "circ_direct", "circ_lattice")
+# Largest lattice enumeration; larger radii are refused before allocating.
+MAX_PAIR_MODULI = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -143,16 +145,25 @@ def circ_density_direct(points: PointSet, radii) -> DensityProfile:
     return DensityProfile("circ_direct", tuple(rs), tuple(values))
 
 
-def _pair_moduli(points: PointSet, alpha: float, r_max: float) -> np.ndarray:
-    """Sorted moduli sqrt(x^2 + (alpha k)^2) <= r_max over (set\\{0}) x alpha*Z."""
+def pair_moduli(points: PointSet, alpha: float, r_max: float) -> np.ndarray:
+    """Sorted moduli sqrt(x^2 + (alpha k)^2) <= r_max over (set\\{0}) x alpha*Z.
+
+    Also the vertical zero lattice of jensen at alpha = pi/a.  Moduli at r_max
+    carry no weight for any caller.  Raises ValueError before allocating more
+    than MAX_PAIR_MODULI moduli.
+    """
     lam = points.as_array()
     lam = np.abs(lam[lam != 0.0])
     lam = lam[lam < r_max]
     if lam.size == 0:
         return np.empty(0)
     s = np.sqrt(r_max * r_max - lam * lam)
-    kmax = np.floor(s / alpha).astype(np.int64)
+    kmax = np.floor(s / alpha)
     # k = 0 contributes once, each k >= 1 twice.
+    if not np.sum(2.0 * kmax + 1.0) <= MAX_PAIR_MODULI:
+        raise ValueError(f"lattice at step {alpha} up to radius {r_max} has more "
+                         f"than {MAX_PAIR_MODULI} moduli")
+    kmax = kmax.astype(np.int64)
     flat_lam = np.repeat(lam, kmax + 1)
     offsets = np.repeat(np.cumsum(kmax + 1) - (kmax + 1), kmax + 1)
     flat_k = np.arange(flat_lam.size, dtype=np.int64) - offsets
@@ -174,7 +185,7 @@ def circ_density_lattice(points: PointSet, alpha: float, radii) -> DensityProfil
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     rs = _validate_radii(radii)
-    mods = _pair_moduli(points, alpha, float(rs[-1]))
+    mods = pair_moduli(points, alpha, float(rs[-1]))
     prefix = np.concatenate([[0.0], np.cumsum(np.log(mods))]) if mods.size else np.zeros(1)
     values = []
     for r in rs:

@@ -10,14 +10,17 @@ f at the origin and normalizing,
 
     F(z) = C1 * z**(-n) * f(z) * exp((a/2) * z**2),  F(0) = 1,
 
-is entire with |F(z)| <= C * exp((a/2)|z|^2).  The classical identity for
-the zero counter n_F(t) = #{|z| <= t : F(z) = 0},
+is entire, and |F(z)| <= C |z|^-n exp((a/2)|z|^2) for z != 0 with the
+certified C = C1 * amp * sum_k |c_k|, because termwise
+Re(-a(z-k)^2 + (a/2)z^2) = -a(x-k)^2 + (a/2)|z|^2 <= (a/2)|z|^2.  The
+classical identity for the zero counter n_F(t) = #{|z| <= t : F(z) = 0},
 
     integral_0^r n_F(t)/t dt = (1/2pi) integral_0^{2pi} log|F(r e^{i th})| dth,
 
-ties the vertical-lattice zero count to a contour average bounded by
-log(C)/r^2 + a/2 after dividing by r^2.  All magnitude work happens in
-log space: exp((a/2) r^2) overflows doubles near r = 27 for a = 1.
+ties the vertical-lattice zero count (density.pair_moduli at alpha = pi/a)
+to a contour average bounded by (log(C) - n log(r))/r^2 + a/2 after dividing
+by r^2.  All magnitude work happens in log space: exp((a/2) r^2) overflows
+doubles near r = 27 for a = 1.
 """
 
 from __future__ import annotations
@@ -28,11 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import eval_hermite
 
-from .density import circ_density_direct
+from .density import circ_density_direct, pair_moduli
 from .errors import ChainViolationError, OrderDetectionError, PhaseTrackingError, \
     QuadratureError
+# eval_f is unused, but the benchmark self-test checks tracing restores it here.
 from .sispace import PointSet, SISFunction, eval_f, find_zeros
-from .generator import GeneratorParams
 
 # Order detection: smallest derivative order at 0 clearly above noise.
 ORDER_DETECT_TOL = 1e-8
@@ -124,6 +127,12 @@ class JensenContext:
         """Vertical period pi/a of the zero set of the extension."""
         return math.pi / self.gauss_rate
 
+    @property
+    def log_c(self) -> float:
+        """log C for the certified |F(z)| <= C |z|^-n exp((a/2)|z|^2) (module doc)."""
+        scale = self.f.params.time_amplitude * float(np.sum(np.abs(self.f.coeffs.coeffs)))
+        return self.log_c1 + math.log(scale)
+
 
 def build_context(f: SISFunction, zero_window: tuple = None) -> JensenContext:
     """Detect the order at the origin, normalize, and collect real zeros.
@@ -155,27 +164,6 @@ def build_context(f: SISFunction, zero_window: tuple = None) -> JensenContext:
                           touch_points=zeros.touch_points)
     return JensenContext(f=f, gauss_rate=f.params.gauss_rate, order=order,
                          log_c1=log_c1, real_zeros=real_zeros)
-
-
-def lattice_zero_moduli(ctx: JensenContext, t: float) -> np.ndarray:
-    """Sorted moduli of the vertical-lattice zeros x + i*(pi/a)*k with |z| <= t."""
-    t = float(t)
-    step = ctx.lattice_step
-    lam = ctx.real_zeros.as_array()
-    lam = np.abs(lam[np.abs(lam) <= t])
-    mods = []
-    for x in lam:
-        kmax = int(math.floor(math.sqrt(max(t * t - x * x, 0.0)) / step))
-        ks = np.arange(0, kmax + 1)
-        m = np.sqrt(x * x + (step * ks) ** 2)
-        m = m[m <= t]
-        mods.append(m)
-        mods.append(m[1:])  # negative k mirror
-    if not mods:
-        return np.empty(0)
-    out = np.concatenate(mods)
-    out.sort()
-    return out
 
 
 @dataclass(frozen=True)
@@ -237,7 +225,7 @@ def count_zeros_disk(ctx: JensenContext, t: float) -> DiskZeroCount:
     t = float(t)
     if not t > 0:
         raise ValueError("t must be positive")
-    mods = lattice_zero_moduli(ctx, t + 2.0 * CIRCLE_CLEARANCE)
+    mods = pair_moduli(ctx.real_zeros, ctx.lattice_step, t + 2.0 * CIRCLE_CLEARANCE)
     if mods.size and np.min(np.abs(mods - t)) < CIRCLE_CLEARANCE:
         raise ValueError(
             f"a lattice zero lies within {CIRCLE_CLEARANCE} of |z|={t}; perturb t")
@@ -250,20 +238,17 @@ def count_zeros_disk(ctx: JensenContext, t: float) -> DiskZeroCount:
     return DiskZeroCount(total=total, lattice=lattice, extra=extra)
 
 
-def jensen_lhs(ctx: JensenContext, r: float, verify_total: bool = False) -> float:
+def jensen_lhs(ctx: JensenContext, r: float) -> float:
     """(1/r^2) integral_0^r n_F(t)/t dt from the enumerated lattice zeros.
 
     n_F(t)/t is piecewise constant with breakpoints at the zero moduli, so
-    the integral telescopes exactly to sum over moduli m <= r of log(r/m).
-    With verify_total, the disk count at r is cross-checked by the winding
-    number first (propagating its errors).
+    the integral telescopes exactly to sum over moduli m <= r of log(r/m):
+    (a/2) times circ_density_lattice(real_zeros, pi/a, [r]).
     """
     r = float(r)
     if not r > 0:
         raise ValueError("r must be positive")
-    if verify_total:
-        count_zeros_disk(ctx, r)
-    mods = lattice_zero_moduli(ctx, r)
+    mods = pair_moduli(ctx.real_zeros, ctx.lattice_step, r)
     if mods.size == 0:
         return 0.0
     return float(np.sum(np.log(r / mods))) / (r * r)
@@ -305,20 +290,16 @@ def jensen_rhs(ctx: JensenContext, r: float, n_theta: int = 64,
         f"contour average at |z|={r} did not converge (zero near the contour?)")
 
 
-def fit_growth_constant(ctx: JensenContext, radius: float, grid_step: float = 0.1,
-                        extra_z: np.ndarray = None) -> float:
-    """log(C) with C the empirical constant in |F(z)| <= C exp((a/2)|z|^2).
+def fit_growth_constant(ctx: JensenContext, radius: float, grid_step: float = 0.1) -> float:
+    """Empirical log(C) in |F(z)| <= C exp((a/2)|z|^2) on the disk |z| <= radius.
 
-    Maximizes log|F(z)| - (a/2)|z|^2 over a grid of the disk |z| <= radius
-    (plus any extra sample points, e.g. contour nodes so that contour
-    averages are dominated by construction).  The maximum stabilizes as the
-    grid radius grows.
+    Maximizes log|F(z)| - (a/2)|z|^2 over a grid of the disk.  The maximum
+    stabilizes as the grid radius grows; it is a diagnostic only, and
+    verify_base_case checks against the certified JensenContext.log_c.
     """
     xs = np.arange(-radius, radius + grid_step / 2, grid_step)
     zg = (xs[:, None] + 1j * xs[None, :]).ravel()
     zg = zg[(np.abs(zg) <= radius) & (np.abs(zg) > 0.05)]
-    if extra_z is not None:
-        zg = np.concatenate([zg, np.asarray(extra_z, dtype=complex).ravel()])
     log_f = log_abs_f_complex(ctx.f, zg)
     with np.errstate(invalid="ignore"):
         vals = (ctx.log_c1 - ctx.order * np.log(np.abs(zg)) + log_f
@@ -331,7 +312,7 @@ def fit_growth_constant(ctx: JensenContext, radius: float, grid_step: float = 0.
 def safe_radius(ctx: JensenContext, r: float, span: float = 0.25) -> float:
     """Deterministically nudge r upward to the radius in [r, r+span] farthest
     from every lattice-zero modulus (never closer than CIRCLE_CLEARANCE)."""
-    mods = lattice_zero_moduli(ctx, r + span + 1.0)
+    mods = pair_moduli(ctx.real_zeros, ctx.lattice_step, r + span + 1.0)
     if mods.size == 0:
         return float(r)
     cands = r + np.arange(0, int(round(span / 1e-4)) + 1) * 1e-4
@@ -355,11 +336,11 @@ class BaseCaseRow:
 @dataclass(frozen=True)
 class BaseCaseReport:
     rows: tuple
-    log_c_fit: float
+    log_c: float
     circ_values: tuple  # full-zero-set density profile values per radius
 
     def to_json_dict(self) -> dict:
-        return {"log_c_fit": self.log_c_fit,
+        return {"log_c": self.log_c,
                 "circ_values": list(self.circ_values),
                 "rows": [{"r": w.r, "lhs": w.lhs, "rhs": w.rhs,
                           "circ_scaled": w.circ_scaled, "bound": w.bound,
@@ -370,16 +351,19 @@ def verify_base_case(ctx: JensenContext, radii) -> BaseCaseReport:
     """Run the zero-count / contour-average / growth-bound chain per radius.
 
     Each nominal radius is nudged off the zero moduli, then the chain
-        (a/2) * chord-density(real zeros) <= lhs ~ rhs <= log(C)/r^2 + a/2
+        (a/2) * chord-density(real zeros) <= lhs ~ rhs <= (log C - n log r)/r^2 + a/2
     is checked with slack 20/r on the left link, 2e-6 between lhs and rhs
     (when the winding count confirms all zeros are enumerated), 1e-6 on the
     right link; the chord density of the full zero set must stay below
-    1 + 40/r.  Violations raise with diagnostic values.
+    1 + 40/r.  C is the certified constant JensenContext.log_c, fixed before
+    any sample is taken, so the right link can fail.  Violations raise with
+    diagnostic values.
     """
     rs = [float(r) for r in radii]
     if not rs or any(r <= 0 for r in rs):
         raise ValueError("radii must be positive")
     a = ctx.gauss_rate
+    log_c = ctx.log_c
     lam = ctx.real_zeros
     full_pts = ctx.real_zeros.points
     if ctx.order >= 1:
@@ -387,26 +371,15 @@ def verify_base_case(ctx: JensenContext, radii) -> BaseCaseReport:
     full = PointSet(points=full_pts, window=ctx.real_zeros.window)
 
     rows = []
-    contour_samples = []
-    results = []
+    circ_values = []
     for r0 in rs:
         r = safe_radius(ctx, r0)
         count = count_zeros_disk(ctx, r)
         lhs = jensen_lhs(ctx, r)
         rhs = jensen_rhs(ctx, r)
-        # Keep trapezoid nodes in the growth fit so rhs <= bound structurally.
-        theta = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-        contour_samples.append(r * np.exp(1j * theta))
         circ = circ_density_direct(lam, [r]).values[0] if len(lam) else 0.0
         circ_full = circ_density_direct(full, [r]).values[0] if len(full) else 0.0
-        results.append((r, count, lhs, rhs, circ, circ_full))
-
-    log_c = fit_growth_constant(ctx, radius=max(r for r, *_ in results) + 0.5,
-                                extra_z=np.concatenate(contour_samples))
-
-    circ_values = []
-    for r, count, lhs, rhs, circ, circ_full in results:
-        bound = log_c / (r * r) + 0.5 * a
+        bound = (log_c - ctx.order * math.log(r)) / (r * r) + 0.5 * a
         if count.extra == 0 and abs(lhs - rhs) > 2e-6:
             raise ChainViolationError(
                 f"zero-sum {lhs} and contour average {rhs} disagree at r={r} "
@@ -424,5 +397,5 @@ def verify_base_case(ctx: JensenContext, radii) -> BaseCaseReport:
         rows.append(BaseCaseRow(r=r, lhs=lhs, rhs=rhs, circ_scaled=0.5 * a * circ,
                                 bound=bound, extra_zeros=count.extra))
         circ_values.append(circ_full)
-    return BaseCaseReport(rows=tuple(rows), log_c_fit=log_c,
+    return BaseCaseReport(rows=tuple(rows), log_c=log_c,
                           circ_values=tuple(circ_values))

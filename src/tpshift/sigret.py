@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import RankDeficiencyError, SearchBudgetError
 from .generator import GeneratorParams, TimeDomainTable
-from .sispace import CoeffSeq, PointSet, SISFunction, eval_f
+from .sispace import MAX_SCAN_POINTS, CoeffSeq, PointSet, SISFunction, eval_f
 
 # Acceptance: a pattern fits when its RMS residual drops below this times the
 # peak magnitude.
@@ -38,6 +38,8 @@ SIGN_FLOOR = 1e-10
 # restricted first pass (generous: across the test corpus true crossings
 # score under 0.62).
 CANDIDATE_DIP = 0.75
+# Spacing of the grid on which a recovered function is compared with the truth.
+CHECK_STEP = 0.05
 
 
 @dataclass(frozen=True)
@@ -426,6 +428,11 @@ class ExperimentConfig:
             raise ValueError("support range must be nonempty")
         if self.noise < 0 or self.pair_offset < 0:
             raise ValueError("noise and pair_offset must be nonnegative")
+        width = self.window[1] - self.window[0]
+        samples = width * max(dens, default=0.0) * (2 if self.pair_offset > 0 else 1)
+        if not max(width / CHECK_STEP, samples) < MAX_SCAN_POINTS:
+            raise ValueError(f"window {self.window} needs more than {MAX_SCAN_POINTS} "
+                             "check or sample points")
 
     def to_json_dict(self) -> dict:
         return {"generator": self.generator.to_json_dict(),
@@ -516,7 +523,7 @@ def run_threshold_experiment(config: ExperimentConfig) -> ExperimentReport:
     ks = _support_range(config.support)
     shared = SISFunction(params, CoeffSeq(int(ks[0]), (1.0,) * len(ks)))
     lo, hi = config.window
-    grid = np.arange(lo, hi + 1e-9, 0.05)
+    grid = np.arange(lo, hi + 1e-9, CHECK_STEP)
     g_grid = design_matrix(params, grid, config.support, table=shared.table)
 
     def run_trial(di: int, ti: int):

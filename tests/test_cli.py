@@ -124,12 +124,20 @@ class TestCommands:
         report = json.loads(out.read_text())
         assert report["result"]["points"] == pytest.approx([0.5], abs=1e-9)
 
-    @pytest.mark.parametrize("command", ["zeros", "interlace"])
-    def test_oversized_interval_exits_2(self, tmp_path, capsys, command):
-        config = dict(BASE_CONFIGS[command], interval=[-1e15, 1e15])
+    @pytest.mark.parametrize("command,field,value,message", [
+        ("zeros", "interval", [-1e15, 1e15], "scan points"),
+        ("interlace", "interval", [-1e15, 1e15], "scan points"),
+        ("jensen", "radii", [1e15], "moduli"),
+        ("density", "radii", [1e15], "moduli"),
+        ("experiment", "window", [-1e15, 1e15], "sample points"),
+    ], ids=["zeros", "interlace", "jensen", "density", "experiment"])
+    def test_oversized_interval_exits_2(self, tmp_path, capsys, command, field, value,
+                                        message):
+        # Sizes are refused before allocating, not by a MemoryError traceback.
+        config = dict(BASE_CONFIGS[command], **{field: value})
         path = write_config(tmp_path, "huge.json", config)
         assert run([command, "--config", path, "--quiet"]) == 2
-        assert "scan points" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_eval_command(self, tmp_path):
         path = write_config(tmp_path, "e.json",

@@ -150,6 +150,17 @@ class TestJensenSides:
                 k += 1
         assert tp.jensen_lhs(ctx, r) == pytest.approx(total / r**2, rel=1e-12)
 
+    def test_lhs_is_scaled_lattice_density(self, gauss_params, fn_factory):
+        # The vertical zero lattice is the planar lattice of the real zeros at
+        # alpha = pi/a, so the zero sum is (a/2) times its circular density.
+        rng = np.random.default_rng(29)
+        f = alternating_function(fn_factory, gauss_params, rng, 40)
+        ctx = tp.build_context(f)
+        a = ctx.gauss_rate
+        for r in (2.0, 4.2, 8.0):
+            dens = tp.circ_density_lattice(ctx.real_zeros, math.pi / a, [r]).values[0]
+            assert abs(tp.jensen_lhs(ctx, r) - 0.5 * a * dens) <= 1e-14
+
     def test_rhs_harmonic_mean_value_zero_free(self, gauss_params, fn_factory):
         f = fn_factory(gauss_params, 0, (1.0,))
         ctx = tp.build_context(f)
@@ -203,6 +214,24 @@ class TestGrowthFitAndBaseCase:
         assert c4 <= c6 + 1e-12 <= c8 + 2e-12
         assert c8 - c6 < 0.5
 
+    def test_certified_bound_holds_off_any_grid(self, gauss_params, fn_factory):
+        # log_c is fixed by the coefficients alone; check it at random points
+        # no growth fit has seen, inside and outside the unit disk.
+        rng = np.random.default_rng(31)
+        a = gauss_params.gauss_rate
+        order_zero = alternating_function(fn_factory, gauss_params, rng, 20)
+        order_one = fn_factory(gauss_params, -3, (1.0, 0.5, -0.2, 0.0, 0.2, -0.5, -1.0))
+        zs = np.concatenate([rng.uniform(0.01, 1.0, 200), rng.uniform(1.0, 12.0, 800)]) \
+            * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, 1000))
+        for f, order in ((order_zero, 0), (order_one, 1)):
+            ctx = tp.build_context(f)
+            assert ctx.order == order
+            log_r = np.log(np.abs(zs))
+            log_big_f = (ctx.log_c1 - order * log_r + tp.log_abs_f_complex(f, zs)
+                         + 0.5 * a * (zs * zs).real)
+            assert np.all(log_big_f - 0.5 * a * np.abs(zs) ** 2
+                          <= ctx.log_c - order * log_r + 1e-12)
+
     def test_base_case_chain(self, gauss_params, fn_factory):
         rng = np.random.default_rng(23)
         f = alternating_function(fn_factory, gauss_params, rng, 40)
@@ -210,13 +239,17 @@ class TestGrowthFitAndBaseCase:
         report = tp.verify_base_case(ctx, [2.0, 4.0, 8.0])
         assert len(report.rows) == 3
         a = ctx.gauss_rate
+        log_c = ctx.log_c1 + math.log(gauss_params.time_amplitude
+                                      * np.sum(np.abs(f.coeffs.coeffs)))
+        assert report.log_c == pytest.approx(log_c)
         for row in report.rows:
             assert row.extra_zeros == 0
             assert abs(row.lhs - row.rhs) < 2e-6
             assert row.lhs <= row.bound + 1e-6
             assert row.rhs <= row.bound + 1e-6
             assert row.circ_scaled <= row.lhs + 20.0 / row.r
-            assert row.bound == pytest.approx(report.log_c_fit / row.r**2 + a / 2)
+            assert row.bound == pytest.approx(
+                (log_c - ctx.order * math.log(row.r)) / row.r**2 + a / 2)
         for v, row in zip(report.circ_values, report.rows):
             assert v <= 1.0 + 40.0 / row.r
 
