@@ -190,8 +190,8 @@ def _run_jensen(data: dict, seed: int):
     result = report.to_json_dict()
     result["order_at_zero"] = ctx.order
     result["real_zero_count"] = len(ctx.real_zeros)
-    rows = [("r", "lhs", "rhs", "circ_scaled", "bound", "extra_zeros")]
-    rows += [(w.r, w.lhs, w.rhs, w.circ_scaled, w.bound, w.extra_zeros)
+    rows = [("r", "lhs", "rhs", "circ_scaled", "bound", "extra_zeros", "samples")]
+    rows += [(w.r, w.lhs, w.rhs, w.circ_scaled, w.bound, w.extra_zeros, w.samples)
              for w in report.rows]
     return result, rows, True
 

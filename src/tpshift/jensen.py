@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import eval_hermite
@@ -43,6 +44,9 @@ ORDER_NOISE_FLOOR = 1e-12
 MAX_ORDER = 6
 # A zero this close to the counting circle makes phase tracking unreliable.
 CIRCLE_CLEARANCE = 1e-6
+# Largest (points x terms) block _stable_terms builds at once: 4 MiB per
+# complex array.
+MAX_TERM_BLOCK = 1 << 18
 
 
 def _require_gaussian(f: SISFunction):
@@ -55,7 +59,10 @@ def _stable_terms(f: SISFunction, z):
     """Split f(z) into exp(scale) * inner with real scale = max term log-magnitude.
 
     inner is an order-one complex number unless the terms cancel; its
-    magnitude is the size of f relative to the local term scale.
+    magnitude is the size of f relative to the local term scale.  The
+    (points x terms) arrays are built in row blocks of at most
+    MAX_TERM_BLOCK entries; each point reduces its own row, so the block
+    size does not change any value.
     """
     zz = np.asarray(z, dtype=complex)
     ks = f.coeffs.support_indices()
@@ -64,13 +71,28 @@ def _stable_terms(f: SISFunction, z):
     ks, cs = ks[keep], cs[keep]
     a = f.params.gauss_rate
     log_amp = math.log(f.params.time_amplitude)
-    w = zz[..., None] - ks
-    wr, wi = w.real, w.imag
-    log_mag = log_amp + np.log(np.abs(cs)) - a * (wr * wr - wi * wi)
-    phase = -2.0 * a * wr * wi + np.where(cs < 0, math.pi, 0.0)
-    scale = np.max(log_mag, axis=-1)
-    inner = np.sum(np.exp(log_mag - scale[..., None] + 1j * phase), axis=-1)
-    return scale, inner
+    log_cs = log_amp + np.log(np.abs(cs))
+    sign_phase = np.where(cs < 0, math.pi, 0.0)
+    flat = zz.reshape(-1)
+    scale = np.empty(flat.shape)
+    inner = np.empty(flat.shape, dtype=complex)
+    rows = max(1, MAX_TERM_BLOCK // max(1, ks.size))
+    for lo in range(0, flat.size, rows):
+        w = flat[lo:lo + rows, None] - ks
+        wr, wi = w.real, w.imag
+        log_mag = log_cs - a * (wr * wr - wi * wi)
+        phase = -2.0 * a * wr * wi + sign_phase
+        block_scale = np.max(log_mag, axis=-1)
+        scale[lo:lo + rows] = block_scale
+        inner[lo:lo + rows] = np.sum(np.exp(log_mag - block_scale[:, None] + 1j * phase),
+                                     axis=-1)
+    return scale.reshape(zz.shape), inner.reshape(zz.shape)
+
+
+def _log_abs(scale, inner):
+    """log|f| from _stable_terms output; -inf where inner underflows to 0."""
+    with np.errstate(divide="ignore"):
+        return scale + np.log(np.abs(inner))
 
 
 def log_abs_f_complex(f: SISFunction, z):
@@ -80,10 +102,7 @@ def log_abs_f_complex(f: SISFunction, z):
     Accepts a scalar or an array of complex arguments.
     """
     _require_gaussian(f)
-    scale, inner = _stable_terms(f, z)
-    mag = np.abs(inner)
-    with np.errstate(divide="ignore"):
-        out = scale + np.log(mag)
+    out = _log_abs(*_stable_terms(f, z))
     if np.ndim(z) == 0:
         return float(out[()])
     return out
@@ -132,6 +151,62 @@ class JensenContext:
         """log C for the certified |F(z)| <= C |z|^-n exp((a/2)|z|^2) (module doc)."""
         scale = self.f.params.time_amplitude * float(np.sum(np.abs(self.f.coeffs.coeffs)))
         return self.log_c1 + math.log(scale)
+
+    @cached_property
+    def contour(self) -> "ContourSampler":
+        """The sampler shared by the winding count and the contour average."""
+        return ContourSampler(self.f)
+
+
+class ContourSampler:
+    """Stabilized terms of f on nested trapezoid grids of one circle |z| = r.
+
+    Holds (scale, inner) at theta_j = 2 pi j/n, j < n, for the finest n
+    reached at the most recent radius, plus the closing point theta = 2 pi
+    once it is asked for.  A grid n/2^k is a strided view, and each doubling
+    evaluates only the new odd-index points: linspace(0, 2 pi, 2n + 1)[::2]
+    equals linspace(0, 2 pi, n + 1) bit for bit, so every grid holds the
+    values a fresh evaluation at its points gives.  Another radius, or a
+    grid not a power-of-two multiple or divisor of n, starts over.  The
+    state is replaced in one assignment, so a failed evaluation leaves the
+    previous grid intact.
+    """
+
+    def __init__(self, f: SISFunction):
+        self.f = f
+        self._state = (None, 0, None, None, None)  # r, n, scale, inner, closing point
+
+    @property
+    def n(self) -> int:
+        """Points in the finest grid held (0 before the first call)."""
+        return self._state[1]
+
+    def _eval(self, r: float, theta):
+        return _stable_terms(self.f, r * np.exp(1j * theta))
+
+    def grid(self, r: float, n: int, closed: bool = False):
+        """(scale, inner) at r e^{2 pi i j/n} for j = 0..n-1 (j = n too if closed)."""
+        r_held, top, scale, inner, end = self._state
+        lo, hi = sorted((n, top))
+        if r != r_held or hi % lo or (hi // lo) & (hi // lo - 1):
+            top, end = n, None
+            scale, inner = self._eval(r, np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
+        while top < n:
+            new_scale, new_inner = self._eval(
+                r, np.linspace(0.0, 2.0 * math.pi, 2 * top + 1)[1::2])
+            scale = np.stack([scale, new_scale], axis=-1).ravel()
+            inner = np.stack([inner, new_inner], axis=-1).ravel()
+            top *= 2
+        if closed and end is None:
+            end = self._eval(r, np.array([2.0 * math.pi]))
+        self._state = (r, top, scale, inner, end)
+        step = top // n
+        scale, inner = scale[::step], inner[::step]
+        if closed:
+            return np.concatenate([scale, end[0]]), np.concatenate([inner, end[1]])
+        # Contiguous copies: callers may write to them, and their ufuncs run
+        # the loops they run on a freshly evaluated array.
+        return scale.copy(), inner.copy()
 
 
 def build_context(f: SISFunction, zero_window: tuple = None) -> JensenContext:
@@ -193,8 +268,7 @@ def _winding_number(ctx: JensenContext, t: float, n_start: int = 512,
     prev = None
     while nt <= n_max:
         theta = np.linspace(0.0, 2.0 * math.pi, nt + 1)
-        zs = t * np.exp(1j * theta)
-        _, inner = _stable_terms(ctx.f, zs)
+        _, inner = ctx.contour.grid(t, nt, closed=True)
         if np.any(np.abs(inner) == 0.0):
             raise PhaseTrackingError(f"contour |z|={t} passes through a zero")
         dphi = np.angle(inner[1:] * np.conj(inner[:-1]))
@@ -256,8 +330,7 @@ def jensen_lhs(ctx: JensenContext, r: float) -> float:
 
 def _contour_log_abs_F(ctx: JensenContext, r: float, nt: int) -> np.ndarray:
     theta = np.linspace(0.0, 2.0 * math.pi, nt, endpoint=False)
-    zs = r * np.exp(1j * theta)
-    log_f = log_abs_f_complex(ctx.f, zs)
+    log_f = _log_abs(*ctx.contour.grid(r, nt))
     return (ctx.log_c1 - ctx.order * math.log(r) + log_f
             + 0.5 * ctx.gauss_rate * r * r * np.cos(2.0 * theta))
 
@@ -316,7 +389,12 @@ def safe_radius(ctx: JensenContext, r: float, span: float = 0.25) -> float:
     if mods.size == 0:
         return float(r)
     cands = r + np.arange(0, int(round(span / 1e-4)) + 1) * 1e-4
-    dist = np.min(np.abs(mods[None, :] - cands[:, None]), axis=1)
+    # mods is sorted, so each candidate's nearest modulus is a neighbour of
+    # its insertion point.
+    i = np.searchsorted(mods, cands)
+    below = np.abs(mods[np.maximum(i - 1, 0)] - cands)
+    above = np.abs(mods[np.minimum(i, mods.size - 1)] - cands)
+    dist = np.minimum(below, above)
     best = int(np.argmax(dist))
     if dist[best] < CIRCLE_CLEARANCE:
         raise PhaseTrackingError(f"no clear counting radius near {r}")
@@ -331,6 +409,7 @@ class BaseCaseRow:
     circ_scaled: float
     bound: float
     extra_zeros: int
+    samples: int  # finest contour grid evaluated at r
 
 
 @dataclass(frozen=True)
@@ -344,7 +423,8 @@ class BaseCaseReport:
                 "circ_values": list(self.circ_values),
                 "rows": [{"r": w.r, "lhs": w.lhs, "rhs": w.rhs,
                           "circ_scaled": w.circ_scaled, "bound": w.bound,
-                          "extra_zeros": w.extra_zeros} for w in self.rows]}
+                          "extra_zeros": w.extra_zeros, "samples": w.samples}
+                         for w in self.rows]}
 
 
 def verify_base_case(ctx: JensenContext, radii) -> BaseCaseReport:
@@ -357,7 +437,8 @@ def verify_base_case(ctx: JensenContext, radii) -> BaseCaseReport:
     right link; the chord density of the full zero set must stay below
     1 + 40/r.  C is the certified constant JensenContext.log_c, fixed before
     any sample is taken, so the right link can fail.  Violations raise with
-    diagnostic values.
+    diagnostic values.  Each row records the finest contour grid evaluated
+    at its radius (samples).
     """
     rs = [float(r) for r in radii]
     if not rs or any(r <= 0 for r in rs):
@@ -395,7 +476,8 @@ def verify_base_case(ctx: JensenContext, radii) -> BaseCaseReport:
             raise ChainViolationError(
                 f"zero-set chord density {circ_full} exceeds 1 + 40/r at r={r}")
         rows.append(BaseCaseRow(r=r, lhs=lhs, rhs=rhs, circ_scaled=0.5 * a * circ,
-                                bound=bound, extra_zeros=count.extra))
+                                bound=bound, extra_zeros=count.extra,
+                                samples=ctx.contour.n))
         circ_values.append(circ_full)
     return BaseCaseReport(rows=tuple(rows), log_c=log_c,
                           circ_values=tuple(circ_values))

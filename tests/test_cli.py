@@ -1,6 +1,10 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,6 +175,32 @@ class TestCommands:
         for row in rows:
             assert abs(row["lhs"] - row["rhs"]) < 2e-6
             assert row["extra_zeros"] == 0
+            assert row["samples"] >= 1024
+
+    def test_jensen_many_coefficients_in_bounded_memory(self, tmp_path):
+        # 300 coefficients at r = 60 need 65536 contour samples: one
+        # (samples x coefficients) complex array would be 300 MiB, more than
+        # this address-space limit leaves after the imports.
+        resource = pytest.importorskip("resource")
+        rng = np.random.default_rng(3)
+        c = (rng.uniform(0.9, 1.1, 300) * (-1.0) ** np.arange(300)).tolist()
+        path = write_config(tmp_path, "big.json",
+                            {"generator": GAUSS,
+                             "coeffs": {"offset": -150, "coeffs": c},
+                             "radii": [60.0]})
+        limit = 768 << 20
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "tpshift.cli", "jensen",
+                               "--config", path, "--quiet"],
+                              env=env, preexec_fn=cap, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode in (0, 3), proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_interlace_suite(self, tmp_path):
         rng = np.random.default_rng(2)

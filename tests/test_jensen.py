@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import tpshift as tp
+import tpshift.jensen as jensen
 from tpshift.errors import OrderDetectionError
-from tpshift.jensen import _stable_terms
+from tpshift.jensen import ContourSampler, _stable_terms
 
 
 def alternating_function(fn_factory, params, rng, n_shifts=40):
@@ -111,6 +112,16 @@ class TestCountZeros:
                   for t in (1.0, 2.0, 4.0, 6.0)]
         assert counts == sorted(counts)
 
+    def test_safe_radius_matches_all_pairs_search(self, gauss_params, fn_factory):
+        rng = np.random.default_rng(53)
+        f = alternating_function(fn_factory, gauss_params, rng, 40)
+        ctx = tp.build_context(f)
+        for r in (0.3, 2.0, 4.0, 7.9, 8.0):
+            mods = tp.pair_moduli(ctx.real_zeros, ctx.lattice_step, r + 0.25 + 1.0)
+            cands = r + np.arange(0, 2501) * 1e-4
+            dist = np.min(np.abs(mods[None, :] - cands[:, None]), axis=1)
+            assert tp.safe_radius(ctx, r) == cands[int(np.argmax(dist))]
+
     def test_rejects_zero_on_circle(self, fn_factory):
         params = tp.GeneratorParams(1.0, 1.0)
         f = fn_factory(params, 0, (1.0, -1.0))
@@ -189,6 +200,93 @@ class TestJensenSides:
             assert abs(tp.jensen_lhs(ctx, r) - tp.jensen_rhs(ctx, r)) < 2e-6
 
 
+def same_bits(got, want):
+    return all(g.shape == w.shape and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def fresh_contour_average(ctx, r, nt=64, tol=1e-7):
+    # jensen_rhs with every grid evaluated from scratch.
+    prev = None
+    while True:
+        theta = np.linspace(0.0, 2.0 * math.pi, nt, endpoint=False)
+        vals = (ctx.log_c1 - ctx.order * math.log(r)
+                + tp.log_abs_f_complex(ctx.f, r * np.exp(1j * theta))
+                + 0.5 * ctx.gauss_rate * r * r * np.cos(2.0 * theta))
+        cur = float(np.mean(vals)) / (r * r)
+        if prev is not None and abs(cur - prev) < tol:
+            return cur
+        prev, nt = cur, 2 * nt
+
+
+class TestContourSampler:
+    @staticmethod
+    def fresh(f, r, n, closed):
+        theta = np.linspace(0.0, 2.0 * math.pi, n + 1)
+        return _stable_terms(f, r * np.exp(1j * (theta if closed else theta[:-1])))
+
+    def test_nested_grids_match_fresh_evaluation(self, gauss_params, fn_factory):
+        rng = np.random.default_rng(37)
+        f = alternating_function(fn_factory, gauss_params, rng, 40)
+        sampler = ContourSampler(f)
+        # The contour average's coarse grids first, then the winding count's
+        # closed grids, coarser views, one more doubling, a grid that is not
+        # nested, and another radius.
+        steps = [(4.05, 64, False), (4.05, 128, False), (4.05, 512, True),
+                 (4.05, 1024, True), (4.05, 256, False), (4.05, 64, True),
+                 (4.05, 2048, False), (4.05, 96, False), (4.05, 384, True),
+                 (2.3, 512, True), (2.3, 64, False)]
+        finest = [64, 128, 512, 1024, 1024, 1024, 2048, 96, 384, 512, 512]
+        for (r, n, closed), top in zip(steps, finest):
+            assert same_bits(sampler.grid(r, n, closed), self.fresh(f, r, n, closed))
+            assert sampler.n == top
+
+    def test_term_blocks_do_not_change_values(self, gauss_params, fn_factory, monkeypatch):
+        rng = np.random.default_rng(41)
+        f = alternating_function(fn_factory, gauss_params, rng, 40)
+        zs = 3.7 * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 1001))
+        whole = _stable_terms(f, zs)
+        grid = _stable_terms(f, zs[:1000].reshape(8, 125))
+        point = _stable_terms(f, zs[17])
+        monkeypatch.setattr(jensen, "MAX_TERM_BLOCK", 7 * 40 + 3)
+        assert same_bits(_stable_terms(f, zs), whole)
+        assert same_bits(_stable_terms(f, zs[:1000].reshape(8, 125)), grid)
+        assert same_bits(_stable_terms(f, zs[17]), point)
+        assert same_bits(grid, [v[:1000].reshape(8, 125) for v in whole])
+
+    def test_each_contour_point_evaluated_once(self, gauss_params, fn_factory, monkeypatch):
+        rng = np.random.default_rng(43)
+        f = alternating_function(fn_factory, gauss_params, rng, 40)
+        ctx = tp.build_context(f)
+        points = []
+        stable_terms = jensen._stable_terms
+
+        def counting(f, z):
+            points.append(np.size(z))
+            return stable_terms(f, z)
+
+        monkeypatch.setattr(jensen, "_stable_terms", counting)
+        for r in (2.0, 8.0):
+            points.clear()
+            row = tp.verify_base_case(ctx, [r]).rows[0]
+            assert row.samples >= 1024
+            assert sum(points) == row.samples + 1
+
+    def test_standalone_calls_match_fresh_evaluation(self, gauss_params, fn_factory):
+        rng = np.random.default_rng(47)
+        f = alternating_function(fn_factory, gauss_params, rng, 40)
+        for r0 in (2.0, 4.0, 8.0):
+            r = tp.safe_radius(tp.build_context(f), r0)
+            want = fresh_contour_average(tp.build_context(f), r)
+            rhs_first = tp.build_context(f)
+            assert tp.jensen_rhs(rhs_first, r) == want
+            count_after = tp.count_zeros_disk(rhs_first, r)
+            count_first = tp.build_context(f)
+            count = tp.count_zeros_disk(count_first, r)
+            assert tp.jensen_rhs(count_first, r) == want
+            assert count == count_after
+            assert count.extra == 0 and count.total == count.lattice
+
+
 class TestLatticeInvariance:
     def test_zero_set_repeats_vertically(self, gauss_params, fn_factory):
         rng = np.random.default_rng(17)
@@ -244,6 +342,7 @@ class TestGrowthFitAndBaseCase:
         assert report.log_c == pytest.approx(log_c)
         for row in report.rows:
             assert row.extra_zeros == 0
+            assert row.samples >= 1024
             assert abs(row.lhs - row.rhs) < 2e-6
             assert row.lhs <= row.bound + 1e-6
             assert row.rhs <= row.bound + 1e-6
