@@ -12,7 +12,7 @@ class NumericalError(RuntimeError):
 
 
 class QuadratureError(NumericalError):
-    """Adaptive quadrature or contour averaging did not reach tolerance."""
+    """A contour average did not reach tolerance, or its contour hit a zero."""
 
 
 class PhaseTrackingError(NumericalError):

@@ -140,7 +140,8 @@ class SISFunction:
 
     Tables for g and g' cover the coefficient support plus the envelope
     decay radius, with a grid step 1/N so that integer shifts move their
-    spline pieces by whole pieces.  f and f' are each evaluated through one
+    spline pieces by whole pieces; the g' table is built on first use
+    unless the caller passes one.  f and f' are each evaluated through one
     piecewise cubic, summed from the tables' pieces on first use, so
     evaluations anywhere have absolute error at the table-interpolation
     level (<= 1e-8).  Coefficients and tables are fixed after construction;
@@ -153,26 +154,24 @@ class SISFunction:
                  deriv_table: TimeDomainTable | None = None):
         self.params = params
         self.coeffs = coeffs
-        if table is None or deriv_table is None:
-            half_width, step = self._table_geometry(params, coeffs)
-            if table is None:
-                table = build_table(params, half_width, step)
-            if deriv_table is None:
-                deriv_table = build_table(params, half_width, step, deriv=True)
         for t in (table, deriv_table):
-            if t.steps_per_unit is None:
+            if t is not None and t.steps_per_unit is None:
                 raise ValueError(f"table grid step {t.grid_step} is not 1/N for an integer N")
-        self.table = table
-        self.deriv_table = deriv_table
+        self.table = self._build_table() if table is None else table
+        if deriv_table is not None:
+            self.deriv_table = deriv_table
 
-    @staticmethod
-    def _table_geometry(params: GeneratorParams, coeffs: CoeffSeq) -> tuple:
-        span = len(coeffs.coeffs)
-        half_width = max(span + _tail_radius(params) + 2.0, 1.0)
+    @cached_property
+    def deriv_table(self) -> TimeDomainTable:
+        return self._build_table(deriv=True)
+
+    def _build_table(self, deriv: bool = False) -> TimeDomainTable:
+        span = len(self.coeffs.coeffs)
+        half_width = max(span + _tail_radius(self.params) + 2.0, 1.0)
         # Resolve relative to the Gaussian width so quartic interpolation
         # error stays below the evaluation contract for sharp generators.
-        step = 1.0 / math.ceil(125.0 * max(1.0, math.sqrt(params.gauss_rate)))
-        return half_width, step
+        step = 1.0 / math.ceil(125.0 * max(1.0, math.sqrt(self.params.gauss_rate)))
+        return build_table(self.params, half_width, step, deriv=deriv)
 
     def _shift_sum(self, table: TimeDomainTable):
         # The extra unit covers g', which g's envelope does not bound directly.

@@ -202,6 +202,43 @@ class TestCommands:
         assert proc.returncode in (0, 3), proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("deltas", [[0.45, 0.45], [0.45, 0.4501, 0.4502]])
+    def test_coincident_deltas_exit_2(self, tmp_path, capsys, deltas):
+        path = write_config(tmp_path, "gen.json",
+                            {"generator": {"c0": 1.0, "gamma": math.pi**2, "deltas": deltas},
+                             "x": [0.0]})
+        assert run(["gen", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "deltas" in err
+
+    @pytest.mark.parametrize("command,payload", [
+        ("eval", {"generator": {"c0": 1.0, "gamma": 1e-10, "deltas": []},
+                  "coeffs": PAIR, "x": [0.0]}),
+        ("experiment", {"generator": GAUSS, "densities": [2.5], "trials": 1, "seed": 3,
+                        "support": [-1000000, 1000000], "window": [-4.0, 4.0],
+                        "max_changes": 8}),
+    ])
+    def test_oversized_table_exits_2_in_bounded_memory(self, tmp_path, command, payload):
+        # Both tables would need hundreds of millions of samples; the cap
+        # refuses them before anything that large is allocated.
+        resource = pytest.importorskip("resource")
+        path = write_config(tmp_path, "big.json", payload)
+        limit = 768 << 20
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "tpshift.cli", command,
+                               "--config", path, "--quiet"],
+                              env=env, preexec_fn=cap, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 2, proc.stderr
+        assert "samples" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_interlace_suite(self, tmp_path):
         rng = np.random.default_rng(2)
         path = write_config(tmp_path, "i.json",

@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 import tpshift as tp
-from tpshift.errors import QuadratureError
 
 
-def inverse_ft_trapezoid(params, x, n=400_001):
-    """Independent oracle: dense trapezoid of the inverse Fourier integral."""
+def inverse_ft_trapezoid(params, x, n=400_001, deriv=False):
+    """Independent oracle: dense trapezoid of the inverse Fourier integral.
+
+    With deriv the transform is multiplied by 2*pi*i*xi first, giving g'.
+    """
     w = math.sqrt(max(math.log(params.c0 / 1e-16), 0.0) / params.gamma) + 2.0
     xi = np.linspace(-w, w, n)
     vals = tp.ft_eval(params, xi) * np.exp(2j * math.pi * x * xi)
+    if deriv:
+        vals = vals * (2j * math.pi * xi)
     return complex(np.trapezoid(vals, xi))
 
 
@@ -63,10 +67,17 @@ class TestParamsValidation:
     @pytest.mark.parametrize("c0,gamma,deltas", [
         (0.0, 1.0, ()), (-1.0, 1.0, ()), (1.0, 0.0, ()), (1.0, -2.0, ()),
         (1.0, 1.0, (0.0,)), (1.0, 1.0, (0.5, 0.0)), (math.nan, 1.0, ()),
+        # Coincident shifts: equal, or so close that partial fractions cancel.
+        (1.0, 1.0, (0.45, 0.45)), (1.0, 1.0, (0.45, 0.4501, 0.4502)),
     ])
     def test_rejects_bad_params(self, c0, gamma, deltas):
         with pytest.raises(ValueError):
             tp.GeneratorParams(c0, gamma, deltas)
+
+    def test_accepts_opposite_sign_and_separated_deltas(self):
+        for deltas in [(0.45, -0.45), (1.0, -2.0, 0.1), (0.45, -0.3, 0.2),
+                       (0.6, 0.25, -0.15), (0.45, 0.4499)]:
+            assert tp.GeneratorParams(1.0, 1.0, deltas).deltas == deltas
 
     def test_json_round_trip(self, m2_params):
         again = tp.GeneratorParams.from_json_dict(m2_params.to_json_dict())
@@ -98,12 +109,37 @@ class TestTimeEval:
             oracle = inverse_ft_trapezoid(params, x)
             assert tp.time_eval(params, x) == pytest.approx(oracle.real, abs=1e-9)
 
-    def test_imaginary_residue_small_on_grid(self, m1_params):
-        # time_eval raises internally if the reconstructed imaginary part
-        # exceeds 1e-9; a clean sweep over 1000 points is the check.
-        xs = np.linspace(-10, 10, 1000)
-        vals = [tp.time_eval(m1_params, x) for x in xs]
-        assert all(math.isfinite(v) for v in vals)
+    @pytest.mark.parametrize("deltas", [(0.45,), (0.45, -0.3), (0.6, 0.25, -0.15)])
+    def test_factored_derivative_matches_quadrature_oracle(self, deltas):
+        params = tp.GeneratorParams(1.0, math.pi**2, deltas)
+        for x in (0.0, 0.7, -1.3, 3.1):
+            oracle = inverse_ft_trapezoid(params, x, deriv=True)
+            assert tp.generator.time_deriv_eval(params, x) == \
+                pytest.approx(oracle.real, abs=1e-12)
+
+    def test_near_cap_deltas_match_quadrature_oracle(self):
+        # Same-sign shifts 1e-4 apart: partial-fraction weights sum to about
+        # 9e3, just under MAX_WEIGHT_SUM, so cancellation costs about 1e-12.
+        params = tp.GeneratorParams(1.0, math.pi**2, (0.45, 0.4499))
+        for x in (-0.8, 0.0, 0.7, 3.1):
+            assert tp.time_eval(params, x) == pytest.approx(
+                inverse_ft_trapezoid(params, x).real, abs=1e-10)
+            assert tp.generator.time_deriv_eval(params, x) == pytest.approx(
+                inverse_ft_trapezoid(params, x, deriv=True).real, abs=1e-10)
+
+    @pytest.mark.parametrize("fixture", ["gauss_params", "m1_params", "m2_params"])
+    def test_values_finite_and_nonnegative_on_wide_grid(self, fixture, request):
+        params = request.getfixturevalue(fixture)
+        vals = tp.time_eval(params, np.linspace(-40.0, 40.0, 8001))
+        assert np.all(np.isfinite(vals))
+        assert np.all(vals >= 0.0)
+        assert np.max(vals) > 0.0
+
+    def test_scalar_and_array_agree(self, m2_params):
+        xs = np.array([-2.0, 0.0, 0.3, 5.0])
+        assert tp.time_eval(m2_params, xs).tolist() == \
+            [tp.time_eval(m2_params, float(x)) for x in xs]
+        assert isinstance(tp.time_eval(m2_params, 0.3), float)
 
     def test_derivative_matches_finite_difference(self, m1_params):
         h = 1e-5

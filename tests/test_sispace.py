@@ -116,6 +116,23 @@ class TestSplineOfF:
         assert f.table.steps_per_unit == math.ceil(125.0 * math.pi)
         assert f.table.grid_step == 1.0 / f.table.steps_per_unit
 
+    def test_deriv_table_built_on_first_derivative_evaluation(self, m1_params, monkeypatch):
+        calls = []
+        real = tp.sispace.build_table
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("deriv", False))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tp.sispace, "build_table", counting)
+        f = tp.SISFunction(m1_params, tp.CoeffSeq(-2, (1.0, -0.5, 0.8, 0.3)))
+        tp.eval_f(f, np.linspace(-3.0, 3.0, 7))
+        assert calls == [False]
+        tp.eval_deriv(f, 0.5)
+        assert calls == [False, True]
+        tp.eval_deriv(f, -0.5)
+        assert calls == [False, True]
+
     def test_rejects_table_step_not_unit_fraction(self, gauss_params):
         table = tp.build_table(gauss_params, 10.0, 0.003)
         good = tp.build_table(gauss_params, 10.0, 0.01)
