@@ -3,12 +3,17 @@
 A real continuous f changes sign only at its zeros, so the unknown signs are
 constant between consecutive "crossing slots" (gaps between adjacent sample
 points).  The solver searches run-structured sign patterns with a bounded
-number of changes: a depth-first walk over the slots in position order,
-visiting the locally likely branch first (slots where |f| dips relative to
-its neighbors are likely crossings), bounding each partial pattern by the
-least-squares residual of the samples seen so far and pruning branches that
-already exceed the best complete pattern.  Candidate coefficients come from
-one orthogonal factorization of the design matrix shared by all patterns.
+number of changes by branch and bound over the slots in position order.
+All live partial patterns advance one sample at a time as one batch, at
+most FRONTIER_CAP wide: a wider batch is split into consecutive blocks,
+each finished before the next, so complete patterns arrive in depth-first
+order.  The locally likely branch comes first (slots where |f| dips
+relative to its neighbors are likely crossings); each partial pattern is
+bounded by the least-squares residual of the samples seen so far and
+dropped once that exceeds the best complete pattern.  The search gives up
+after scoring PATTERN_BUDGET complete patterns.  Candidate coefficients come
+from one orthogonal factorization of the design matrix shared by all
+patterns.
 
 Recovered patterns are canonicalized so the first sample with nonnegligible
 magnitude gets sign +1, making the {f, -f} quotient concrete.
@@ -17,7 +22,7 @@ magnitude gets sign +1, making the {f, -f} quotient concrete.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb
 
 import numpy as np
@@ -29,7 +34,14 @@ from .sispace import MAX_SCAN_POINTS, CoeffSeq, PointSet, SISFunction, eval_f
 # Acceptance: a pattern fits when its RMS residual drops below this times the
 # peak magnitude.
 ACCEPT_REL_TOL = 1e-5
+# The sign search gives up after scoring this many complete patterns.
 PATTERN_BUDGET = 100_000
+# Widest batch of partial patterns the sign search advances at once.  An
+# unrestricted pass cannot prune its first m levels (2^m nodes for m
+# coefficients).  Over the 144-entry sign_retrieval benchmark pool, peak RSS
+# is 86 MB at 256 and 93 MB uncapped (frontiers up to 16384 wide), and the
+# search is no slower than uncapped.
+FRONTIER_CAP = 256
 BRUTE_FORCE_CAP = 1_000_000
 COND_LIMIT = 1e12
 # Samples below this times the peak cannot anchor a sign.
@@ -90,9 +102,11 @@ class SignPattern:
 class RetrievalResult:
     """Recovered coefficients and signs, canonicalized up to the global sign.
 
-    nodes counts the partial patterns whose prefix residual was evaluated,
-    patterns the complete patterns scored, and second_pass tells whether the
-    unrestricted second pass of the search ran.  All three are deterministic.
+    nodes counts the partial patterns whose prefix residual was evaluated
+    (batched expansion evaluates some that a depth-first walk would already
+    have pruned), patterns the complete patterns scored, and second_pass
+    tells whether the unrestricted second pass of the search ran.  All three
+    are deterministic.
     """
 
     coeffs: CoeffSeq
@@ -119,7 +133,7 @@ def design_matrix(params: GeneratorParams, points: np.ndarray, support,
         ref = SISFunction(params, CoeffSeq(int(ks[0]), (1.0,) * len(ks)))
         table = ref.table
     pts = np.asarray(points, dtype=float)
-    return np.column_stack([table.eval(pts - k) for k in ks])
+    return table.eval((pts[:, None] - ks).ravel()).reshape(len(pts), len(ks))
 
 
 def sample_magnitudes(f: SISFunction, lam: PointSet) -> MagnitudeSample:
@@ -197,69 +211,102 @@ class _BudgetExceeded(Exception):
 def _pattern_search(fitter: _PatternFitter, mags: np.ndarray, branch_at: np.ndarray,
                     flip_first: np.ndarray, max_changes: int, accept_sse: float,
                     prune_eps: float, budget: int, state: dict):
-    """Depth-first walk over slot decisions, pruned by prefix residuals.
+    """Level-synchronous branch and bound over slot decisions.
 
     branch_at masks the slots where a flip may be placed; elsewhere the sign
     carries over.  Each node carries the row-updated right-hand side w and
     the least-squares residual of the samples seen so far; a partial
     pattern is abandoned once that residual exceeds the acceptance
-    threshold or the best complete pattern found anywhere (state is shared
+    threshold or the best complete pattern found so far (state is shared
     between phases), whichever is smaller: such branches can neither be
-    accepted nor optimal among accepted patterns.  Raises _BudgetExceeded
-    past the pattern budget.
+    accepted nor optimal among accepted patterns.
+
+    The live nodes of one depth advance together: one (L, m) @ (m, m+1)
+    product with T_q[:, :m].T serves all of them, and each node's children
+    follow one another in the slot's branch order, so the frontier stays in
+    depth-first preorder.  A frontier wider than FRONTIER_CAP is cut into
+    consecutive blocks, each finished to the last sample before the next
+    starts.  A block is pruned against the bound left by the complete
+    patterns scored before it, never tighter than what a recursive
+    depth-first walk would apply, so (up to rounding in the batched product)
+    every pattern that walk scores is scored here too, in the same order.
+    Scoring one by one with a strict "<" then picks the walk's winner, the
+    first minimum in depth-first order; `nodes` and `patterns` can be
+    larger than the walk's.  Leaf signs are read back through per-depth
+    parent and sign arrays.  Raises _BudgetExceeded once more than `budget`
+    complete patterns are scored.
     """
     n, m = fitter.n, fitter.m
-    n_slots = n - 1
-    signs = [1.0] * n
-    orders = [((True, False) if first else (False, True)) if free else (False,)
-              for free, first in zip(branch_at, flip_first)]
-    # Both children of a node share T_p[:, :m] @ w; they differ only in the
-    # sign of the last column's contribution mags[p] * T_p[:, m].
-    heads = [t[:, :m] for t in fitter.row_updates]
+    heads = [t[:, :m].T for t in fitter.row_updates]
     tails = [mags[p] * t[:, m] for p, t in enumerate(fitter.row_updates)]
+    # Per slot, whether each child flips the sign, in branch order.
+    orders = [np.array(((True, False) if first else (False, True)) if free else (False,))
+              for free, first in zip(branch_at, flip_first)]
     bound = min(state["sse"] + prune_eps, accept_sse)
-
-    def leaf():
-        nonlocal bound
-        sse = fitter.sse_full(np.array(signs) * mags)
-        state["patterns"] += 1
-        if sse < state["sse"]:
-            state["sse"] = sse
-            state["signs"] = np.array(signs)
-            bound = min(sse + prune_eps, accept_sse)
-        if state["patterns"] > budget:
-            raise _BudgetExceeded()
-
-    def walk(j: int, changes: int, w: np.ndarray, sse: float):
-        if j == n_slots:
-            leaf()
-            return
-        p = j + 1
-        shared = heads[p] @ w
-        for do_flip in orders[j]:
-            if do_flip and changes == max_changes:
-                continue
-            signs[p] = -signs[j] if do_flip else signs[j]
-            we = shared + tails[p] if signs[p] > 0 else shared - tails[p]
-            e = float(we[m])
-            child = sse + e * e
-            state["nodes"] += 1
-            if child <= bound:
-                walk(p, changes + do_flip, we[:m], child)
-
+    # parents[p][i] and signs_at[p][i]: index at depth p - 1 of the parent of
+    # node i at depth p, and that node's sign of sample p.  A block pushed at
+    # depth p is popped before any block of smaller depth, so depth p's
+    # arrays are not rewritten while a block refers to them.
+    parents = [np.zeros(1, dtype=np.int32)] * n
+    signs_at = [np.ones(1, dtype=np.int8)] * n
     root = tails[0]
-    walk(0, 0, root[:m], float(root[m]) ** 2)
+    # Blocks: (depth, node indices at that depth, w rows, prefix SSE, changes).
+    stack = [(0, np.zeros(1, dtype=np.int32), root[None, :m], np.array([root[m] ** 2]),
+              np.zeros(1, dtype=int))]
+    while stack:
+        p, idx, w, sse, changes = stack.pop()
+        live = sse <= bound
+        if not live.all():
+            idx, w, sse, changes = idx[live], w[live], sse[live], changes[live]
+        if p == n - 1:
+            leaf_signs = np.empty((idx.size, n))
+            for d in range(n - 1, -1, -1):
+                leaf_signs[:, d] = signs_at[d][idx]
+                idx = parents[d][idx]
+            for signs, prefix in zip(leaf_signs, sse):
+                if prefix > bound:
+                    continue
+                score = fitter.sse_full(signs * mags)
+                state["patterns"] += 1
+                if score < state["sse"]:
+                    state["sse"] = score
+                    state["signs"] = signs
+                    bound = min(score + prune_eps, accept_sse)
+                if state["patterns"] > budget:
+                    raise _BudgetExceeded()
+            continue
+        # Both children of a node share T_q[:, :m] @ w; they differ only in
+        # the sign of the last column's contribution mags[q] * T_q[:, m].
+        q = p + 1
+        flip = orders[p]
+        sign = signs_at[p][idx][:, None]
+        child_sign = np.where(flip, -sign, sign)
+        allowed = ~flip | (changes < max_changes)[:, None]
+        shared = w @ heads[q]
+        e = shared[:, m, None] + child_sign * tails[q][m]
+        child_sse = sse[:, None] + e * e
+        state["nodes"] += int(np.count_nonzero(allowed))
+        rows, cols = np.nonzero(allowed & (child_sse <= bound))
+        parents[q] = idx[rows]
+        signs_at[q] = child_sign[rows, cols]
+        idx = np.arange(rows.size, dtype=np.int32)
+        w = shared[rows, :m] + signs_at[q][:, None] * tails[q][:m]
+        sse = child_sse[rows, cols]
+        changes = changes[rows] + flip[cols]
+        for lo in reversed(range(0, rows.size, FRONTIER_CAP)):
+            block = slice(lo, lo + FRONTIER_CAP)
+            stack.append((q, idx[block], w[block], sse[block], changes[block]))
 
 
 def _dip_scores(mags: np.ndarray) -> np.ndarray:
-    """Per-slot crossing likelihood: endpoint magnitudes relative to neighbors."""
-    n = len(mags)
-    scores = np.empty(n - 1)
-    for j in range(n - 1):
-        local = mags[max(0, j - 2): min(n, j + 4)]
-        scale = float(np.max(local)) + 1e-300
-        scores[j] = (mags[j] + mags[j + 1]) / (2.0 * scale)
-    return scores
+    """Per-slot crossing likelihood: endpoint magnitudes relative to neighbors.
+
+    Slot j's neighborhood is samples j-2 .. j+3, clipped to the sample range.
+    """
+    padded = np.concatenate([np.full(2, -np.inf), mags, np.full(2, -np.inf)])
+    scale = np.lib.stride_tricks.sliding_window_view(padded, 6)[:len(mags) - 1]
+    scale = scale.max(axis=1) + 1e-300
+    return (mags[:-1] + mags[1:]) / (2.0 * scale)
 
 
 def _canonicalize(signs: np.ndarray, mags: np.ndarray) -> np.ndarray:
@@ -291,15 +338,17 @@ def solve_signs(params: GeneratorParams, sample: MagnitudeSample, support,
                 budget: int = PATTERN_BUDGET) -> RetrievalResult:
     """Branch-and-bound search over run-structured sign patterns.
 
-    Slots are walked left to right with the dip-preferred branch first
-    (flip where |f| dips relative to its neighbors), so the first complete
-    pattern is the greedy guess and typically near-exact, after which
-    prefix-residual pruning collapses the rest of the tree.  A first pass
-    places flips only in slots whose dip score marks them as crossing
-    candidates; the rare instance whose crossings are not all recognized
-    falls through to an unrestricted second pass.  Returns the best pattern
-    found, canonicalized; raises SearchBudgetError if no pattern reaches the
-    acceptance tolerance within the pattern budget.
+    Slots are decided left to right, all live partial patterns of one depth
+    at a time (see _pattern_search), with the dip-preferred branch first
+    (flip where |f| dips relative to its neighbors).  Complete patterns are
+    scored in depth-first order, so the first is the greedy guess and
+    typically near-exact, after which prefix-residual pruning collapses the
+    rest of the tree.  A first pass places flips only in slots whose dip
+    score marks them as crossing candidates; the rare instance whose
+    crossings are not all recognized falls through to an unrestricted second
+    pass.  `budget` bounds the complete patterns scored over both passes.
+    Returns the best pattern found, canonicalized; raises SearchBudgetError
+    if no pattern reaches the acceptance tolerance within the budget.
     """
     mags = sample.mags_array()
     peak = float(np.max(mags)) if mags.size else 0.0
@@ -466,10 +515,22 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentRow:
+    """One density of a threshold sweep.
+
+    Every trial is a success or fails for exactly one reason: the design
+    matrix is rank deficient (RankDeficiencyError), no sign pattern reached
+    the acceptance tolerance within the search budget (SearchBudgetError),
+    or the recovered function does not match the truth.  mean_residual
+    averages the trials that returned a pattern (NaN if none did).
+    """
+
     density: float
     trials: int
     successes: int
     mean_residual: float
+    rank_deficient: int
+    budget_exceeded: int
+    wrong_recovery: int
 
 
 @dataclass(frozen=True)
@@ -488,9 +549,7 @@ class ExperimentReport:
 
     def to_json_dict(self) -> dict:
         return {"config": self.config.to_json_dict(),
-                "rows": [{"density": w.density, "trials": w.trials,
-                          "successes": w.successes,
-                          "mean_residual": w.mean_residual} for w in self.rows]}
+                "rows": [asdict(w) for w in self.rows]}
 
 
 def _draw_sampling_set(rng: np.random.Generator, density: float, window: tuple,
@@ -542,21 +601,27 @@ def run_threshold_experiment(config: ExperimentConfig) -> ExperimentReport:
         try:
             result = solve_signs(params, sample, config.support,
                                  config.max_changes, table=shared.table)
-        except (RankDeficiencyError, SearchBudgetError):
-            return False, math.nan
+        except RankDeficiencyError:
+            return "rank_deficient", math.nan
+        except SearchBudgetError:
+            return "budget_exceeded", math.nan
         f_true = g_grid @ c_true
         f_hat = g_grid @ np.asarray(result.coeffs.coeffs)
         err = min(float(np.max(np.abs(f_hat - f_true))),
                   float(np.max(np.abs(f_hat + f_true))))
         ok = err <= 1e-4 * float(np.max(np.abs(f_true)))
-        return ok, result.residual
+        return ("success" if ok else "wrong_recovery"), result.residual
 
     rows = []
     for di, d in enumerate(config.densities):
         chunk = [run_trial(di, ti) for ti in range(config.trials)]
-        succ = sum(1 for ok, _ in chunk if ok)
+        outcomes = [outcome for outcome, _ in chunk]
         residuals = [r for _, r in chunk if not math.isnan(r)]
         mean_res = float(np.mean(residuals)) if residuals else math.nan
         rows.append(ExperimentRow(density=float(d), trials=config.trials,
-                                  successes=succ, mean_residual=mean_res))
+                                  successes=outcomes.count("success"),
+                                  mean_residual=mean_res,
+                                  rank_deficient=outcomes.count("rank_deficient"),
+                                  budget_exceeded=outcomes.count("budget_exceeded"),
+                                  wrong_recovery=outcomes.count("wrong_recovery")))
     return ExperimentReport(config=config, rows=tuple(rows))

@@ -205,6 +205,150 @@ class TestCarriedBound:
         assert (oracle.nodes, oracle.patterns, oracle.second_pass) == (0, 64, False)
 
 
+def _recursive_search(fitter, mags, branch_at, flip_first, max_changes, accept_sse,
+                      prune_eps, budget, state):
+    """Reference: the recursive depth-first form of sigret._pattern_search."""
+    n, m = fitter.n, fitter.m
+    n_slots = n - 1
+    signs = [1.0] * n
+    orders = [((True, False) if first else (False, True)) if free else (False,)
+              for free, first in zip(branch_at, flip_first)]
+    heads = [t[:, :m] for t in fitter.row_updates]
+    tails = [mags[p] * t[:, m] for p, t in enumerate(fitter.row_updates)]
+    bound = min(state["sse"] + prune_eps, accept_sse)
+
+    def leaf():
+        nonlocal bound
+        sse = fitter.sse_full(np.array(signs) * mags)
+        state["patterns"] += 1
+        if sse < state["sse"]:
+            state["sse"] = sse
+            state["signs"] = np.array(signs)
+            bound = min(sse + prune_eps, accept_sse)
+        if state["patterns"] > budget:
+            raise sigret._BudgetExceeded()
+
+    def walk(j, changes, w, sse):
+        if j == n_slots:
+            leaf()
+            return
+        p = j + 1
+        shared = heads[p] @ w
+        for do_flip in orders[j]:
+            if do_flip and changes == max_changes:
+                continue
+            signs[p] = -signs[j] if do_flip else signs[j]
+            we = shared + tails[p] if signs[p] > 0 else shared - tails[p]
+            e = float(we[m])
+            child = sse + e * e
+            state["nodes"] += 1
+            if child <= bound:
+                walk(p, changes + do_flip, we[:m], child)
+
+    root = tails[0]
+    walk(0, 0, root[:m], float(root[m]) ** 2)
+
+
+def _criterion7_instances(support, window, max_changes):
+    """Twelve seeded instances shaped like the criterion-7 sweep, m = 0, 1, 2.
+
+    Every other instance with a zero of f in the window also samples f at
+    that zero and reads the magnitude there as exactly 0: the patterns that
+    differ only in that sample's sign then tie exactly, and the first in
+    depth-first order wins.
+    """
+    for i in range(12):
+        deltas = ((), (0.45,), (0.45, -0.3))[i % 3]
+        params = tp.GeneratorParams(1.0, math.pi**2, deltas)
+        rng = np.random.default_rng(500 + i)
+        pts = sigret._draw_sampling_set(rng, (2.2, 2.5, 3.0)[i // 3 % 3], window,
+                                        0.0).as_array()
+        k = support[1] - support[0] + 1
+        probe = tp.SISFunction(params, tp.CoeffSeq(support[0], (1.0,) * k))
+        c = rng.standard_normal(k)
+        f = tp.SISFunction(params, tp.CoeffSeq(support[0], tuple(c)), table=probe.table)
+        zeros = tp.find_zeros(f, window).points if i % 2 else ()
+        if zeros:
+            pts = np.sort(np.append(pts, zeros[len(zeros) // 2]))
+        mags = np.abs(tp.design_matrix(params, pts, support, table=probe.table) @ c)
+        if zeros:
+            mags[pts == zeros[len(zeros) // 2]] = 0.0
+        sample = tp.MagnitudeSample(lam=tp.PointSet(points=tuple(pts), window=window),
+                                    magnitudes=tuple(mags))
+        yield params, sample, support, max_changes, probe.table
+
+
+def _outcome(params, sample, support, max_changes, table):
+    try:
+        res = tp.solve_signs(params, sample, support, max_changes, table=table)
+    except SearchBudgetError:
+        return "SearchBudgetError"
+    return (res.signs, [c.hex() for c in res.coeffs.coeffs], res.residual.hex(),
+            res.second_pass)
+
+
+class TestBatchedSearch:
+    """The level-by-level search returns what a recursive depth-first walk does."""
+
+    @pytest.mark.parametrize("cap", [sigret.FRONTIER_CAP, 2])
+    @pytest.mark.parametrize("all_free", [False, True])
+    def test_matches_recursive_walk(self, monkeypatch, cap, all_free):
+        if all_free:
+            # No slot is a candidate: the first pass may place no flip and the
+            # unrestricted second pass, 2^9 unpruned top nodes, decides.
+            monkeypatch.setattr(sigret, "CANDIDATE_DIP", -1.0)
+            shape = ((-4, 4), (-6.0, 6.0), 14)
+        else:
+            shape = ((-8, 8), (-10.0, 10.0), 22)
+        instances = list(_criterion7_instances(*shape))
+        monkeypatch.setattr(sigret, "FRONTIER_CAP", cap)
+        batched = [_outcome(*inst) for inst in instances]
+        monkeypatch.setattr(sigret, "_pattern_search", _recursive_search)
+        recursive = [_outcome(*inst) for inst in instances]
+        assert batched == recursive
+        assert "SearchBudgetError" not in batched
+        assert any(second_pass for *_, second_pass in batched) == all_free
+
+    def test_budget_stops_after_budget_plus_one_patterns(self, gauss_params, fn_factory):
+        # Three samples for three coefficients: every sign pattern fits
+        # exactly, so no complete pattern is pruned.  Every scored pattern
+        # passed a bound no larger than the acceptance threshold, so a budget
+        # that runs out returns the best pattern so far.
+        f = fn_factory(gauss_params, 0, (1.0, -0.5, 0.8))
+        lam = tp.PointSet(points=(-0.2, 0.9, 2.3), window=(-1.0, 3.0))
+        sample = tp.sample_magnitudes(f, lam)
+        full = tp.solve_signs(gauss_params, sample, (0, 2), 2)
+        assert full.patterns == 4
+        limited = tp.solve_signs(gauss_params, sample, (0, 2), 2, budget=1)
+        assert limited.patterns == 2
+        assert limited.signs == full.signs
+
+    def test_single_sample(self, gauss_params, fn_factory):
+        f = fn_factory(gauss_params, 0, (1.0,))
+        lam = tp.PointSet(points=(0.3,), window=(-1.0, 1.0))
+        res = tp.solve_signs(gauss_params, tp.sample_magnitudes(f, lam), (0, 0), 3)
+        assert (res.nodes, res.patterns, res.second_pass) == (0, 1, False)
+        assert res.signs.signs == (1,)
+
+    def test_dip_scores_match_loop(self):
+        rng = np.random.default_rng(41)
+        for n in (2, 3, 4, 7, 55):
+            mags = np.abs(rng.standard_normal(n))
+            mags[rng.random(n) < 0.2] = 0.0
+            loop = np.empty(n - 1)
+            for j in range(n - 1):
+                local = mags[max(0, j - 2): min(n, j + 4)]
+                loop[j] = (mags[j] + mags[j + 1]) / (2.0 * (float(np.max(local)) + 1e-300))
+            assert np.array_equal(sigret._dip_scores(mags), loop)
+
+    def test_design_matrix_matches_columns(self, m1_params, fn_factory):
+        table = fn_factory(m1_params, -8, np.ones(17)).table
+        pts = np.linspace(-10.0, 10.0, 55)
+        columns = np.column_stack([table.eval(pts - k) for k in range(-8, 9)])
+        assert np.array_equal(tp.design_matrix(m1_params, pts, (-8, 8), table=table),
+                              columns)
+
+
 class TestBruteForce:
     def test_agrees_with_solver_on_small_instances(self, gauss_params, fn_factory):
         rng = np.random.default_rng(23)
@@ -286,6 +430,29 @@ class TestExperiment:
                                   max_changes=18)
         report = tp.run_threshold_experiment(cfg)
         assert report.success_rates()[0] <= 0.5
+        row = report.rows[0]
+        assert row.rank_deficient == row.trials
+        assert (row.successes, row.budget_exceeded, row.wrong_recovery) == (0, 0, 0)
+        assert report.to_json_dict()["rows"][0]["rank_deficient"] == row.trials
+
+    def test_failure_reasons(self, gauss_params):
+        # Noise far above the acceptance tolerance: no pattern fits.
+        cfg = tp.ExperimentConfig(generator=gauss_params, densities=(2.5,), trials=4,
+                                  seed=31, support=(-4, 4), window=(-6.0, 6.0),
+                                  max_changes=14, noise=1e-3)
+        row = tp.run_threshold_experiment(cfg).rows[0]
+        assert (row.successes, row.rank_deficient, row.budget_exceeded,
+                row.wrong_recovery) == (0, 0, 4, 0)
+        assert math.isnan(row.mean_residual)
+        # As many samples as coefficients: some pattern fits exactly, but it
+        # need not be the truth's.
+        cfg = tp.ExperimentConfig(generator=gauss_params, densities=(0.8,), trials=3,
+                                  seed=11, support=(-4, 4), window=(-6.0, 6.0),
+                                  max_changes=14)
+        row = tp.run_threshold_experiment(cfg).rows[0]
+        assert (row.successes, row.rank_deficient, row.budget_exceeded,
+                row.wrong_recovery) == (0, 0, 0, 3)
+        assert row.mean_residual < 1e-12
 
     def test_success_rate_monotone_in_density(self, gauss_params):
         cfg = tp.ExperimentConfig(generator=gauss_params,
@@ -296,6 +463,9 @@ class TestExperiment:
         rates = report.success_rates()
         for lo, hi in zip(rates, rates[1:]):
             assert lo <= hi + 1.0 / cfg.trials
+        for row in report.rows:
+            assert row.successes + row.rank_deficient + row.budget_exceeded \
+                + row.wrong_recovery == row.trials
 
     def test_paired_points_preset(self, gauss_params):
         cfg = tp.ExperimentConfig(generator=gauss_params, densities=(2.5,), trials=4,
