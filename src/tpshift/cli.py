@@ -4,9 +4,12 @@ One binary with subcommands; no network, no interactivity.  Reports embed
 the library version and a hash of the effective configuration, and identical
 (config, seed) pairs produce byte-identical output files.
 
-Exit codes: 0 success, 2 validation error (bad JSON, schema, preconditions),
-3 numerical failure (quadrature, phase tracking, search budget), 4 a checked
-mathematical relation failed beyond its slack.
+Exit codes: 0 success, 2 validation error (bad JSON, schema, preconditions,
+sizes refused before allocating), 3 numerical failure (quadrature, phase
+tracking, an ambiguous order at the origin, or no sign pattern within
+tolerance), 4 a checked mathematical relation failed beyond its slack.  The
+sign search's pattern budget never causes exit 3: it caps the near-tied
+patterns scored after the first accepted one and returns the best so far.
 """
 
 from __future__ import annotations

@@ -55,9 +55,6 @@ class DensityProfile:
         if self.extrapolated is None:
             object.__setattr__(self, "extrapolated", values[-1] if values else 0.0)
 
-    def value_at(self, r: float) -> float:
-        return self.values[self.radii.index(float(r))]
-
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "radii": list(self.radii),
                 "values": list(self.values), "extrapolated": self.extrapolated}
@@ -111,15 +108,11 @@ def circ_inner_integral(lambda_abs: float, r: float) -> float:
     """
     lam = float(lambda_abs)
     r = float(r)
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("lambda_abs must be nonnegative")
     if not r > 0:
         raise ValueError("r must be positive")
-    if lam >= r:
-        return 0.0
-    if lam == 0.0:
-        return r
-    return math.sqrt(r * r - lam * lam) - lam * math.acos(lam / r)
+    return float(_inner_vec(np.array([lam]), r)[0])
 
 
 def _inner_vec(lam_abs: np.ndarray, r: float) -> np.ndarray:

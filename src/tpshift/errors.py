@@ -20,7 +20,11 @@ class PhaseTrackingError(NumericalError):
 
 
 class SearchBudgetError(NumericalError):
-    """Combinatorial sign search exhausted its budget without an acceptable fit."""
+    """No sign pattern fits within the acceptance tolerance.
+
+    Never caused by the pattern budget, whose exhaustion returns the best
+    pattern so far; the exhaustive oracle also raises it above its cap.
+    """
 
 
 class RankDeficiencyError(NumericalError):

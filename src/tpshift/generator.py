@@ -259,10 +259,6 @@ class TimeDomainTable:
         self._spline = CubicSpline(xs, self.values)
 
     @property
-    def half_width(self) -> float:
-        return (len(self.values) - 1) // 2 * self.grid_step
-
-    @property
     def steps_per_unit(self) -> int | None:
         """N when grid_step == 1/N for an integer N, else None."""
         n = round(1.0 / self.grid_step)
@@ -338,15 +334,5 @@ def build_table(params: GeneratorParams, half_width: float, grid_step: float,
     n_half = int(math.ceil(steps))
     x0 = -n_half * grid_step
     vals = _evaluate(params, x0 + grid_step * np.arange(2 * n_half + 1), deriv)
-    if params.m > 0:
-        # Samples below roundoff of the peak are zeroed.  Design-matrix rows
-        # built from these tables feed the sign search, which prunes far
-        # less when they keep tail entries below roundoff: unclipped, the
-        # m = 1 searches over the sign_retrieval benchmark pool visit
-        # 1,233,162 nodes instead of 72,429.  Gaussian tables are not
-        # clipped: their exactly-zero tails would give the zero scan spurious
-        # zeros that the entire extension lacks (acceptance criterion 9).
-        peak = np.max(np.abs(vals))
-        vals[np.abs(vals) < 1e-15 * peak] = 0.0
     return TimeDomainTable(grid_step=grid_step, origin=0.0, values=vals,
                            tail_bound=tail_bound(params))

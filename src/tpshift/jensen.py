@@ -209,13 +209,14 @@ class ContourSampler:
         return scale.copy(), inner.copy()
 
 
-def build_context(f: SISFunction, zero_window: tuple = None) -> JensenContext:
+def build_context(f: SISFunction) -> JensenContext:
     """Detect the order at the origin, normalize, and collect real zeros.
 
     The order n is the smallest derivative order at 0 with magnitude above
-    ORDER_DETECT_TOL (orders up to MAX_ORDER); ambiguous magnitudes raise
-    rather than misnormalize.  Real zeros come from a sign-change scan of the
-    support window (or the window provided).
+    ORDER_DETECT_TOL (orders up to MAX_ORDER).  A lower-order derivative
+    above ORDER_NOISE_FLOOR makes n ambiguous and raises rather than
+    misnormalize.  Real zeros come from a sign-change scan of the support
+    window.
     """
     _require_gaussian(f)
     if f.coeffs.is_zero:
@@ -230,10 +231,15 @@ def build_context(f: SISFunction, zero_window: tuple = None) -> JensenContext:
         raise OrderDetectionError(
             f"derivative magnitudes at orders 0..{MAX_ORDER} all below "
             f"{ORDER_DETECT_TOL} (floor {ORDER_NOISE_FLOOR}): {derivs}")
+    ambiguous = [j for j in range(order) if abs(derivs[j]) > ORDER_NOISE_FLOOR]
+    if ambiguous:
+        raise OrderDetectionError(
+            f"derivatives at orders {ambiguous} lie between the noise floor "
+            f"{ORDER_NOISE_FLOOR} and {ORDER_DETECT_TOL}, so the order at the "
+            f"origin is ambiguous: {derivs[:order + 1]}")
     log_c1 = math.lgamma(order + 1) - math.log(abs(derivs[order]))
 
-    window = zero_window if zero_window is not None else f.support_window()
-    zeros = find_zeros(f, window)
+    zeros = find_zeros(f, f.support_window())
     pts = tuple(p for p in zeros.points if abs(p) > 1e-8)
     real_zeros = PointSet(points=pts, window=zeros.window,
                           touch_points=zeros.touch_points)
@@ -253,18 +259,19 @@ class DiskZeroCount:
         return self.total
 
 
-def _winding_number(ctx: JensenContext, t: float, n_start: int = 512,
-                    n_max: int = 1 << 17) -> int:
+def _winding_number(ctx: JensenContext, t: float) -> int:
     """Winding number of F around |z| = t by adaptive phase tracking.
 
     The phase of F along the contour is arg(f) - n*theta + (a/2) t^2 sin(2 theta)
     up to a constant; increments are accumulated from stabilized values of f
-    and the grid is doubled until every increment is below pi/2 and two
-    consecutive refinements agree on the integer winding.
+    and the grid, from 512 up to 2^17 points, is doubled until every
+    increment is below pi/2 and two consecutive refinements agree on the
+    integer winding.
     """
     a = ctx.gauss_rate
     n = ctx.order
-    nt = n_start
+    n_max = 1 << 17
+    nt = 512
     prev = None
     while nt <= n_max:
         theta = np.linspace(0.0, 2.0 * math.pi, nt + 1)
@@ -335,27 +342,25 @@ def _contour_log_abs_F(ctx: JensenContext, r: float, nt: int) -> np.ndarray:
             + 0.5 * ctx.gauss_rate * r * r * np.cos(2.0 * theta))
 
 
-def jensen_rhs(ctx: JensenContext, r: float, n_theta: int = 64,
-               tol: float = 1e-7) -> float:
+def jensen_rhs(ctx: JensenContext, r: float) -> float:
     """(1/(2 pi r^2)) contour average of log|F(r e^{i theta})| by trapezoid.
 
-    The grid is doubled until successive values differ by less than tol
-    (default 1e-7: with a zero at clearance d the refinement error decays
-    like exp(-n d / r), so the successive difference understates the true
-    error and needs headroom).  Non-convergence signals a zero on or near
-    the contour and the caller is expected to perturb r.
+    The grid, from 64 up to 2^18 points, is doubled until successive values
+    differ by less than 1e-7 (with a zero at clearance d the refinement
+    error decays like exp(-n d / r), so the successive difference
+    understates the true error and needs headroom).  Non-convergence
+    signals a zero on or near the contour and the caller is expected to
+    perturb r.
     """
     r = float(r)
-    if n_theta < 64:
-        raise ValueError("n_theta must be at least 64")
     prev = None
-    nt = int(n_theta)
+    nt = 64
     while nt <= (1 << 18):
         vals = _contour_log_abs_F(ctx, r, nt)
         if not np.all(np.isfinite(vals)):
             raise QuadratureError(f"contour |z|={r} hits a zero of F")
         cur = float(np.mean(vals)) / (r * r)
-        if prev is not None and abs(cur - prev) < tol:
+        if prev is not None and abs(cur - prev) < 1e-7:
             return cur
         prev = cur
         nt *= 2
@@ -382,9 +387,10 @@ def fit_growth_constant(ctx: JensenContext, radius: float, grid_step: float = 0.
     return float(np.max(vals))
 
 
-def safe_radius(ctx: JensenContext, r: float, span: float = 0.25) -> float:
-    """Deterministically nudge r upward to the radius in [r, r+span] farthest
+def safe_radius(ctx: JensenContext, r: float) -> float:
+    """Deterministically nudge r upward to the radius in [r, r+0.25] farthest
     from every lattice-zero modulus (never closer than CIRCLE_CLEARANCE)."""
+    span = 0.25
     mods = pair_moduli(ctx.real_zeros, ctx.lattice_step, r + span + 1.0)
     if mods.size == 0:
         return float(r)

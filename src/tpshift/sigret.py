@@ -10,10 +10,10 @@ each finished before the next, so complete patterns arrive in depth-first
 order.  The locally likely branch comes first (slots where |f| dips
 relative to its neighbors are likely crossings); each partial pattern is
 bounded by the least-squares residual of the samples seen so far and
-dropped once that exceeds the best complete pattern.  The search gives up
-after scoring PATTERN_BUDGET complete patterns.  Candidate coefficients come
-from one orthogonal factorization of the design matrix shared by all
-patterns.
+dropped once that exceeds the best complete pattern.  The design matrix
+comes from the closed-form generator, with entries below roundoff of its
+largest zeroed.  Candidate coefficients come from one orthogonal
+factorization of it shared by all patterns.
 
 Recovered patterns are canonicalized so the first sample with nonnegligible
 magnitude gets sign +1, making the {f, -f} quotient concrete.
@@ -23,18 +23,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from math import comb
 
 import numpy as np
 
 from .errors import RankDeficiencyError, SearchBudgetError
-from .generator import GeneratorParams, TimeDomainTable
+from .generator import MAX_TABLE_POINTS, GeneratorParams, time_eval
 from .sispace import MAX_SCAN_POINTS, CoeffSeq, PointSet, SISFunction, eval_f
 
 # Acceptance: a pattern fits when its RMS residual drops below this times the
 # peak magnitude.
 ACCEPT_REL_TOL = 1e-5
-# The sign search gives up after scoring this many complete patterns.
+# The sign search stops after scoring this many more complete patterns than
+# the first; every scored pattern is within the acceptance tolerance.
 PATTERN_BUDGET = 100_000
 # Widest batch of partial patterns the sign search advances at once.  An
 # unrestricted pass cannot prune its first m levels (2^m nodes for m
@@ -42,6 +44,7 @@ PATTERN_BUDGET = 100_000
 # is 86 MB at 256 and 93 MB uncapped (frontiers up to 16384 wide), and the
 # search is no slower than uncapped.
 FRONTIER_CAP = 256
+# The exhaustive oracle refuses instances with more sign patterns than this.
 BRUTE_FORCE_CAP = 1_000_000
 COND_LIMIT = 1e12
 # Samples below this times the peak cannot anchor a sign.
@@ -118,61 +121,37 @@ class RetrievalResult:
     second_pass: bool
 
 
-def _support_range(support) -> np.ndarray:
+def _support_size(support) -> tuple:
+    """(first index, number of coefficients) of a support range [klo, khi]."""
     k_lo, k_hi = int(support[0]), int(support[1])
     if k_hi < k_lo:
         raise ValueError(f"empty support range {support}")
-    return np.arange(k_lo, k_hi + 1)
+    return k_lo, k_hi - k_lo + 1
 
 
-def design_matrix(params: GeneratorParams, points: np.ndarray, support,
-                  table: TimeDomainTable | None = None) -> np.ndarray:
-    """Matrix A[i, k] = g(x_i - k) over the support index range."""
-    ks = _support_range(support)
-    if table is None:
-        ref = SISFunction(params, CoeffSeq(int(ks[0]), (1.0,) * len(ks)))
-        table = ref.table
+def design_matrix(params: GeneratorParams, points: np.ndarray, support) -> np.ndarray:
+    """Matrix A[i, k] = g(x_i - k) over the support index range, in closed form.
+
+    Refuses (ValueError) more than MAX_TABLE_POINTS entries before allocating.
+    """
+    k_lo, n_coeffs = _support_size(support)
     pts = np.asarray(points, dtype=float)
-    return table.eval((pts[:, None] - ks).ravel()).reshape(len(pts), len(ks))
+    if not len(pts) * n_coeffs <= MAX_TABLE_POINTS:
+        raise ValueError(f"a design matrix of {len(pts)} points and {n_coeffs} "
+                         f"coefficients needs more than {MAX_TABLE_POINTS} samples")
+    a = time_eval(params, pts[:, None] - (k_lo + np.arange(n_coeffs)))
+    # Entries below roundoff of the largest carry no information, but the sign
+    # search prunes far less when they are kept: unclipped, the m = 0 and m = 1
+    # searches over the sign_retrieval benchmark pool visit 1,284,115 and
+    # 1,297,119 nodes instead of 54,258 and 55,084.
+    a[np.abs(a) < 1e-15 * np.max(np.abs(a), initial=0.0)] = 0.0
+    return a
 
 
 def sample_magnitudes(f: SISFunction, lam: PointSet) -> MagnitudeSample:
     """Observe |f| on the sampling set."""
     vals = eval_f(f, lam.as_array())
     return MagnitudeSample(lam=lam, magnitudes=tuple(np.abs(vals)))
-
-
-def fit_coeffs(params: GeneratorParams, lam: PointSet, signed_values, support,
-               table: TimeDomainTable | None = None):
-    """Least-squares coefficients for given signed sample values.
-
-    Solves min_c sum_i (sum_k c_k g(x_i - k) - v_i)^2 by SVD-based
-    orthogonal factorization; returns (CoeffSeq, RMS residual).  A design
-    matrix with condition number above COND_LIMIT (or fewer samples than
-    coefficients) signals a sampling set too sparse for the support.
-    """
-    ks = _support_range(support)
-    v = np.asarray(signed_values, dtype=float)
-    if len(lam.points) < len(ks):
-        raise RankDeficiencyError(
-            f"{len(lam.points)} samples cannot determine {len(ks)} coefficients")
-    if v.shape != (len(lam.points),):
-        raise ValueError("one signed value per sample point required")
-    a = design_matrix(params, lam.as_array(), support, table=table)
-    _check_conditioning(a)
-    c, *_ = np.linalg.lstsq(a, v, rcond=None)
-    resid = a @ c - v
-    rms = float(np.sqrt(np.mean(resid * resid)))
-    return CoeffSeq(int(ks[0]), tuple(c)), rms
-
-
-def _check_conditioning(a: np.ndarray):
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[-1] <= 0 or s[0] / s[-1] > COND_LIMIT:
-        cond = math.inf if s[-1] <= 0 else s[0] / s[-1]
-        raise RankDeficiencyError(
-            f"design matrix condition number {cond:.3e} exceeds {COND_LIMIT:.0e} "
-            "(sampling set too sparse for the support)")
 
 
 class _PatternFitter:
@@ -185,23 +164,72 @@ class _PatternFitter:
     [R_p; a_p], which maps the carried state (w, v_p) to (w', e_p).  The
     running sum of e_p^2 is the least-squares residual of the rows seen so
     far, so it never decreases as rows are added and bounds every
-    completion from below.
+    completion from below.  The row updates are computed on first use.
     """
 
     def __init__(self, a: np.ndarray):
         self.a = a
         self.n, self.m = a.shape
         self.q_full = np.linalg.qr(a, mode="reduced")[0]
-        self.row_updates = []
+
+    @cached_property
+    def row_updates(self) -> list:
+        updates = []
         r = np.zeros((self.m, self.m))
-        for row in a:
+        for row in self.a:
             q, r_next = np.linalg.qr(np.vstack([r, row]), mode="complete")
-            self.row_updates.append(q.T)
+            updates.append(q.T)
             r = r_next[:self.m]
+        return updates
 
     def sse_full(self, v: np.ndarray) -> float:
         w = self.q_full.T @ v
         return max(float(v @ v - w @ w), 0.0)
+
+    def fit(self, v: np.ndarray) -> tuple:
+        """Least-squares coefficients for right-hand side v and their RMS residual."""
+        c, *_ = np.linalg.lstsq(self.a, v, rcond=None)
+        resid = self.a @ c - v
+        return c, float(np.sqrt(np.mean(resid * resid)))
+
+
+def _fitter(params: GeneratorParams, lam: PointSet, support) -> _PatternFitter:
+    """The fitter of a sampling set, refusing one too sparse for the support:
+    fewer samples than coefficients, or condition number above COND_LIMIT."""
+    _, n_coeffs = _support_size(support)
+    if len(lam.points) < n_coeffs:
+        raise RankDeficiencyError(
+            f"{len(lam.points)} samples cannot determine {n_coeffs} coefficients")
+    a = design_matrix(params, lam.as_array(), support)
+    s = np.linalg.svd(a, compute_uv=False)
+    if s[-1] <= 0 or s[0] / s[-1] > COND_LIMIT:
+        cond = math.inf if s[-1] <= 0 else s[0] / s[-1]
+        raise RankDeficiencyError(
+            f"design matrix condition number {cond:.3e} exceeds {COND_LIMIT:.0e} "
+            "(sampling set too sparse for the support)")
+    return _PatternFitter(a)
+
+
+def _peak(mags: np.ndarray) -> float:
+    peak = float(np.max(mags, initial=0.0))
+    if peak < 1e-10:
+        raise ValueError("all magnitudes below 1e-10; nothing to retrieve")
+    return peak
+
+
+def fit_coeffs(params: GeneratorParams, lam: PointSet, signed_values, support):
+    """Least-squares coefficients for given signed sample values.
+
+    Solves min_c sum_i (sum_k c_k g(x_i - k) - v_i)^2 by SVD-based
+    orthogonal factorization; returns (CoeffSeq, RMS residual).  A design
+    matrix with condition number above COND_LIMIT (or fewer samples than
+    coefficients) signals a sampling set too sparse for the support.
+    """
+    v = np.asarray(signed_values, dtype=float)
+    if v.shape != (len(lam.points),):
+        raise ValueError("one signed value per sample point required")
+    c, rms = _fitter(params, lam, support).fit(v)
+    return CoeffSeq(_support_size(support)[0], tuple(c)), rms
 
 
 class _BudgetExceeded(Exception):
@@ -321,21 +349,16 @@ def _package(sample, support, signs, fitter, nodes, patterns,
              second_pass) -> RetrievalResult:
     mags = sample.mags_array()
     signs = _canonicalize(np.asarray(signs), mags)
-    v = signs * mags
-    a = fitter.a
-    c, *_ = np.linalg.lstsq(a, v, rcond=None)
-    resid = a @ c - v
-    rms = float(np.sqrt(np.mean(resid * resid)))
-    ks = _support_range(support)
+    c, rms = fitter.fit(signs * mags)
     pattern = SignPattern.from_signs(signs.astype(int))
-    return RetrievalResult(coeffs=CoeffSeq(int(ks[0]), tuple(c)), signs=pattern,
-                           residual=rms, sign_changes=len(pattern.change_points),
+    return RetrievalResult(coeffs=CoeffSeq(_support_size(support)[0], tuple(c)),
+                           signs=pattern, residual=rms,
+                           sign_changes=len(pattern.change_points),
                            nodes=nodes, patterns=patterns, second_pass=second_pass)
 
 
 def solve_signs(params: GeneratorParams, sample: MagnitudeSample, support,
-                max_changes: int, table: TimeDomainTable | None = None,
-                budget: int = PATTERN_BUDGET) -> RetrievalResult:
+                max_changes: int) -> RetrievalResult:
     """Branch-and-bound search over run-structured sign patterns.
 
     Slots are decided left to right, all live partial patterns of one depth
@@ -346,23 +369,19 @@ def solve_signs(params: GeneratorParams, sample: MagnitudeSample, support,
     rest of the tree.  A first pass places flips only in slots whose dip
     score marks them as crossing candidates; the rare instance whose
     crossings are not all recognized falls through to an unrestricted second
-    pass.  `budget` bounds the complete patterns scored over both passes.
-    Returns the best pattern found, canonicalized; raises SearchBudgetError
-    if no pattern reaches the acceptance tolerance within the budget.
+    pass.  Returns the best pattern found, canonicalized.
+
+    Every scored pattern passed a prefix bound no larger than the acceptance
+    threshold, so PATTERN_BUDGET (read at call time) caps the near-tied
+    patterns scored after the first accepted one, over both passes, and
+    running out returns the best so far, not necessarily the optimum.
+    SearchBudgetError means that no pattern reached the tolerance.
     """
     mags = sample.mags_array()
-    peak = float(np.max(mags)) if mags.size else 0.0
-    if peak < 1e-10:
-        raise ValueError("all magnitudes below 1e-10; nothing to retrieve")
+    peak = _peak(mags)
     if max_changes < 0:
         raise ValueError("max_changes must be nonnegative")
-    ks = _support_range(support)
-    if len(sample.lam.points) < len(ks):
-        raise RankDeficiencyError(
-            f"{len(sample.lam.points)} samples cannot determine {len(ks)} coefficients")
-    a = design_matrix(params, sample.lam.as_array(), support, table=table)
-    _check_conditioning(a)
-    fitter = _PatternFitter(a)
+    fitter = _fitter(params, sample.lam, support)
 
     n = len(mags)
     n_slots = n - 1
@@ -380,11 +399,11 @@ def solve_signs(params: GeneratorParams, sample: MagnitudeSample, support,
     second_pass = False
     try:
         _pattern_search(fitter, mags, candidates, flip_first, max_changes,
-                        accept_sse, prune_eps, budget, state)
+                        accept_sse, prune_eps, PATTERN_BUDGET, state)
         if not accepted() and not candidates.all():
             second_pass = True
             _pattern_search(fitter, mags, np.ones(n_slots, dtype=bool), flip_first,
-                            max_changes, accept_sse, prune_eps, budget, state)
+                            max_changes, accept_sse, prune_eps, PATTERN_BUDGET, state)
     except _BudgetExceeded:
         pass
 
@@ -398,33 +417,25 @@ def solve_signs(params: GeneratorParams, sample: MagnitudeSample, support,
 
 
 def brute_force_signs(params: GeneratorParams, sample: MagnitudeSample, support,
-                      max_changes: int, table: TimeDomainTable | None = None,
-                      cap: int = BRUTE_FORCE_CAP) -> RetrievalResult:
+                      max_changes: int) -> RetrievalResult:
     """Exhaustive oracle over all run-structured patterns with <= max_changes flips.
 
     Enumerates flip-slot subsets by (size, lexicographic slot order) and keeps
     the strictly best residual, so ties resolve to the earliest pattern in
-    that order.  Refuses instances with more than `cap` subsets.
+    that order.  Refuses instances with more than BRUTE_FORCE_CAP subsets
+    (SearchBudgetError).
     """
     from itertools import combinations
 
     mags = sample.mags_array()
-    peak = float(np.max(mags)) if mags.size else 0.0
-    if peak < 1e-10:
-        raise ValueError("all magnitudes below 1e-10; nothing to retrieve")
+    _peak(mags)
     n = len(mags)
     n_slots = n - 1
     total = sum(comb(n_slots, k) for k in range(min(max_changes, n_slots) + 1))
-    if total > cap:
+    if total > BRUTE_FORCE_CAP:
         raise SearchBudgetError(
-            f"{total} patterns exceed the enumeration cap {cap}")
-    ks = _support_range(support)
-    if len(sample.lam.points) < len(ks):
-        raise RankDeficiencyError(
-            f"{len(sample.lam.points)} samples cannot determine {len(ks)} coefficients")
-    a = design_matrix(params, sample.lam.as_array(), support, table=table)
-    _check_conditioning(a)
-    fitter = _PatternFitter(a)
+            f"{total} patterns exceed the enumeration cap {BRUTE_FORCE_CAP}")
+    fitter = _fitter(params, sample.lam, support)
 
     best_sse = math.inf
     best_signs = None
@@ -579,28 +590,24 @@ def run_threshold_experiment(config: ExperimentConfig) -> ExperimentReport:
     if config.trials == 0:
         return ExperimentReport(config=config, rows=())
     params = config.generator
-    ks = _support_range(config.support)
-    shared = SISFunction(params, CoeffSeq(int(ks[0]), (1.0,) * len(ks)))
     lo, hi = config.window
     grid = np.arange(lo, hi + 1e-9, CHECK_STEP)
-    g_grid = design_matrix(params, grid, config.support, table=shared.table)
+    g_grid = design_matrix(params, grid, config.support)
 
     def run_trial(di: int, ti: int):
         ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(di, ti))
         rng = np.random.Generator(np.random.PCG64(ss))
         lam = _draw_sampling_set(rng, config.densities[di], config.window,
                                  config.pair_offset)
-        c_true = rng.standard_normal(len(ks))
-        a_tr = design_matrix(params, lam.as_array(), config.support,
-                             table=shared.table)
+        c_true = rng.standard_normal(g_grid.shape[1])
+        a_tr = design_matrix(params, lam.as_array(), config.support)
         vals = a_tr @ c_true
         if config.noise > 0:
             vals = vals + config.noise * float(np.max(np.abs(vals))) \
                 * rng.standard_normal(len(vals))
         sample = MagnitudeSample(lam=lam, magnitudes=tuple(np.abs(vals)))
         try:
-            result = solve_signs(params, sample, config.support,
-                                 config.max_changes, table=shared.table)
+            result = solve_signs(params, sample, config.support, config.max_changes)
         except RankDeficiencyError:
             return "rank_deficient", math.nan
         except SearchBudgetError:

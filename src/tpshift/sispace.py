@@ -54,9 +54,6 @@ class CoeffSeq:
     def is_zero(self) -> bool:
         return all(c == 0.0 for c in self.coeffs)
 
-    def max_abs(self) -> float:
-        return max(abs(c) for c in self.coeffs)
-
     def to_json_dict(self) -> dict:
         return {"offset": self.offset, "coeffs": list(self.coeffs)}
 
@@ -186,9 +183,9 @@ class SISFunction:
     def _deriv_pieces(self):
         return self._shift_sum(self.deriv_table)
 
-    def support_window(self, margin: float | None = None) -> tuple:
+    def support_window(self) -> tuple:
         ks = self.coeffs.support_indices()
-        pad = support_margin(self.params) if margin is None else margin
+        pad = support_margin(self.params)
         return (float(ks[0] - pad), float(ks[-1] + pad))
 
 
@@ -223,10 +220,10 @@ def apply_rolle_op(f: SISFunction, delta: float) -> SISFunction:
     return SISFunction(reduce(f.params), f.coeffs)
 
 
-def find_zeros(f: SISFunction, interval: tuple, scan_step: float = SCAN_STEP) -> PointSet:
+def find_zeros(f: SISFunction, interval: tuple) -> PointSet:
     """Locate the sign-change zeros of f on an interval.
 
-    Scans at scan_step, then bisects each bracket to absolute tolerance
+    Scans at SCAN_STEP, then bisects each bracket to absolute tolerance
     BISECT_TOL.  Zeros are simple sign changes, counted without multiplicity;
     grid local minima of |f| below TOUCH_TOL times the grid peak without an
     adjacent sign change are flagged as touch candidates instead of resolved.
@@ -235,10 +232,10 @@ def find_zeros(f: SISFunction, interval: tuple, scan_step: float = SCAN_STEP) ->
     lo, hi = float(interval[0]), float(interval[1])
     if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"interval must be finite and nondegenerate, got {interval}")
-    steps = (hi - lo) / scan_step
+    steps = (hi - lo) / SCAN_STEP
     if not steps < MAX_SCAN_POINTS:
         raise ValueError(
-            f"interval [{lo}, {hi}] at step {scan_step} needs more than "
+            f"interval [{lo}, {hi}] at step {SCAN_STEP} needs more than "
             f"{MAX_SCAN_POINTS} scan points")
     n = int(math.ceil(steps)) + 1
     grid = np.linspace(lo, hi, n)
@@ -271,7 +268,7 @@ def find_zeros(f: SISFunction, interval: tuple, scan_step: float = SCAN_STEP) ->
         a = np.asarray(bracket_lo)
         b = np.asarray(bracket_hi)
         fa = eval_f(f, a)
-        steps = int(math.ceil(math.log2(scan_step / BISECT_TOL))) + 4
+        steps = int(math.ceil(math.log2(SCAN_STEP / BISECT_TOL))) + 4
         for _ in range(steps):
             mid = 0.5 * (a + b)
             fm = eval_f(f, mid)

@@ -202,6 +202,17 @@ class TestCommands:
         assert proc.returncode in (0, 3), proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_jensen_ambiguous_order_exits_3(self, tmp_path, capsys):
+        # f(0) = 4.15e-10 is neither clearly zero nor clearly nonzero.
+        c = 2.0 * math.exp(-1.0) * (1.0 - 1e-9)
+        path = write_config(tmp_path, "amb.json",
+                            {"generator": GAUSS,
+                             "coeffs": {"offset": -1, "coeffs": [1.0, -c, 1.0]},
+                             "radii": [2.0]})
+        assert run(["jensen", "--config", path, "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "ambiguous" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("deltas", [[0.45, 0.45], [0.45, 0.4501, 0.4502]])
     def test_coincident_deltas_exit_2(self, tmp_path, capsys, deltas):
         path = write_config(tmp_path, "gen.json",
@@ -218,10 +229,17 @@ class TestCommands:
         ("experiment", {"generator": GAUSS, "densities": [2.5], "trials": 1, "seed": 3,
                         "support": [-1000000, 1000000], "window": [-4.0, 4.0],
                         "max_changes": 8}),
+        ("retrieve", {"generator": GAUSS,
+                      "sample": {"points": {"points": list(np.arange(2000.0)),
+                                            "window": [-1.0, 2000.0]},
+                                 "magnitudes": [1.0] * 2000},
+                      "support": [0, 1999], "max_changes": 3}),
     ])
     def test_oversized_table_exits_2_in_bounded_memory(self, tmp_path, command, payload):
-        # Both tables would need hundreds of millions of samples; the cap
-        # refuses them before anything that large is allocated.
+        # The eval table and the experiment's check-grid design matrix would
+        # need hundreds of millions of samples, the retrieve design matrix
+        # four million (and its sign search far more); the caps refuse them
+        # before anything that large is allocated.
         resource = pytest.importorskip("resource")
         path = write_config(tmp_path, "big.json", payload)
         limit = 768 << 20

@@ -264,23 +264,22 @@ def _criterion7_instances(support, window, max_changes):
         pts = sigret._draw_sampling_set(rng, (2.2, 2.5, 3.0)[i // 3 % 3], window,
                                         0.0).as_array()
         k = support[1] - support[0] + 1
-        probe = tp.SISFunction(params, tp.CoeffSeq(support[0], (1.0,) * k))
         c = rng.standard_normal(k)
-        f = tp.SISFunction(params, tp.CoeffSeq(support[0], tuple(c)), table=probe.table)
+        f = tp.SISFunction(params, tp.CoeffSeq(support[0], tuple(c)))
         zeros = tp.find_zeros(f, window).points if i % 2 else ()
         if zeros:
             pts = np.sort(np.append(pts, zeros[len(zeros) // 2]))
-        mags = np.abs(tp.design_matrix(params, pts, support, table=probe.table) @ c)
+        mags = np.abs(tp.design_matrix(params, pts, support) @ c)
         if zeros:
             mags[pts == zeros[len(zeros) // 2]] = 0.0
         sample = tp.MagnitudeSample(lam=tp.PointSet(points=tuple(pts), window=window),
                                     magnitudes=tuple(mags))
-        yield params, sample, support, max_changes, probe.table
+        yield params, sample, support, max_changes
 
 
-def _outcome(params, sample, support, max_changes, table):
+def _outcome(params, sample, support, max_changes):
     try:
-        res = tp.solve_signs(params, sample, support, max_changes, table=table)
+        res = tp.solve_signs(params, sample, support, max_changes)
     except SearchBudgetError:
         return "SearchBudgetError"
     return (res.signs, [c.hex() for c in res.coeffs.coeffs], res.residual.hex(),
@@ -309,7 +308,8 @@ class TestBatchedSearch:
         assert "SearchBudgetError" not in batched
         assert any(second_pass for *_, second_pass in batched) == all_free
 
-    def test_budget_stops_after_budget_plus_one_patterns(self, gauss_params, fn_factory):
+    def test_budget_stops_after_budget_plus_one_patterns(self, monkeypatch, gauss_params,
+                                                          fn_factory):
         # Three samples for three coefficients: every sign pattern fits
         # exactly, so no complete pattern is pruned.  Every scored pattern
         # passed a bound no larger than the acceptance threshold, so a budget
@@ -319,7 +319,8 @@ class TestBatchedSearch:
         sample = tp.sample_magnitudes(f, lam)
         full = tp.solve_signs(gauss_params, sample, (0, 2), 2)
         assert full.patterns == 4
-        limited = tp.solve_signs(gauss_params, sample, (0, 2), 2, budget=1)
+        monkeypatch.setattr(sigret, "PATTERN_BUDGET", 1)
+        limited = tp.solve_signs(gauss_params, sample, (0, 2), 2)
         assert limited.patterns == 2
         assert limited.signs == full.signs
 
@@ -341,18 +342,28 @@ class TestBatchedSearch:
                 loop[j] = (mags[j] + mags[j + 1]) / (2.0 * (float(np.max(local)) + 1e-300))
             assert np.array_equal(sigret._dip_scores(mags), loop)
 
-    def test_design_matrix_matches_columns(self, m1_params, fn_factory):
-        table = fn_factory(m1_params, -8, np.ones(17)).table
+    @pytest.mark.parametrize("deltas", [(), (0.45,)], ids=["m0", "m1"])
+    def test_design_matrix_is_clipped_closed_form(self, deltas):
+        params = tp.GeneratorParams(1.0, math.pi**2, deltas)
         pts = np.linspace(-10.0, 10.0, 55)
-        columns = np.column_stack([table.eval(pts - k) for k in range(-8, 9)])
-        assert np.array_equal(tp.design_matrix(m1_params, pts, (-8, 8), table=table),
-                              columns)
+        columns = np.column_stack([tp.time_eval(params, pts - k) for k in range(-8, 9)])
+        clipped = np.abs(columns) < 1e-15 * np.max(np.abs(columns))
+        assert clipped.any() and (columns[clipped] != 0.0).any()
+        columns[clipped] = 0.0
+        assert np.array_equal(tp.design_matrix(params, pts, (-8, 8)), columns)
+
+    def test_design_matrix_size_cap(self, gauss_params):
+        # 1000 x 2000 entries reach MAX_TABLE_POINTS exactly; 1001 x 2000
+        # exceed it and are refused before the matrix is allocated.
+        assert sigret.MAX_TABLE_POINTS == 2_000_000
+        assert tp.design_matrix(gauss_params, np.zeros(1000), (0, 1999)).shape == (1000, 2000)
+        with pytest.raises(ValueError, match="samples"):
+            tp.design_matrix(gauss_params, np.zeros(1001), (0, 1999))
 
 
 class TestBruteForce:
     def test_agrees_with_solver_on_small_instances(self, gauss_params, fn_factory):
         rng = np.random.default_rng(23)
-        probe = fn_factory(gauss_params, -1, (1.0, 1.0, 1.0))
         n_checked = 0
         while n_checked < 30:
             c = rng.standard_normal(3)
@@ -363,8 +374,8 @@ class TestBruteForce:
             changes = int(np.sum(np.sign(truth[:-1]) != np.sign(truth[1:])))
             if changes > 3:
                 continue
-            a = tp.solve_signs(gauss_params, sample, (-1, 1), 3, table=probe.table)
-            b = tp.brute_force_signs(gauss_params, sample, (-1, 1), 3, table=probe.table)
+            a = tp.solve_signs(gauss_params, sample, (-1, 1), 3)
+            b = tp.brute_force_signs(gauss_params, sample, (-1, 1), 3)
             assert a.signs == b.signs
             assert b.residual <= a.residual + 1e-12
             n_checked += 1
@@ -382,7 +393,7 @@ class TestBruteForce:
         lam = tp.PointSet(points=tuple(np.linspace(-10, 10, 60)), window=(-10.0, 10.0))
         sample = tp.MagnitudeSample(lam=lam, magnitudes=tuple(np.ones(60)))
         with pytest.raises(SearchBudgetError):
-            tp.brute_force_signs(gauss_params, sample, (-3, 3), 59, cap=1000)
+            tp.brute_force_signs(gauss_params, sample, (-3, 3), 59)
 
 
 class TestExperiment:
