@@ -248,14 +248,13 @@ class TimeDomainTable:
     """
 
     grid_step: float
-    origin: float
     values: np.ndarray
     tail_bound: TailBound
 
     def __post_init__(self):
         n = len(self.values)
         half = (n - 1) // 2 * self.grid_step
-        xs = self.origin + np.arange(n) * self.grid_step - half
+        xs = np.arange(n) * self.grid_step - half
         self._spline = CubicSpline(xs, self.values)
 
     @property
@@ -276,32 +275,34 @@ class TimeDomainTable:
     def eval(self, x):
         return eval_pieces(self._spline, x)
 
-    def shift_sum(self, shifts, weights, radius: float) -> PPoly:
+    def shift_sum(self, shifts, weights) -> PPoly:
         """The piecewise cubic sum_k w_k s(. - k) of the table spline s.
 
         With grid_step = 1/N an integer shift k moves s's pieces by exactly
         k*N, so the sum's piece coefficients are slice-adds of s's and agree
-        with summing shifted spline values up to rounding.  Only s's pieces
-        within `radius` of the origin enter.  Direct adds keep the sum
-        exactly 0 wherever no kept piece reaches, where an FFT convolution
-        would leave rounding noise.  Evaluate the result with eval_pieces.
+        with summing shifted spline values up to rounding.  Direct adds keep
+        the sum exactly 0 wherever no piece reaches, where an FFT convolution
+        would leave rounding noise.  A sum of more than MAX_TABLE_POINTS
+        pieces is refused (ValueError) before allocating.
         """
         n_per = self.steps_per_unit
         if n_per is None:
             raise ValueError(f"grid step {self.grid_step} is not 1/N for an integer N")
-        n_half = (len(self.values) - 1) // 2
-        reach = min(int(math.ceil(radius * n_per)), n_half)
-        width = 2 * reach
-        kept = self._spline.c[:, n_half - reach:n_half + reach]
+        pieces = self._spline.c
+        width = pieces.shape[1]
         shifts = np.asarray(shifts, dtype=int)
         k0 = int(shifts.min())
-        coef = np.zeros((kept.shape[0], (int(shifts.max()) - k0) * n_per + width))
+        n_pieces = (int(shifts.max()) - k0) * n_per + width
+        if not n_pieces <= MAX_TABLE_POINTS:
+            raise ValueError(f"summing {shifts.size} shifts at step {self.grid_step} "
+                             f"needs more than {MAX_TABLE_POINTS} samples")
+        coef = np.zeros((pieces.shape[0], n_pieces))
         for k, w in zip(shifts, weights):
             if w != 0.0:
                 start = (k - k0) * n_per
-                coef[:, start:start + width] += w * kept
-        first = k0 * n_per - reach
-        breaks = self.origin + (first + np.arange(coef.shape[1] + 1)) / n_per
+                coef[:, start:start + width] += w * pieces
+        first = k0 * n_per - (len(self.values) - 1) // 2
+        breaks = (first + np.arange(n_pieces + 1)) / n_per
         return PPoly(coef, breaks)
 
 
@@ -334,5 +335,4 @@ def build_table(params: GeneratorParams, half_width: float, grid_step: float,
     n_half = int(math.ceil(steps))
     x0 = -n_half * grid_step
     vals = _evaluate(params, x0 + grid_step * np.arange(2 * n_half + 1), deriv)
-    return TimeDomainTable(grid_step=grid_step, origin=0.0, values=vals,
-                           tail_bound=tail_bound(params))
+    return TimeDomainTable(grid_step=grid_step, values=vals, tail_bound=tail_bound(params))

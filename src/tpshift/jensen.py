@@ -44,9 +44,9 @@ ORDER_NOISE_FLOOR = 1e-12
 MAX_ORDER = 6
 # A zero this close to the counting circle makes phase tracking unreliable.
 CIRCLE_CLEARANCE = 1e-6
-# Largest (points x terms) block _stable_terms builds at once: 4 MiB per
-# complex array.
-MAX_TERM_BLOCK = 1 << 18
+# Largest (points x terms) block _stable_terms builds at once: 64 KiB per complex
+# array, under glibc's default 128 KiB mmap threshold, so blocks reuse heap pages.
+MAX_TERM_BLOCK = 1 << 12
 
 
 def _require_gaussian(f: SISFunction):

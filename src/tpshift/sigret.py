@@ -375,12 +375,17 @@ def solve_signs(params: GeneratorParams, sample: MagnitudeSample, support,
     threshold, so PATTERN_BUDGET (read at call time) caps the near-tied
     patterns scored after the first accepted one, over both passes, and
     running out returns the best so far, not necessarily the optimum.
-    SearchBudgetError means that no pattern reached the tolerance.
+    SearchBudgetError means that no pattern reached the tolerance.  More
+    than MAX_TABLE_POINTS row-update entries are refused before allocating.
     """
     mags = sample.mags_array()
     peak = _peak(mags)
     if max_changes < 0:
         raise ValueError("max_changes must be nonnegative")
+    n_coeffs = _support_size(support)[1]
+    if not len(mags) * (n_coeffs + 1) ** 2 <= MAX_TABLE_POINTS:
+        raise ValueError(f"a sign search over {len(mags)} samples and {n_coeffs} "
+                         f"coefficients needs more than {MAX_TABLE_POINTS} samples")
     fitter = _fitter(params, sample.lam, support)
 
     n = len(mags)

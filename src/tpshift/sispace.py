@@ -135,12 +135,12 @@ def support_margin(params: GeneratorParams) -> float:
 class SISFunction:
     """A shift combination f = sum c_k g(. - k) with cached evaluation tables.
 
-    Tables for g and g' cover the coefficient support plus the envelope
-    decay radius, with a grid step 1/N so that integer shifts move their
-    spline pieces by whole pieces; the g' table is built on first use
-    unless the caller passes one.  f and f' are each evaluated through one
-    piecewise cubic, summed from the tables' pieces on first use, so
-    evaluations anywhere have absolute error at the table-interpolation
+    Tables for g and g' span the envelope decay radius plus one around 0,
+    whatever the coefficients, so functions over one generator can share
+    them; the step 1/N lets integer shifts move spline pieces by whole
+    pieces, and the g' table is built on first use unless passed in.  f and
+    f' are each one piecewise cubic, summed from all table pieces on first
+    use, so evaluations anywhere have absolute error at the interpolation
     level (<= 1e-8).  Coefficients and tables are fixed after construction;
     concurrent first evaluations build the same pieces twice, which is
     harmless.
@@ -163,25 +163,20 @@ class SISFunction:
         return self._build_table(deriv=True)
 
     def _build_table(self, deriv: bool = False) -> TimeDomainTable:
-        span = len(self.coeffs.coeffs)
-        half_width = max(span + _tail_radius(self.params) + 2.0, 1.0)
+        # The extra unit covers g', which g's envelope does not bound directly.
+        half_width = _tail_radius(self.params) + 1.0
         # Resolve relative to the Gaussian width so quartic interpolation
         # error stays below the evaluation contract for sharp generators.
         step = 1.0 / math.ceil(125.0 * max(1.0, math.sqrt(self.params.gauss_rate)))
         return build_table(self.params, half_width, step, deriv=deriv)
 
-    def _shift_sum(self, table: TimeDomainTable):
-        # The extra unit covers g', which g's envelope does not bound directly.
-        radius = _tail_radius(self.params) + 1.0
-        return table.shift_sum(self.coeffs.support_indices(), self.coeffs.coeffs, radius)
-
     @cached_property
     def _pieces(self):
-        return self._shift_sum(self.table)
+        return self.table.shift_sum(self.coeffs.support_indices(), self.coeffs.coeffs)
 
     @cached_property
     def _deriv_pieces(self):
-        return self._shift_sum(self.deriv_table)
+        return self.deriv_table.shift_sum(self.coeffs.support_indices(), self.coeffs.coeffs)
 
     def support_window(self) -> tuple:
         ks = self.coeffs.support_indices()

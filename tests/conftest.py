@@ -26,15 +26,14 @@ def m2_params():
 
 @pytest.fixture(scope="session")
 def fn_factory():
-    """Build SISFunctions while sharing tables across same-shape requests."""
+    """Build SISFunctions while sharing tables across one generator's functions."""
     cache = {}
 
     def make(params, offset, coeffs):
-        key = (params, len(coeffs))
-        if key not in cache:
-            probe = tp.SISFunction(params, tp.CoeffSeq(offset, (1.0,) * len(coeffs)))
-            cache[key] = (probe.table, probe.deriv_table)
-        table, deriv = cache[key]
+        if params not in cache:
+            probe = tp.SISFunction(params, tp.CoeffSeq(0, (1.0,)))
+            cache[params] = (probe.table, probe.deriv_table)
+        table, deriv = cache[params]
         return tp.SISFunction(params, tp.CoeffSeq(offset, tuple(coeffs)),
                               table=table, deriv_table=deriv)
 

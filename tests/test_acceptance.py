@@ -46,15 +46,23 @@ def _lattice_points(beta, extent):
                        window=(-extent, extent))
 
 
-def _alternating(params, rng, n_shifts, table_cache):
-    key = (params, n_shifts)
-    if key not in table_cache:
-        probe = tp.SISFunction(params, tp.CoeffSeq(0, (1.0,) * n_shifts))
-        table_cache[key] = (probe.table, probe.deriv_table)
-    table, deriv = table_cache[key]
-    c = rng.uniform(0.9, 1.1, n_shifts) * (-1.0) ** np.arange(n_shifts)
-    return tp.SISFunction(params, tp.CoeffSeq(-n_shifts // 2, tuple(c)),
+def _shared_fn(tables, params, offset, coeffs):
+    """A SISFunction over the g and g' tables kept in `tables` for its generator.
+
+    Tables depend on the generator alone; each caller owns its dict, so a
+    rerun of a report builder builds its tables afresh.
+    """
+    if params not in tables:
+        probe = tp.SISFunction(params, tp.CoeffSeq(0, (1.0,)))
+        tables[params] = (probe.table, probe.deriv_table)
+    table, deriv = tables[params]
+    return tp.SISFunction(params, tp.CoeffSeq(offset, tuple(coeffs)),
                           table=table, deriv_table=deriv)
+
+
+def _alternating(params, rng, n_shifts, tables):
+    c = rng.uniform(0.9, 1.1, n_shifts) * (-1.0) ** np.arange(n_shifts)
+    return _shared_fn(tables, params, -n_shifts // 2, c)
 
 
 def build_zero_density_report():
@@ -68,14 +76,7 @@ def build_zero_density_report():
         rec = {"seed": i, "m": m}
         for label, n_coeffs, scan, r in (("r15", 40, 20.0, 15.0),
                                          ("r60", 136, 64.0, 60.0)):
-            key = (params, n_coeffs)
-            if key not in tables:
-                probe = tp.SISFunction(params, tp.CoeffSeq(0, (1.0,) * n_coeffs))
-                tables[key] = (probe.table, probe.deriv_table)
-            table, deriv = tables[key]
-            c = rng.standard_normal(n_coeffs)
-            f = tp.SISFunction(params, tp.CoeffSeq(-n_coeffs // 2, tuple(c)),
-                               table=table, deriv_table=deriv)
+            f = _shared_fn(tables, params, -n_coeffs // 2, rng.standard_normal(n_coeffs))
             zeros = tp.find_zeros(f, (-scan, scan))
             rec[label] = tp.circ_density_direct(zeros, [r]).values[0]
         records.append(rec)
@@ -229,14 +230,7 @@ def test_criterion_06_interlacing_and_segments():
         m = 1 + i % 3
         params = tp.GeneratorParams(1.0, GAMMA, DELTAS_BY_M[m])
         rng = _seeded_rng(6, i)
-        key = (params, 57)
-        if key not in tables:
-            probe = tp.SISFunction(params, tp.CoeffSeq(0, (1.0,) * 57))
-            tables[key] = (probe.table, probe.deriv_table)
-        table, deriv = tables[key]
-        c = rng.standard_normal(57)
-        f = tp.SISFunction(params, tp.CoeffSeq(-28, tuple(c)),
-                           table=table, deriv_table=deriv)
+        f = _shared_fn(tables, params, -28, rng.standard_normal(57))
         f1 = tp.apply_rolle_op(f, params.deltas[-1])
         zf = tp.find_zeros(f, (-22.0, 22.0))
         zf1 = tp.find_zeros(f1, (-22.0, 22.0))
@@ -264,16 +258,14 @@ def test_criterion_07_sign_retrieval_threshold():
 
 def test_criterion_08_solver_oracle_agreement():
     params = tp.GeneratorParams(1.0, GAMMA)
-    probe = tp.SISFunction(params, tp.CoeffSeq(-1, (1.0, 1.0, 1.0)))
+    tables = {}
     n_match = 0
     n_done = 0
     i = 0
     while n_done < 200:
         rng = _seeded_rng(8, i)
         i += 1
-        c = rng.standard_normal(3)
-        f = tp.SISFunction(params, tp.CoeffSeq(-1, tuple(c)),
-                           table=probe.table, deriv_table=probe.deriv_table)
+        f = _shared_fn(tables, params, -1, rng.standard_normal(3))
         lo, hi = -2.0, 2.6
         spacing = 1.0 / 2.6
         n = int((hi - lo) / spacing)
@@ -321,13 +313,11 @@ def test_sampling_ratio_band_recorded():
     # window against its sup over half-integer samples.  The band is
     # recorded; no finite-scale constant is available to assert against.
     params = tp.GeneratorParams(1.0, GAMMA)
-    probe = tp.SISFunction(params, tp.CoeffSeq(-12, (1.0,) * 25))
+    tables = {}
     ratios = []
     for i in range(100):
         rng = _seeded_rng(0, i)
-        c = rng.standard_normal(25)
-        f = tp.SISFunction(params, tp.CoeffSeq(-12, tuple(c)),
-                           table=probe.table, deriv_table=probe.deriv_table)
+        f = _shared_fn(tables, params, -12, rng.standard_normal(25))
         grid = np.linspace(-6.0, 6.0, 2401)
         samples = np.arange(-6.0, 6.25, 0.5)
         ratios.append(np.max(np.abs(tp.eval_f(f, grid)))

@@ -234,11 +234,21 @@ class TestCommands:
                                             "window": [-1.0, 2000.0]},
                                  "magnitudes": [1.0] * 2000},
                       "support": [0, 1999], "max_changes": 3}),
+        ("eval", {"generator": GAUSS, "coeffs": {"offset": 0, "coeffs": [1.0] * 20000},
+                  "x": [0.0]}),
+        ("retrieve", {"generator": GAUSS,
+                      "sample": {"points": {"points": list(np.arange(1000.0)),
+                                            "window": [-1.0, 1000.0]},
+                                 "magnitudes": [1.0] * 1000},
+                      "support": [0, 999], "max_changes": 3}),
     ])
     def test_oversized_table_exits_2_in_bounded_memory(self, tmp_path, command, payload):
-        # The eval table and the experiment's check-grid design matrix would
-        # need hundreds of millions of samples, the retrieve design matrix
-        # four million (and its sign search far more); the caps refuse them
+        # The first eval table and the experiment's check-grid design matrix
+        # would need hundreds of millions of samples, the first retrieve
+        # design matrix four million (and its sign search far more).  The
+        # 20,000-coefficient eval sums 2.5 million table pieces, and the
+        # 1000-point retrieve fits its design matrix but its sign search
+        # would keep a billion row-update entries.  The caps refuse them
         # before anything that large is allocated.
         resource = pytest.importorskip("resource")
         path = write_config(tmp_path, "big.json", payload)

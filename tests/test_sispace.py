@@ -116,6 +116,15 @@ class TestSplineOfF:
         assert f.table.steps_per_unit == math.ceil(125.0 * math.pi)
         assert f.table.grid_step == 1.0 / f.table.steps_per_unit
 
+    def test_table_extent_depends_on_generator_only(self, m1_params):
+        small = tp.SISFunction(m1_params, tp.CoeffSeq(-1, (1.0, -0.5, 0.8)))
+        large = tp.SISFunction(m1_params, tp.CoeffSeq(-150, (1.0,) * 300))
+        assert len(small.table.values) == len(large.table.values)
+        assert len(small.deriv_table.values) == len(large.deriv_table.values)
+        half = (len(large.table.values) - 1) // 2 * large.table.grid_step
+        radius = tp.sispace._tail_radius(m1_params) + 1.0
+        assert radius <= half < radius + large.table.grid_step
+
     def test_deriv_table_built_on_first_derivative_evaluation(self, m1_params, monkeypatch):
         calls = []
         real = tp.sispace.build_table
