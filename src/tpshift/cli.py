@@ -21,7 +21,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,29 +32,9 @@ from .generator import GeneratorParams, ft_eval, tail_bound, time_eval
 from .jensen import build_context, verify_base_case
 from .sigret import (ExperimentConfig, MagnitudeSample, run_threshold_experiment,
                      solve_signs)
-from .sispace import (CoeffSeq, PointSet, SISFunction, apply_rolle_op,
+from .sispace import (CoeffSeq, PointSet, SISFunction, _int_value, apply_rolle_op,
                       check_interlacing, eval_deriv, eval_f, find_zeros,
                       segment_inequality)
-
-COMMANDS = ("gen", "eval", "zeros", "density", "lemma1", "jensen", "interlace",
-            "retrieve", "experiment")
-FORMATS = ("json", "csv")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input_path: str | None
-    output_path: str | None
-    seed: int
-    format: str
-    quiet: bool = False
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.format not in FORMATS:
-            raise ValueError(f"format must be one of {FORMATS}")
 
 
 def _config_hash(payload: dict, seed: int) -> str:
@@ -64,17 +43,17 @@ def _config_hash(payload: dict, seed: int) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _load_config(config: RunConfig) -> dict:
-    if config.input_path is None:
-        raise ValueError(f"command {config.command!r} requires --config PATH")
+def _load_config(args: argparse.Namespace) -> dict:
+    if args.config_path is None:
+        raise ValueError(f"command {args.command!r} requires --config PATH")
     try:
-        with open(config.input_path, "r", encoding="utf-8") as fh:
+        with open(args.config_path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(
-            f"malformed JSON in {config.input_path} at line {exc.lineno} "
+            f"malformed JSON in {args.config_path} at line {exc.lineno} "
             f"column {exc.colno}: {exc.msg}") from exc
     if not isinstance(data, dict):
         raise ValueError("config root must be a JSON object")
@@ -97,14 +76,6 @@ def _float_list(obj, name: str) -> list:
     if not all(math.isfinite(v) for v in vals):
         raise ValueError(f"{name} must contain finite numbers")
     return vals
-
-
-def _int_value(obj, name: str) -> int:
-    if isinstance(obj, float) and obj.is_integer():
-        obj = int(obj)
-    if not isinstance(obj, int) or isinstance(obj, bool):
-        raise ValueError(f"{name} must be an integer, got {obj!r}")
-    return obj
 
 
 def _function_from(data: dict) -> SISFunction:
@@ -284,13 +255,13 @@ def _render_csv(command: str, rows, config_hash: str, seed: int) -> str:
     return buf.getvalue()
 
 
-def dispatch(config: RunConfig) -> int:
+def dispatch(args: argparse.Namespace) -> int:
     """Run one command; write the report; map failures to exit codes."""
     try:
-        data = _load_config(config)
-        handler = _HANDLERS[config.command]
-        result, rows, ok = handler(data, config.seed)
-        chash = _config_hash(data, config.seed)
+        data = _load_config(args)
+        handler = _HANDLERS[args.command]
+        result, rows, ok = handler(data, args.seed)
+        chash = _config_hash(data, args.seed)
     except ValueError as exc:
         print(f"tpshift: validation error: {exc}", file=sys.stderr)
         return 2
@@ -301,20 +272,20 @@ def dispatch(config: RunConfig) -> int:
         print(f"tpshift: numerical failure: {exc}", file=sys.stderr)
         return 3
 
-    if config.format == "csv" and rows is not None:
-        text = _render_csv(config.command, rows, chash, config.seed)
+    if args.format == "csv" and rows is not None:
+        text = _render_csv(args.command, rows, chash, args.seed)
     else:
-        text = _render_json(config.command, result, chash, config.seed)
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
+        text = _render_json(args.command, result, chash, args.seed)
+    if args.out_path:
+        with open(args.out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        if not config.quiet:
-            print(f"tpshift {config.command}: wrote {config.output_path}")
-    elif not config.quiet:
+        if not args.quiet:
+            print(f"tpshift {args.command}: wrote {args.out_path}")
+    elif not args.quiet:
         sys.stdout.write(text)
 
     if not ok:
-        print(f"tpshift: {config.command} relation check failed beyond slack",
+        print(f"tpshift: {args.command} relation check failed beyond slack",
               file=sys.stderr)
         return 4
     return 0
@@ -325,23 +296,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tpshift",
         description="Density, zero-counting, and sign-retrieval toolbox for "
                     "shift combinations of Gaussian-type generators.")
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_HANDLERS)
     parser.add_argument("--config", dest="config_path", metavar="PATH",
                         help="input JSON file")
     parser.add_argument("--out", dest="out_path", metavar="PATH",
                         help="output report file (default: stdout)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--format", choices=FORMATS, default="json")
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--quiet", action="store_true")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    config = RunConfig(command=args.command, input_path=args.config_path,
-                       output_path=args.out_path, seed=args.seed,
-                       format=args.format, quiet=args.quiet)
-    return dispatch(config)
+    return dispatch(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -37,7 +37,6 @@ class DensityProfile:
     kind: str
     radii: tuple
     values: tuple
-    extrapolated: float = None
 
     def __post_init__(self):
         if self.kind not in PROFILE_KINDS:
@@ -52,8 +51,11 @@ class DensityProfile:
             raise ValueError("radii must be positive and strictly increasing")
         if any(v < -1e-15 for v in values):
             raise ValueError("density values must be nonnegative")
-        if self.extrapolated is None:
-            object.__setattr__(self, "extrapolated", values[-1] if values else 0.0)
+
+    @property
+    def extrapolated(self) -> float:
+        """The working estimate: the value at the largest radius (0.0 if none)."""
+        return self.values[-1] if self.values else 0.0
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "radii": list(self.radii),

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline, PPoly
@@ -33,6 +34,8 @@ from scipy.special import erfc, erfcx
 MAX_WEIGHT_SUM = 1e4
 # Largest number of samples a table may hold; refused before allocating.
 MAX_TABLE_POINTS = 2_000_000
+# Dropped far-tail contributions per unit coefficient stay below this.
+EVAL_TAIL_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -237,19 +240,29 @@ def tail_bound(params: GeneratorParams) -> TailBound:
     return TailBound(math.log(params.time_amplitude), params.gauss_rate, params.deltas)
 
 
+# The bisection costs about as much as summing f's pieces, and every function
+# over the same generator needs the same radius.
+@lru_cache(maxsize=64)
+def _tail_radius(params: GeneratorParams) -> float:
+    """Radius past which g's envelope stays below EVAL_TAIL_TOL per unit coefficient."""
+    return tail_bound(params).decay_radius(EVAL_TAIL_TOL * params.time_amplitude)
+
+
 @dataclass(eq=False)
 class TimeDomainTable:
-    """Uniform samples of a smooth function with a decay envelope.
+    """Samples of g, or g' with deriv, of one generator at step 1/steps_per_unit.
 
-    Lookups inside the tabulated range use a cubic spline (local error is
-    quartic in the grid step); outside it they return 0, which the envelope
-    certifies is below tail_bound(x) in magnitude.  Immutable after
-    construction and shareable across threads.
+    The samples are symmetric about 0.  Lookups inside the tabulated range
+    use a cubic spline (local error is quartic in the grid step); outside it
+    they return 0, which tail_bound(params) certifies is below
+    EVAL_TAIL_TOL times the amplitude for g.  Immutable after construction
+    and shareable across threads.
     """
 
-    grid_step: float
+    params: GeneratorParams
+    deriv: bool
+    steps_per_unit: int
     values: np.ndarray
-    tail_bound: TailBound
 
     def __post_init__(self):
         n = len(self.values)
@@ -258,19 +271,8 @@ class TimeDomainTable:
         self._spline = CubicSpline(xs, self.values)
 
     @property
-    def steps_per_unit(self) -> int | None:
-        """N when grid_step == 1/N for an integer N, else None."""
-        n = round(1.0 / self.grid_step)
-        if n >= 1 and abs(n * self.grid_step - 1.0) <= 1e-12:
-            return n
-        return None
-
-    def interpolation_error_bound(self) -> float:
-        """Quartic-order bound (5/384) h^4 max|g''''|, estimated from the samples."""
-        if len(self.values) < 5:
-            return math.inf
-        d4 = np.diff(self.values, 4) / self.grid_step**4
-        return 5.0 / 384.0 * self.grid_step**4 * float(np.max(np.abs(d4)))
+    def grid_step(self) -> float:
+        return 1.0 / self.steps_per_unit
 
     def eval(self, x):
         return eval_pieces(self._spline, x)
@@ -286,8 +288,6 @@ class TimeDomainTable:
         pieces is refused (ValueError) before allocating.
         """
         n_per = self.steps_per_unit
-        if n_per is None:
-            raise ValueError(f"grid step {self.grid_step} is not 1/N for an integer N")
         pieces = self._spline.c
         width = pieces.shape[1]
         shifts = np.asarray(shifts, dtype=int)
@@ -316,17 +316,20 @@ def eval_pieces(pieces: PPoly, x) -> np.ndarray:
     return out
 
 
-def build_table(params: GeneratorParams, half_width: float, grid_step: float,
-                deriv: bool = False) -> TimeDomainTable:
-    """Tabulate g (or g') on [-half_width, half_width] with the given step.
+def build_table(params: GeneratorParams, deriv: bool = False) -> TimeDomainTable:
+    """Tabulate g (or g') of a generator on a grid that the generator fixes.
 
-    Raises ValueError, before allocating, when the table would hold more
-    than MAX_TABLE_POINTS samples.
+    The table spans [-(R+1), R+1] with R = _tail_radius(params); the extra
+    unit covers g', which g's envelope does not bound directly.  The step is
+    1/N with N = ceil(125*max(1, sqrt(a))) for the Gaussian rate a: it
+    resolves the Gaussian width, so the quartic interpolation error stays
+    below the evaluation contract (1e-8) for sharp generators, and integer
+    shifts move spline pieces by whole pieces.  Raises ValueError, before
+    allocating, when the table would hold more than MAX_TABLE_POINTS samples.
     """
-    if not (grid_step > 0):
-        raise ValueError(f"grid_step must be positive, got {grid_step}")
-    if not (half_width >= 1.0):
-        raise ValueError(f"half_width must be at least 1, got {half_width}")
+    n_per = math.ceil(125.0 * max(1.0, math.sqrt(params.gauss_rate)))
+    grid_step = 1.0 / n_per
+    half_width = _tail_radius(params) + 1.0
     steps = half_width / grid_step
     if not steps <= (MAX_TABLE_POINTS - 1) // 2:
         raise ValueError(
@@ -335,4 +338,4 @@ def build_table(params: GeneratorParams, half_width: float, grid_step: float,
     n_half = int(math.ceil(steps))
     x0 = -n_half * grid_step
     vals = _evaluate(params, x0 + grid_step * np.arange(2 * n_half + 1), deriv)
-    return TimeDomainTable(grid_step=grid_step, values=vals, tail_bound=tail_bound(params))
+    return TimeDomainTable(params=params, deriv=deriv, steps_per_unit=n_per, values=vals)

@@ -162,19 +162,19 @@ class ContourSampler:
     """Stabilized terms of f on nested trapezoid grids of one circle |z| = r.
 
     Holds (scale, inner) at theta_j = 2 pi j/n, j < n, for the finest n
-    reached at the most recent radius, plus the closing point theta = 2 pi
-    once it is asked for.  A grid n/2^k is a strided view, and each doubling
-    evaluates only the new odd-index points: linspace(0, 2 pi, 2n + 1)[::2]
-    equals linspace(0, 2 pi, n + 1) bit for bit, so every grid holds the
-    values a fresh evaluation at its points gives.  Another radius, or a
-    grid not a power-of-two multiple or divisor of n, starts over.  The
-    state is replaced in one assignment, so a failed evaluation leaves the
-    previous grid intact.
+    reached at the most recent radius; the contour is periodic, so no grid
+    needs a closing point.  A grid n/2^k is a strided view, and each
+    doubling evaluates only the new odd-index points:
+    linspace(0, 2 pi, 2n + 1)[::2] equals linspace(0, 2 pi, n + 1) bit for
+    bit, so every grid holds the values a fresh evaluation at its points
+    gives.  Another radius, or a grid not a power-of-two multiple or divisor
+    of n, starts over.  The state is replaced in one assignment, so a failed
+    evaluation leaves the previous grid intact.
     """
 
     def __init__(self, f: SISFunction):
         self.f = f
-        self._state = (None, 0, None, None, None)  # r, n, scale, inner, closing point
+        self._state = (None, 0, None, None)  # r, n, scale, inner
 
     @property
     def n(self) -> int:
@@ -184,12 +184,12 @@ class ContourSampler:
     def _eval(self, r: float, theta):
         return _stable_terms(self.f, r * np.exp(1j * theta))
 
-    def grid(self, r: float, n: int, closed: bool = False):
-        """(scale, inner) at r e^{2 pi i j/n} for j = 0..n-1 (j = n too if closed)."""
-        r_held, top, scale, inner, end = self._state
+    def grid(self, r: float, n: int):
+        """(scale, inner) at r e^{2 pi i j/n} for j = 0..n-1."""
+        r_held, top, scale, inner = self._state
         lo, hi = sorted((n, top))
         if r != r_held or hi % lo or (hi // lo) & (hi // lo - 1):
-            top, end = n, None
+            top = n
             scale, inner = self._eval(r, np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
         while top < n:
             new_scale, new_inner = self._eval(
@@ -197,16 +197,11 @@ class ContourSampler:
             scale = np.stack([scale, new_scale], axis=-1).ravel()
             inner = np.stack([inner, new_inner], axis=-1).ravel()
             top *= 2
-        if closed and end is None:
-            end = self._eval(r, np.array([2.0 * math.pi]))
-        self._state = (r, top, scale, inner, end)
+        self._state = (r, top, scale, inner)
         step = top // n
-        scale, inner = scale[::step], inner[::step]
-        if closed:
-            return np.concatenate([scale, end[0]]), np.concatenate([inner, end[1]])
         # Contiguous copies: callers may write to them, and their ufuncs run
         # the loops they run on a freshly evaluated array.
-        return scale.copy(), inner.copy()
+        return scale[::step].copy(), inner[::step].copy()
 
 
 def build_context(f: SISFunction) -> JensenContext:
@@ -275,9 +270,10 @@ def _winding_number(ctx: JensenContext, t: float) -> int:
     prev = None
     while nt <= n_max:
         theta = np.linspace(0.0, 2.0 * math.pi, nt + 1)
-        _, inner = ctx.contour.grid(t, nt, closed=True)
+        _, inner = ctx.contour.grid(t, nt)
         if np.any(np.abs(inner) == 0.0):
             raise PhaseTrackingError(f"contour |z|={t} passes through a zero")
+        inner = np.append(inner, inner[:1])
         dphi = np.angle(inner[1:] * np.conj(inner[:-1]))
         incr = dphi - n * np.diff(theta) + 0.5 * a * t * t * np.diff(np.sin(2.0 * theta))
         if np.max(np.abs(dphi)) < 0.5 * math.pi and np.max(np.abs(incr)) < 0.5 * math.pi:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import RankDeficiencyError, SearchBudgetError
 from .generator import MAX_TABLE_POINTS, GeneratorParams, time_eval
-from .sispace import MAX_SCAN_POINTS, CoeffSeq, PointSet, SISFunction, eval_f
+from .sispace import MAX_SCAN_POINTS, CoeffSeq, PointSet, SISFunction, _int_value, eval_f
 
 # Acceptance: a pattern fits when its RMS residual drops below this times the
 # peak magnitude.
@@ -81,24 +81,17 @@ class SignPattern:
     """Signs over the sampling set; change_points lists slots where they flip."""
 
     signs: tuple
-    change_points: tuple
 
     def __post_init__(self):
         signs = tuple(int(s) for s in self.signs)
         object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "change_points", tuple(int(i) for i in self.change_points))
         if any(s not in (-1, 1) for s in signs):
             raise ValueError("signs must be +1 or -1")
-        flips = tuple(i for i in range(len(signs) - 1) if signs[i + 1] != signs[i])
-        if flips != self.change_points:
-            raise ValueError(
-                f"change_points {self.change_points} inconsistent with signs (flips at {flips})")
 
-    @classmethod
-    def from_signs(cls, signs) -> "SignPattern":
-        signs = tuple(int(s) for s in signs)
-        flips = tuple(i for i in range(len(signs) - 1) if signs[i + 1] != signs[i])
-        return cls(signs=signs, change_points=flips)
+    @property
+    def change_points(self) -> tuple:
+        s = self.signs
+        return tuple(i for i in range(len(s) - 1) if s[i + 1] != s[i])
 
 
 @dataclass(frozen=True)
@@ -115,10 +108,13 @@ class RetrievalResult:
     coeffs: CoeffSeq
     signs: SignPattern
     residual: float
-    sign_changes: int
     nodes: int
     patterns: int
     second_pass: bool
+
+    @property
+    def sign_changes(self) -> int:
+        return len(self.signs.change_points)
 
 
 def _support_size(support) -> tuple:
@@ -350,10 +346,8 @@ def _package(sample, support, signs, fitter, nodes, patterns,
     mags = sample.mags_array()
     signs = _canonicalize(np.asarray(signs), mags)
     c, rms = fitter.fit(signs * mags)
-    pattern = SignPattern.from_signs(signs.astype(int))
     return RetrievalResult(coeffs=CoeffSeq(_support_size(support)[0], tuple(c)),
-                           signs=pattern, residual=rms,
-                           sign_changes=len(pattern.change_points),
+                           signs=SignPattern(signs.astype(int)), residual=rms,
                            nodes=nodes, patterns=patterns, second_pass=second_pass)
 
 
@@ -520,9 +514,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment config fields: {sorted(unknown)}")
         try:
             return cls(generator=GeneratorParams.from_json_dict(d["generator"]),
-                       densities=tuple(d["densities"]), trials=int(d["trials"]),
-                       seed=int(d["seed"]), support=tuple(d["support"]),
-                       window=tuple(d["window"]), max_changes=int(d["max_changes"]),
+                       densities=tuple(d["densities"]),
+                       trials=_int_value(d["trials"], "trials"),
+                       seed=_int_value(d["seed"], "seed"),
+                       support=tuple(_int_value(k, "support") for k in d["support"]),
+                       window=tuple(d["window"]),
+                       max_changes=_int_value(d["max_changes"], "max_changes"),
                        noise=float(d.get("noise", 0.0)),
                        pair_offset=float(d.get("pair_offset", 0.0)))
         except (TypeError, OverflowError) as exc:

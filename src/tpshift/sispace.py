@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .errors import IdenticallyZeroError
-from .generator import (GeneratorParams, TimeDomainTable, build_table, eval_pieces, reduce,
-                        tail_bound)
+from .generator import (EVAL_TAIL_TOL, GeneratorParams, TimeDomainTable, build_table,
+                        eval_pieces, reduce)
 
-# Dropped far-tail contributions per unit coefficient stay below this.
-EVAL_TAIL_TOL = 1e-13
 # Scan resolution for sign changes; zeros of the test corpus separate at
 # scale >= 1 so 0.02 leaves a wide margin.
 SCAN_STEP = 0.02
@@ -29,6 +27,15 @@ BISECT_TOL = 1e-10
 TOUCH_TOL = 1e-9
 # Largest zero-scan grid; longer intervals are refused before allocating.
 MAX_SCAN_POINTS = 2_000_000
+
+
+def _int_value(obj, name: str) -> int:
+    """An integer from JSON: ints and integral floats pass, bools and the rest are refused."""
+    if isinstance(obj, float) and obj.is_integer():
+        obj = int(obj)
+    if not isinstance(obj, int) or isinstance(obj, bool):
+        raise ValueError(f"{name} must be an integer, got {obj!r}")
+    return obj
 
 
 @dataclass(frozen=True)
@@ -62,7 +69,7 @@ class CoeffSeq:
         if not isinstance(d, dict) or set(d) - {"offset", "coeffs"}:
             raise ValueError("coefficient sequence must be {'offset': int, 'coeffs': [...]}")
         try:
-            return cls(int(d["offset"]), tuple(d["coeffs"]))
+            return cls(_int_value(d["offset"], "offset"), tuple(d["coeffs"]))
         except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"invalid coefficient sequence: {exc}") from exc
 
@@ -119,14 +126,6 @@ class PointSet:
             raise ValueError(f"invalid point set: {exc}") from exc
 
 
-# The bisection costs about as much as summing f's pieces, and every function
-# over the same generator needs the same radius.
-@lru_cache(maxsize=64)
-def _tail_radius(params: GeneratorParams) -> float:
-    """Radius past which g's envelope stays below EVAL_TAIL_TOL per unit coefficient."""
-    return tail_bound(params).decay_radius(EVAL_TAIL_TOL * params.time_amplitude)
-
-
 def support_margin(params: GeneratorParams) -> float:
     """Distance from the coefficient support edge at which window checks stay clean."""
     return 5.0 + 3.0 * math.sqrt(params.gamma) / math.pi
@@ -135,15 +134,15 @@ def support_margin(params: GeneratorParams) -> float:
 class SISFunction:
     """A shift combination f = sum c_k g(. - k) with cached evaluation tables.
 
-    Tables for g and g' span the envelope decay radius plus one around 0,
-    whatever the coefficients, so functions over one generator can share
-    them; the step 1/N lets integer shifts move spline pieces by whole
-    pieces, and the g' table is built on first use unless passed in.  f and
-    f' are each one piecewise cubic, summed from all table pieces on first
-    use, so evaluations anywhere have absolute error at the interpolation
-    level (<= 1e-8).  Coefficients and tables are fixed after construction;
-    concurrent first evaluations build the same pieces twice, which is
-    harmless.
+    The tables of g and g' come from build_table, which fixes their extent
+    and step from the generator alone, so functions over one generator can
+    share them; a passed table must tabulate this generator's g, and a
+    passed deriv_table its g' (ValueError otherwise).  The g' table is
+    built on first use unless passed in.  f and f' are each one piecewise
+    cubic, summed from all table pieces on first use, so evaluations
+    anywhere have absolute error at the interpolation level (<= 1e-8).
+    Coefficients and tables are fixed after construction; concurrent first
+    evaluations build the same pieces twice, which is harmless.
     """
 
     def __init__(self, params: GeneratorParams, coeffs: CoeffSeq,
@@ -151,24 +150,17 @@ class SISFunction:
                  deriv_table: TimeDomainTable | None = None):
         self.params = params
         self.coeffs = coeffs
-        for t in (table, deriv_table):
-            if t is not None and t.steps_per_unit is None:
-                raise ValueError(f"table grid step {t.grid_step} is not 1/N for an integer N")
-        self.table = self._build_table() if table is None else table
+        for name, t, deriv in (("table", table, False), ("deriv_table", deriv_table, True)):
+            if t is not None and (t.params, t.deriv) != (params, deriv):
+                raise ValueError(f"{name} tabulates {t.params} with deriv={t.deriv}, "
+                                 f"not {params} with deriv={deriv}")
+        self.table = build_table(params) if table is None else table
         if deriv_table is not None:
             self.deriv_table = deriv_table
 
     @cached_property
     def deriv_table(self) -> TimeDomainTable:
-        return self._build_table(deriv=True)
-
-    def _build_table(self, deriv: bool = False) -> TimeDomainTable:
-        # The extra unit covers g', which g's envelope does not bound directly.
-        half_width = _tail_radius(self.params) + 1.0
-        # Resolve relative to the Gaussian width so quartic interpolation
-        # error stays below the evaluation contract for sharp generators.
-        step = 1.0 / math.ceil(125.0 * max(1.0, math.sqrt(self.params.gauss_rate)))
-        return build_table(self.params, half_width, step, deriv=deriv)
+        return build_table(self.params, deriv=True)
 
     @cached_property
     def _pieces(self):

@@ -31,8 +31,7 @@ def fn_factory():
 
     def make(params, offset, coeffs):
         if params not in cache:
-            probe = tp.SISFunction(params, tp.CoeffSeq(0, (1.0,)))
-            cache[params] = (probe.table, probe.deriv_table)
+            cache[params] = (tp.build_table(params), tp.build_table(params, deriv=True))
         table, deriv = cache[params]
         return tp.SISFunction(params, tp.CoeffSeq(offset, tuple(coeffs)),
                               table=table, deriv_table=deriv)

@@ -53,8 +53,7 @@ def _shared_fn(tables, params, offset, coeffs):
     rerun of a report builder builds its tables afresh.
     """
     if params not in tables:
-        probe = tp.SISFunction(params, tp.CoeffSeq(0, (1.0,)))
-        tables[params] = (probe.table, probe.deriv_table)
+        tables[params] = (tp.build_table(params), tp.build_table(params, deriv=True))
     table, deriv = tables[params]
     return tp.SISFunction(params, tp.CoeffSeq(offset, tuple(coeffs)),
                           table=table, deriv_table=deriv)

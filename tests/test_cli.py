@@ -82,10 +82,34 @@ class TestValidation:
         ("experiment", dict(BASE_CONFIGS["experiment"], support=[1])),
         ("experiment", dict(BASE_CONFIGS["experiment"], trials=math.inf)),
         ("experiment", dict(BASE_CONFIGS["experiment"], window=[-4.0, math.nan])),
+        # Integer fields refuse non-integral numbers, bools and strings.
+        ("eval", dict(BASE_CONFIGS["eval"], coeffs=dict(PAIR, offset=0.5))),
+        ("zeros", dict(BASE_CONFIGS["zeros"], coeffs=dict(PAIR, offset=True))),
+        ("retrieve", dict(RETRIEVE, max_changes="3")),
+        ("experiment", dict(BASE_CONFIGS["experiment"], trials=1.9)),
+        ("experiment", dict(BASE_CONFIGS["experiment"], support=[-2.7, 2.2])),
+        ("experiment", dict(BASE_CONFIGS["experiment"], max_changes="8")),
+        ("experiment", dict(BASE_CONFIGS["experiment"], seed=True)),
     ])
-    def test_malformed_shapes_and_nonfinite_values_exit_2(self, tmp_path, command, config):
+    def test_malformed_shapes_and_nonfinite_values_exit_2(self, tmp_path, capsys, command,
+                                                          config):
         path = write_config(tmp_path, "cfg.json", config)
         assert run([command, "--config", path, "--quiet"]) == 2
+        assert "validation error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,config", [
+        ("eval", dict(BASE_CONFIGS["eval"], coeffs=dict(PAIR, offset=0.0))),
+        ("experiment", dict(BASE_CONFIGS["experiment"], trials=1.0, seed=3.0,
+                            support=[-2.0, 2.0], max_changes=8.0)),
+    ])
+    def test_integral_floats_read_as_integers(self, tmp_path, command, config):
+        reports = []
+        for name, cfg in (("int.json", BASE_CONFIGS[command]), ("float.json", config)):
+            out = tmp_path / f"{name}.out"
+            assert run([command, "--config", write_config(tmp_path, name, cfg),
+                        "--out", str(out), "--quiet"]) == 0
+            reports.append(json.loads(out.read_text())["result"])
+        assert reports[0] == reports[1]
 
     def test_schema_violation_exits_2(self, tmp_path):
         path = write_config(tmp_path, "cfg.json",

@@ -163,41 +163,34 @@ class TestReduce:
             tp.reduce(tp.GeneratorParams(1.0, 1.0))
 
 
+DELTAS_BY_M = {0: (), 1: (0.45,), 2: (0.45, -0.3), 3: (0.45, -0.3, 0.2)}
+
+
 class TestBuildTable:
-    def test_gaussian_midpoint_accuracy(self, gauss_params):
-        table = tp.build_table(gauss_params, 10.0, 0.01)
-        mids = np.arange(-3.0, 3.0, 0.1) + 0.005
-        for x in mids:
-            assert table.eval(x)[()] == pytest.approx(
-                tp.time_eval(gauss_params, x), abs=1e-8)
-
-    def test_factored_midpoint_accuracy(self, m1_params):
-        table = tp.build_table(m1_params, 10.0, 0.01)
-        mids = np.arange(-2.0, 4.0, 0.25) + 0.005
-        for x in mids:
-            assert table.eval(x)[()] == pytest.approx(
-                tp.time_eval(m1_params, x), abs=1e-8)
-
-    def test_rejects_bad_geometry(self, gauss_params):
-        with pytest.raises(ValueError):
-            tp.build_table(gauss_params, 10.0, 0.0)
-        with pytest.raises(ValueError):
-            tp.build_table(gauss_params, 0.5, 0.01)
-
-    def test_tracked_interpolation_error_dominates_actual(self, gauss_params):
-        table = tp.build_table(gauss_params, 10.0, 0.01)
-        bound = table.interpolation_error_bound()
-        assert bound < 1e-7
-        mids = np.arange(-2.0, 2.0, 0.07) + 0.005
-        actual = max(abs(table.eval(x)[()] - tp.time_eval(gauss_params, x))
-                     for x in mids)
-        assert actual <= bound * 1.5
+    @pytest.mark.parametrize("gamma", [math.pi**2, 1.0])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    def test_midpoint_accuracy(self, m, gamma):
+        params = tp.GeneratorParams(1.0, gamma, DELTAS_BY_M[m])
+        radius = tp.generator._tail_radius(params)
+        for deriv, exact in ((False, tp.time_eval), (True, tp.generator.time_deriv_eval)):
+            table = tp.build_table(params, deriv=deriv)
+            assert table.params == params and table.deriv == deriv
+            step = table.grid_step
+            n = int(radius / step)
+            mids = (np.arange(-n, n) + 0.5) * step
+            assert np.max(np.abs(table.eval(mids) - exact(params, mids))) <= 1e-8
 
     def test_outside_range_is_zero_and_bounded(self, m1_params):
-        table = tp.build_table(m1_params, 5.0, 0.01)
-        assert table.eval(7.0)[()] == 0.0
-        # the envelope certifies the dropped magnitude
-        assert table.tail_bound(7.0) >= abs(tp.time_eval(m1_params, 7.0))
+        table = tp.build_table(m1_params)
+        env = tp.tail_bound(m1_params)
+        # The last sample lies less than one step past R + 1.
+        edge = tp.generator._tail_radius(m1_params) + 1.0 + table.grid_step
+        beyond = edge + np.array([1e-9, 0.5, 3.0])
+        for x in np.concatenate([beyond, -beyond]):
+            assert table.eval(x)[()] == 0.0
+            # the envelope certifies the dropped magnitude
+            assert env(x) <= tp.generator.EVAL_TAIL_TOL * m1_params.time_amplitude
+            assert env(x) >= abs(tp.time_eval(m1_params, x))
 
     def test_envelope_dominates_g(self, m2_params):
         env = tp.tail_bound(m2_params)

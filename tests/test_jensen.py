@@ -225,24 +225,22 @@ def fresh_contour_average(ctx, r, nt=64, tol=1e-7):
 
 class TestContourSampler:
     @staticmethod
-    def fresh(f, r, n, closed):
-        theta = np.linspace(0.0, 2.0 * math.pi, n + 1)
-        return _stable_terms(f, r * np.exp(1j * (theta if closed else theta[:-1])))
+    def fresh(f, r, n):
+        theta = np.linspace(0.0, 2.0 * math.pi, n + 1)[:-1]
+        return _stable_terms(f, r * np.exp(1j * theta))
 
     def test_nested_grids_match_fresh_evaluation(self, gauss_params, fn_factory):
         rng = np.random.default_rng(37)
         f = alternating_function(fn_factory, gauss_params, rng, 40)
         sampler = ContourSampler(f)
         # The contour average's coarse grids first, then the winding count's
-        # closed grids, coarser views, one more doubling, a grid that is not
+        # grids, coarser views, one more doubling, a grid that is not
         # nested, and another radius.
-        steps = [(4.05, 64, False), (4.05, 128, False), (4.05, 512, True),
-                 (4.05, 1024, True), (4.05, 256, False), (4.05, 64, True),
-                 (4.05, 2048, False), (4.05, 96, False), (4.05, 384, True),
-                 (2.3, 512, True), (2.3, 64, False)]
+        steps = [(4.05, 64), (4.05, 128), (4.05, 512), (4.05, 1024), (4.05, 256),
+                 (4.05, 64), (4.05, 2048), (4.05, 96), (4.05, 384), (2.3, 512), (2.3, 64)]
         finest = [64, 128, 512, 1024, 1024, 1024, 2048, 96, 384, 512, 512]
-        for (r, n, closed), top in zip(steps, finest):
-            assert same_bits(sampler.grid(r, n, closed), self.fresh(f, r, n, closed))
+        for (r, n), top in zip(steps, finest):
+            assert same_bits(sampler.grid(r, n), self.fresh(f, r, n))
             assert sampler.n == top
 
     def test_term_blocks_do_not_change_values(self, gauss_params, fn_factory, monkeypatch):
@@ -274,7 +272,7 @@ class TestContourSampler:
             points.clear()
             row = tp.verify_base_case(ctx, [r]).rows[0]
             assert row.samples >= 1024
-            assert sum(points) == row.samples + 1
+            assert sum(points) == row.samples
 
     def test_standalone_calls_match_fresh_evaluation(self, gauss_params, fn_factory):
         rng = np.random.default_rng(47)

@@ -48,9 +48,7 @@ class TestSampleTypes:
         assert np.allclose(plus.mags_array(), minus.mags_array(), atol=1e-12)
 
     def test_sign_pattern_consistency_checked(self):
-        with pytest.raises(ValueError):
-            tp.SignPattern(signs=(1, -1, -1), change_points=(1,))
-        p = tp.SignPattern.from_signs((1, -1, -1, 1))
+        p = tp.SignPattern((1, -1, -1, 1))
         assert p.change_points == (0, 2)
 
     def test_magnitude_sample_validation(self):
@@ -336,7 +334,7 @@ class TestBatchedSearch:
         # min keeps the first of equal scores: the first strict minimum.  No
         # magnitude is near 0, so the canonical pattern leads with +1.
         best = min(scored, key=lambda entry: entry[0])[1]
-        assert limited.signs == tp.SignPattern.from_signs(best * best[0])
+        assert limited.signs == tp.SignPattern(best * best[0])
 
     def test_single_sample(self, gauss_params, fn_factory):
         f = fn_factory(gauss_params, 0, (1.0,))

@@ -122,7 +122,7 @@ class TestSplineOfF:
         assert len(small.table.values) == len(large.table.values)
         assert len(small.deriv_table.values) == len(large.deriv_table.values)
         half = (len(large.table.values) - 1) // 2 * large.table.grid_step
-        radius = tp.sispace._tail_radius(m1_params) + 1.0
+        radius = tp.generator._tail_radius(m1_params) + 1.0
         assert radius <= half < radius + large.table.grid_step
 
     def test_deriv_table_built_on_first_derivative_evaluation(self, m1_params, monkeypatch):
@@ -142,14 +142,20 @@ class TestSplineOfF:
         tp.eval_deriv(f, -0.5)
         assert calls == [False, True]
 
-    def test_rejects_table_step_not_unit_fraction(self, gauss_params):
-        table = tp.build_table(gauss_params, 10.0, 0.003)
-        good = tp.build_table(gauss_params, 10.0, 0.01)
+    def test_rejects_table_of_another_generator(self, gauss_params, m1_params):
         coeffs = tp.CoeffSeq(0, (1.0,))
-        with pytest.raises(ValueError):
-            tp.SISFunction(gauss_params, coeffs, table=table, deriv_table=good)
-        with pytest.raises(ValueError):
-            tp.SISFunction(gauss_params, coeffs, table=good, deriv_table=table)
+        g1, d1 = tp.build_table(m1_params), tp.build_table(m1_params, deriv=True)
+        mismatched = [
+            {"table": tp.build_table(gauss_params)},  # the m = 0 g for an m = 1 function
+            {"table": d1},  # g' passed as g
+            {"table": g1, "deriv_table": g1},  # g passed as g'
+            {"table": g1, "deriv_table": tp.build_table(gauss_params, deriv=True)},
+        ]
+        for tables in mismatched:
+            with pytest.raises(ValueError):
+                tp.SISFunction(m1_params, coeffs, **tables)
+        f = tp.SISFunction(m1_params, coeffs, table=g1, deriv_table=d1)
+        assert f.table is g1 and f.deriv_table is d1
 
 
 class TestEvalDeriv:
