@@ -14,11 +14,11 @@ __version__ = "0.1.0"
 from .errors import (ChainViolationError, IdenticallyZeroError, NumericalError,
                      OrderDetectionError, PhaseTrackingError, QuadratureError,
                      RankDeficiencyError, SearchBudgetError, VerificationError)
-from .generator import (GeneratorParams, TailBound, TimeDomainTable, build_table,
-                        ft_eval, reduce, tail_bound, time_eval)
+from .generator import (GeneratorParams, TimeDomainTable, build_table, decay_radius,
+                        ft_eval, log_envelope, reduce, table_half_width, time_eval)
 from .sispace import (CoeffSeq, InterlaceReport, PointSet, SegmentReport,
                       SISFunction, apply_rolle_op, check_interlacing, eval_deriv,
-                      eval_f, find_zeros, segment_inequality, support_margin)
+                      eval_f, find_zeros, segment_inequality)
 from .density import (DensityProfile, RelationReport, SubadditivityReport,
                       beurling_lower_profile, check_lemma1, circ_density_direct,
                       circ_density_lattice, circ_inner_integral,

@@ -28,7 +28,7 @@ from . import __version__
 from .density import (beurling_lower_profile, check_lemma1, circ_density_direct,
                       circ_density_lattice)
 from .errors import NumericalError, VerificationError
-from .generator import GeneratorParams, ft_eval, tail_bound, time_eval
+from .generator import GeneratorParams, decay_radius, ft_eval, time_eval
 from .jensen import build_context, verify_base_case
 from .sigret import (ExperimentConfig, MagnitudeSample, run_threshold_experiment,
                      solve_signs)
@@ -88,12 +88,11 @@ def _function_from(data: dict) -> SISFunction:
 
 def _run_gen(data: dict, seed: int):
     params = GeneratorParams.from_json_dict(_need(data, "generator"))
-    env = tail_bound(params)
     result = {"params": params.to_json_dict(), "m": params.m,
               "gauss_rate": params.gauss_rate,
               "time_amplitude": params.time_amplitude,
               "peak_value": time_eval(params, 0.0),
-              "decay_radius_1e-12": env.decay_radius(1e-12)}
+              "decay_radius_1e-12": decay_radius(params, 1e-12)}
     if "xi" in data:
         xs = _float_list(data["xi"], "xi")
         result["ft_values"] = [[v.real, v.imag] for v in (ft_eval(params, x) for x in xs)]

@@ -178,9 +178,8 @@ def reduce(params: GeneratorParams) -> GeneratorParams:
     return GeneratorParams(params.c0, params.gamma, params.deltas[:-1])
 
 
-@dataclass(frozen=True)
-class TailBound:
-    """Envelope for |g| from exponential-moment bounds.
+def log_envelope(params: GeneratorParams, x: float) -> float:
+    """log of an envelope for |g(x)| from exponential-moment bounds.
 
     g is positive and factors as a Gaussian convolved with one-sided
     exponential densities of means delta_nu.  For any admissible tilt theta
@@ -191,61 +190,62 @@ class TailBound:
     and the envelope takes the minimum over a tilt grid.  For m = 0 the
     optimal tilt 2*a*x recovers the Gaussian itself.
     """
-
-    log_amp: float
-    gauss_rate: float
-    deltas: tuple
-
-    def _theta_cap(self, side: int) -> float:
-        # Largest admissible |theta| for arguments of the given sign.
-        caps = [1.0 / (side * d) for d in self.deltas if side * d > 0]
-        return 0.999 * min(caps) if caps else math.inf
-
-    def log_bound(self, x: float) -> float:
-        x = float(x)
-        if x == 0.0:
-            return self.log_amp
-        side = 1 if x > 0 else -1
-        hi = min(2.0 * self.gauss_rate * abs(x), self._theta_cap(side))
-        thetas = side * hi * np.linspace(0.0, 1.0, 65)
-        vals = self.log_amp + thetas**2 / (4.0 * self.gauss_rate) - thetas * x
-        for d in self.deltas:
-            vals = vals - np.log1p(-thetas * d)
-        return float(np.min(vals))
-
-    def __call__(self, x: float) -> float:
-        return math.exp(self.log_bound(x))
-
-    def decay_radius(self, tol: float) -> float:
-        """Smallest radius beyond which the two-sided envelope stays below tol."""
-        if tol <= 0:
-            raise ValueError("tol must be positive")
-        log_tol = math.log(tol)
-        d = 1.0
-        while max(self.log_bound(d), self.log_bound(-d)) > log_tol:
-            d *= 2.0
-            if d > 1e6:
-                raise ValueError(f"envelope never drops below {tol}")
-        lo, hi = d / 2.0, d
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if max(self.log_bound(mid), self.log_bound(-mid)) > log_tol:
-                lo = mid
-            else:
-                hi = mid
-        return hi
+    side = 1 if x > 0 else -1
+    a = params.gauss_rate
+    # Largest admissible |theta| for arguments of this sign.
+    cap = 0.999 * min((1.0 / (side * d) for d in params.deltas if side * d > 0),
+                      default=math.inf)
+    thetas = side * min(2.0 * a * abs(x), cap) * np.linspace(0.0, 1.0, 65)
+    vals = math.log(params.time_amplitude) + thetas**2 / (4.0 * a) - thetas * x
+    for d in params.deltas:
+        vals = vals - np.log1p(-thetas * d)
+    return float(np.min(vals))
 
 
-def tail_bound(params: GeneratorParams) -> TailBound:
-    return TailBound(math.log(params.time_amplitude), params.gauss_rate, params.deltas)
+def decay_radius(params: GeneratorParams, tol: float) -> float:
+    """Smallest radius beyond which g's two-sided envelope stays below tol."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+
+    def above(r):
+        return max(log_envelope(params, r), log_envelope(params, -r)) > math.log(tol)
+
+    d = 1.0
+    while above(d):
+        d *= 2.0
+        if d > 1e6:
+            raise ValueError(f"envelope never drops below {tol}")
+    lo, hi = d / 2.0, d
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    return hi
+
+
+def _steps_per_unit(params: GeneratorParams) -> int:
+    return math.ceil(125.0 * max(1.0, math.sqrt(params.gauss_rate)))
 
 
 # The bisection costs about as much as summing f's pieces, and every function
-# over the same generator needs the same radius.
+# over the same generator needs the same half-width.
 @lru_cache(maxsize=64)
-def _tail_radius(params: GeneratorParams) -> float:
-    """Radius past which g's envelope stays below EVAL_TAIL_TOL per unit coefficient."""
-    return tail_bound(params).decay_radius(EVAL_TAIL_TOL * params.time_amplitude)
+def table_half_width(params: GeneratorParams) -> float:
+    """Half-width w of every table of the generator: where its outermost samples lie.
+
+    w is R + 1 rounded up to the table grid 1/N, with R the decay radius for
+    EVAL_TAIL_TOL times the amplitude; the extra unit covers g', which g's
+    envelope does not bound directly.  ValueError if a table would hold more
+    than MAX_TABLE_POINTS samples.
+    """
+    n_per = _steps_per_unit(params)
+    grid_step = 1.0 / n_per
+    radius = decay_radius(params, EVAL_TAIL_TOL * params.time_amplitude) + 1.0
+    steps = radius / grid_step
+    if not steps <= (MAX_TABLE_POINTS - 1) // 2:
+        raise ValueError(
+            f"a table on [-{radius}, {radius}] at step {grid_step} needs "
+            f"more than {MAX_TABLE_POINTS} samples")
+    return math.ceil(steps) / n_per
 
 
 @dataclass(eq=False)
@@ -254,7 +254,7 @@ class TimeDomainTable:
 
     The samples are symmetric about 0.  Lookups inside the tabulated range
     use a cubic spline (local error is quartic in the grid step); outside it
-    they return 0, which tail_bound(params) certifies is below
+    they return 0, which log_envelope(params, x) certifies is below
     EVAL_TAIL_TOL times the amplitude for g.  Immutable after construction
     and shareable across threads.
     """
@@ -319,23 +319,15 @@ def eval_pieces(pieces: PPoly, x) -> np.ndarray:
 def build_table(params: GeneratorParams, deriv: bool = False) -> TimeDomainTable:
     """Tabulate g (or g') of a generator on a grid that the generator fixes.
 
-    The table spans [-(R+1), R+1] with R = _tail_radius(params); the extra
-    unit covers g', which g's envelope does not bound directly.  The step is
+    The table spans [-w, w] with w = table_half_width(params).  The step is
     1/N with N = ceil(125*max(1, sqrt(a))) for the Gaussian rate a: it
     resolves the Gaussian width, so the quartic interpolation error stays
     below the evaluation contract (1e-8) for sharp generators, and integer
     shifts move spline pieces by whole pieces.  Raises ValueError, before
     allocating, when the table would hold more than MAX_TABLE_POINTS samples.
     """
-    n_per = math.ceil(125.0 * max(1.0, math.sqrt(params.gauss_rate)))
-    grid_step = 1.0 / n_per
-    half_width = _tail_radius(params) + 1.0
-    steps = half_width / grid_step
-    if not steps <= (MAX_TABLE_POINTS - 1) // 2:
-        raise ValueError(
-            f"a table on [-{half_width}, {half_width}] at step {grid_step} needs "
-            f"more than {MAX_TABLE_POINTS} samples")
-    n_half = int(math.ceil(steps))
-    x0 = -n_half * grid_step
-    vals = _evaluate(params, x0 + grid_step * np.arange(2 * n_half + 1), deriv)
+    n_per = _steps_per_unit(params)
+    step = 1.0 / n_per
+    n_half = round(table_half_width(params) * n_per)
+    vals = _evaluate(params, step * np.arange(2 * n_half + 1) - n_half * step, deriv)
     return TimeDomainTable(params=params, deriv=deriv, steps_per_unit=n_per, values=vals)

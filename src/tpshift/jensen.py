@@ -136,10 +136,13 @@ class JensenContext:
     """
 
     f: SISFunction
-    gauss_rate: float
     order: int
     log_c1: float
     real_zeros: PointSet
+
+    @property
+    def gauss_rate(self) -> float:
+        return self.f.params.gauss_rate
 
     @property
     def lattice_step(self) -> float:
@@ -238,8 +241,7 @@ def build_context(f: SISFunction) -> JensenContext:
     pts = tuple(p for p in zeros.points if abs(p) > 1e-8)
     real_zeros = PointSet(points=pts, window=zeros.window,
                           touch_points=zeros.touch_points)
-    return JensenContext(f=f, gauss_rate=f.params.gauss_rate, order=order,
-                         log_c1=log_c1, real_zeros=real_zeros)
+    return JensenContext(f=f, order=order, log_c1=log_c1, real_zeros=real_zeros)
 
 
 @dataclass(frozen=True)
@@ -248,7 +250,10 @@ class DiskZeroCount:
 
     total: int
     lattice: int
-    extra: int
+
+    @property
+    def extra(self) -> int:
+        return self.total - self.lattice
 
     def __int__(self) -> int:
         return self.total
@@ -307,12 +312,11 @@ def count_zeros_disk(ctx: JensenContext, t: float) -> DiskZeroCount:
         raise ValueError(
             f"a lattice zero lies within {CIRCLE_CLEARANCE} of |z|={t}; perturb t")
     lattice = int(np.searchsorted(mods, t, side="right"))
-    total = _winding_number(ctx, t)
-    extra = total - lattice
-    if extra < 0:
+    count = DiskZeroCount(total=_winding_number(ctx, t), lattice=lattice)
+    if count.extra < 0:
         raise PhaseTrackingError(
-            f"winding count {total} below lattice count {lattice} at |z|={t}")
-    return DiskZeroCount(total=total, lattice=lattice, extra=extra)
+            f"winding count {count.total} below lattice count {lattice} at |z|={t}")
+    return count
 
 
 def jensen_lhs(ctx: JensenContext, r: float) -> float:

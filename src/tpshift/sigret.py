@@ -55,6 +55,8 @@ SIGN_FLOOR = 1e-10
 CANDIDATE_DIP = 0.75
 # Spacing of the grid on which a recovered function is compared with the truth.
 CHECK_STEP = 0.05
+# Largest trials x densities; each trial is a full sign search, run in sequence.
+MAX_TOTAL_TRIALS = 100_000
 
 
 @dataclass(frozen=True)
@@ -154,7 +156,8 @@ class _PatternFitter:
     """Shared least-squares machinery for all sign patterns of one instance.
 
     The design matrix is fixed; only the right-hand side changes with the
-    pattern.  One reduced QR gives full residuals.  Partial patterns use
+    pattern.  One thin SVD A = U diag(s) V^T gives the condition number,
+    full residuals and least-squares coefficients.  Partial patterns use
     sequential row-updating QR (Golub & Van Loan, section 6.5): row p gets
     one orthogonal (m+1)x(m+1) transform T_p, the Q.T of the complete QR of
     [R_p; a_p], which maps the carried state (w, v_p) to (w', e_p).  The
@@ -166,7 +169,7 @@ class _PatternFitter:
     def __init__(self, a: np.ndarray):
         self.a = a
         self.n, self.m = a.shape
-        self.q_full = np.linalg.qr(a, mode="reduced")[0]
+        self.u, self.s, self.vt = np.linalg.svd(a, full_matrices=False)
 
     @cached_property
     def row_updates(self) -> list:
@@ -179,13 +182,13 @@ class _PatternFitter:
         return updates
 
     def sse_full(self, v: np.ndarray) -> float:
-        w = self.q_full.T @ v
+        w = self.u.T @ v
         return max(float(v @ v - w @ w), 0.0)
 
     def fit(self, v: np.ndarray) -> tuple:
         """Least-squares coefficients for right-hand side v and their RMS residual."""
-        c, *_ = np.linalg.lstsq(self.a, v, rcond=None)
-        resid = self.a @ c - v
+        c = self.vt.T @ ((self.u.T @ v) / self.s)
+        resid = self.a @ c - v  # not from sse_full, whose subtraction errs by ~1e-9
         return c, float(np.sqrt(np.mean(resid * resid)))
 
 
@@ -196,14 +199,13 @@ def _fitter(params: GeneratorParams, lam: PointSet, support) -> _PatternFitter:
     if len(lam.points) < n_coeffs:
         raise RankDeficiencyError(
             f"{len(lam.points)} samples cannot determine {n_coeffs} coefficients")
-    a = design_matrix(params, lam.as_array(), support)
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[-1] <= 0 or s[0] / s[-1] > COND_LIMIT:
-        cond = math.inf if s[-1] <= 0 else s[0] / s[-1]
+    fitter = _PatternFitter(design_matrix(params, lam.as_array(), support))
+    cond = fitter.s[0] / fitter.s[-1] if fitter.s[-1] > 0 else math.inf
+    if cond > COND_LIMIT:
         raise RankDeficiencyError(
             f"design matrix condition number {cond:.3e} exceeds {COND_LIMIT:.0e} "
             "(sampling set too sparse for the support)")
-    return _PatternFitter(a)
+    return fitter
 
 
 def _peak(mags: np.ndarray) -> float:
@@ -479,6 +481,8 @@ class ExperimentConfig:
             raise ValueError("densities must be positive")
         if self.trials < 0:
             raise ValueError("trials must be nonnegative")
+        if not self.trials * len(dens) <= MAX_TOTAL_TRIALS:
+            raise ValueError(f"trials x densities must be at most {MAX_TOTAL_TRIALS}")
         if self.max_changes < 0:
             raise ValueError("max_changes must be nonnegative")
         if self.window[1] <= self.window[0]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import IdenticallyZeroError
 from .generator import (EVAL_TAIL_TOL, GeneratorParams, TimeDomainTable, build_table,
-                        eval_pieces, reduce)
+                        eval_pieces, reduce, table_half_width)
 
 # Scan resolution for sign changes; zeros of the test corpus separate at
 # scale >= 1 so 0.02 leaves a wide margin.
@@ -27,6 +27,8 @@ BISECT_TOL = 1e-10
 TOUCH_TOL = 1e-9
 # Largest zero-scan grid; longer intervals are refused before allocating.
 MAX_SCAN_POINTS = 2_000_000
+# Largest |offset|: piece indices k*N stay inside int64 for every table step 1/N.
+MAX_OFFSET = 2**31
 
 
 def _int_value(obj, name: str) -> int:
@@ -42,12 +44,14 @@ def _int_value(obj, name: str) -> int:
 class CoeffSeq:
     """Finitely supported real coefficients c_offset .. c_{offset+n-1}."""
 
-    offset: int
+    offset: int  # |offset| <= MAX_OFFSET
     coeffs: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "offset", int(self.offset))
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        if not abs(self.offset) <= MAX_OFFSET:
+            raise ValueError(f"|offset| must be at most {MAX_OFFSET}, got {self.offset}")
         if len(self.coeffs) == 0:
             raise ValueError("coefficient sequence must not be empty")
         for c in self.coeffs:
@@ -126,11 +130,6 @@ class PointSet:
             raise ValueError(f"invalid point set: {exc}") from exc
 
 
-def support_margin(params: GeneratorParams) -> float:
-    """Distance from the coefficient support edge at which window checks stay clean."""
-    return 5.0 + 3.0 * math.sqrt(params.gamma) / math.pi
-
-
 class SISFunction:
     """A shift combination f = sum c_k g(. - k) with cached evaluation tables.
 
@@ -171,8 +170,9 @@ class SISFunction:
         return self.deriv_table.shift_sum(self.coeffs.support_indices(), self.coeffs.coeffs)
 
     def support_window(self) -> tuple:
+        """The coefficient support padded by the table half-width; f is 0 outside it."""
         ks = self.coeffs.support_indices()
-        pad = support_margin(self.params)
+        pad = table_half_width(self.params)
         return (float(ks[0] - pad), float(ks[-1] + pad))
 
 

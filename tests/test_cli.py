@@ -90,6 +90,17 @@ class TestValidation:
         ("experiment", dict(BASE_CONFIGS["experiment"], support=[-2.7, 2.2])),
         ("experiment", dict(BASE_CONFIGS["experiment"], max_changes="8")),
         ("experiment", dict(BASE_CONFIGS["experiment"], seed=True)),
+        # Offsets beyond MAX_OFFSET and more trials than the experiment cap.
+        ("eval", dict(BASE_CONFIGS["eval"], coeffs=dict(PAIR, offset=2**63))),
+        ("eval", dict(BASE_CONFIGS["eval"], coeffs=dict(PAIR, offset=-2**63))),
+        ("eval", dict(BASE_CONFIGS["eval"], coeffs=dict(PAIR, offset=2**63 - 1))),
+        ("eval", dict(BASE_CONFIGS["eval"], coeffs=dict(PAIR, offset=2**31 + 1))),
+        ("zeros", dict(BASE_CONFIGS["zeros"], coeffs=dict(PAIR, offset=1e18))),
+        ("zeros", dict(BASE_CONFIGS["zeros"], coeffs=dict(PAIR, offset=-1e18))),
+        ("interlace", dict(BASE_CONFIGS["interlace"],
+                           coeffs=dict(BASE_CONFIGS["interlace"]["coeffs"], offset=1e300))),
+        ("experiment", dict(BASE_CONFIGS["experiment"], trials=1e12)),
+        ("experiment", dict(BASE_CONFIGS["experiment"], trials=2**63 - 1)),
     ])
     def test_malformed_shapes_and_nonfinite_values_exit_2(self, tmp_path, capsys, command,
                                                           config):
@@ -110,6 +121,18 @@ class TestValidation:
                         "--out", str(out), "--quiet"]) == 0
             reports.append(json.loads(out.read_text())["result"])
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("offset", [-2**31, 2**31])
+    def test_offset_at_range_edge_evaluates(self, tmp_path, offset):
+        values = []
+        for k in (0, offset):
+            cfg = dict(BASE_CONFIGS["eval"], coeffs=dict(PAIR, offset=k), x=[k + 0.25])
+            out = tmp_path / "edge.json"
+            assert run(["eval", "--config", write_config(tmp_path, "cfg.json", cfg),
+                        "--out", str(out), "--quiet"]) == 0
+            values += json.loads(out.read_text())["result"]["values"]
+        assert abs(values[0]) > 0.1
+        assert values[1] == pytest.approx(values[0], abs=1e-6)
 
     def test_schema_violation_exits_2(self, tmp_path):
         path = write_config(tmp_path, "cfg.json",
@@ -383,11 +406,14 @@ class TestExitCodeMapping:
         assert run(["lemma1", "--config", path, "--quiet"]) == 4
 
 
-# Magnitudes stay small: the fuzz checks types and shapes, not how much work
-# an extreme but valid size (a tiny gamma, a huge interval) asks for.
+# Besides small values, the fuzz draws integers at the int64 edges and 1e18,
+# which every size and range check must refuse or handle; it does not ask how
+# much work an extreme but valid size (a tiny gamma, a huge interval) takes.
+# 1e300 is left out: several float fields still overflow on it.
 _NUMBERS = st.one_of(st.integers(-3, 8),
                      st.sampled_from([0.0, -1.5, 0.5, 2.5, 7.0, math.nan, math.inf,
-                                      -math.inf]))
+                                      -math.inf, 2**63, -2**63, 2**63 - 1, 1e18,
+                                      -1e18]))
 _SCALARS = st.one_of(st.none(), st.booleans(), _NUMBERS, st.text(max_size=2))
 _VALUES = st.recursive(
     _SCALARS, lambda kids: st.one_of(st.lists(kids, max_size=3),

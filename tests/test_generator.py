@@ -171,7 +171,7 @@ class TestBuildTable:
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
     def test_midpoint_accuracy(self, m, gamma):
         params = tp.GeneratorParams(1.0, gamma, DELTAS_BY_M[m])
-        radius = tp.generator._tail_radius(params)
+        radius = tp.decay_radius(params, tp.generator.EVAL_TAIL_TOL * params.time_amplitude)
         for deriv, exact in ((False, tp.time_eval), (True, tp.generator.time_deriv_eval)):
             table = tp.build_table(params, deriv=deriv)
             assert table.params == params and table.deriv == deriv
@@ -182,23 +182,24 @@ class TestBuildTable:
 
     def test_outside_range_is_zero_and_bounded(self, m1_params):
         table = tp.build_table(m1_params)
-        env = tp.tail_bound(m1_params)
-        # The last sample lies less than one step past R + 1.
-        edge = tp.generator._tail_radius(m1_params) + 1.0 + table.grid_step
-        beyond = edge + np.array([1e-9, 0.5, 3.0])
+        # The last sample lies at the table half-width.
+        beyond = tp.table_half_width(m1_params) + np.array([1e-9, 0.5, 3.0])
         for x in np.concatenate([beyond, -beyond]):
             assert table.eval(x)[()] == 0.0
             # the envelope certifies the dropped magnitude
-            assert env(x) <= tp.generator.EVAL_TAIL_TOL * m1_params.time_amplitude
-            assert env(x) >= abs(tp.time_eval(m1_params, x))
+            env = math.exp(tp.log_envelope(m1_params, x))
+            assert env <= tp.generator.EVAL_TAIL_TOL * m1_params.time_amplitude
+            assert env >= abs(tp.time_eval(m1_params, x))
 
     def test_envelope_dominates_g(self, m2_params):
-        env = tp.tail_bound(m2_params)
         for x in (-6.0, -3.0, -1.0, 0.0, 1.5, 3.0, 6.0, 9.0):
-            assert env(x) >= abs(tp.time_eval(m2_params, x)) * (1 - 1e-12)
+            env = math.exp(tp.log_envelope(m2_params, x))
+            assert env >= abs(tp.time_eval(m2_params, x)) * (1 - 1e-12)
 
     def test_decay_radius_certifies_tolerance(self, m2_params):
-        env = tp.tail_bound(m2_params)
-        radius = env.decay_radius(1e-12)
+        def env(x):
+            return math.exp(tp.log_envelope(m2_params, x))
+
+        radius = tp.decay_radius(m2_params, 1e-12)
         assert max(env(radius), env(-radius)) <= 1e-12 * (1 + 1e-9)
         assert max(env(radius * 0.5), env(-radius * 0.5)) > 1e-12

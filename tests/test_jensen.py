@@ -109,6 +109,17 @@ class TestCountZeros:
         assert (count.total, count.lattice, count.extra) == (5, 5, 0)
         assert int(count) == 5
 
+    def test_derived_values_are_not_settable(self, gauss_params, fn_factory):
+        count = tp.DiskZeroCount(total=5, lattice=3)
+        assert count.extra == 2
+        with pytest.raises(TypeError):
+            tp.DiskZeroCount(total=5, lattice=3, extra=1)
+        ctx = tp.build_context(fn_factory(gauss_params, 0, (1.0, -1.0)))
+        assert ctx.gauss_rate == gauss_params.gauss_rate
+        with pytest.raises(TypeError):
+            tp.JensenContext(f=ctx.f, gauss_rate=1.0, order=ctx.order,
+                             log_c1=ctx.log_c1, real_zeros=ctx.real_zeros)
+
     def test_small_disk_is_empty(self, fn_factory):
         params = tp.GeneratorParams(1.0, 1.0)
         f = fn_factory(params, 0, (1.0, -1.0))

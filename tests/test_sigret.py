@@ -164,6 +164,23 @@ class TestSolveSigns:
         assert rms_rest <= 1e-6 * scale
 
 
+class TestFitter:
+    def test_fit_and_full_residual_match_lstsq(self, m1_params):
+        rng = np.random.default_rng(11)
+        design = sigret.design_matrix(m1_params, np.sort(rng.uniform(-10.0, 10.0, 50)),
+                                      (-8, 8))
+        assert np.any(design == 0.0)  # the sub-roundoff clip applied
+        for a in (rng.standard_normal((40, 9)), design):
+            fitter = sigret._PatternFitter(a)
+            v = rng.standard_normal(a.shape[0])
+            c_ref, *_ = np.linalg.lstsq(a, v, rcond=None)
+            resid = a @ c_ref - v
+            c, rms = fitter.fit(v)
+            assert np.max(np.abs(c - c_ref)) <= 1e-10 * np.max(np.abs(c_ref))
+            assert rms == pytest.approx(math.sqrt(np.mean(resid * resid)), rel=1e-10)
+            assert fitter.sse_full(v) == pytest.approx(resid @ resid, abs=1e-9 * (v @ v))
+
+
 class TestCarriedBound:
     """The row-updated prefix residual that prunes the sign search."""
 
@@ -416,6 +433,16 @@ class TestExperiment:
                                 max_changes=5)
         with pytest.raises(ValueError):
             tp.ExperimentConfig.from_json_dict({"generator": {"c0": 1, "gamma": 1}})
+
+    def test_config_refuses_too_many_trials(self, gauss_params):
+        with pytest.raises(ValueError, match="trials x densities"):
+            tp.ExperimentConfig(generator=gauss_params, densities=(2.5,), trials=10**12,
+                                seed=0, support=(-2, 2), window=(-4.0, 4.0),
+                                max_changes=5)
+        with pytest.raises(ValueError, match="trials x densities"):
+            tp.ExperimentConfig(generator=gauss_params, densities=(1.0, 2.0),
+                                trials=sigret.MAX_TOTAL_TRIALS // 2 + 1, seed=0,
+                                support=(-2, 2), window=(-4.0, 4.0), max_changes=5)
 
     def test_config_json_round_trip(self, gauss_params):
         cfg = tp.ExperimentConfig(generator=gauss_params, densities=(2.5,), trials=3,

@@ -122,8 +122,22 @@ class TestSplineOfF:
         assert len(small.table.values) == len(large.table.values)
         assert len(small.deriv_table.values) == len(large.deriv_table.values)
         half = (len(large.table.values) - 1) // 2 * large.table.grid_step
-        radius = tp.generator._tail_radius(m1_params) + 1.0
+        radius = tp.decay_radius(m1_params, tp.generator.EVAL_TAIL_TOL
+                                 * m1_params.time_amplitude) + 1.0
         assert radius <= half < radius + large.table.grid_step
+        assert half == pytest.approx(tp.table_half_width(m1_params), abs=1e-12)
+
+    @pytest.mark.parametrize("m,gamma", [(1, GAUSS_RATE_ONE), (2, GAUSS_RATE_ONE),
+                                         (3, GAUSS_RATE_ONE), (0, 100.0)])
+    def test_f_is_exactly_zero_outside_support_window(self, m, gamma):
+        params = tp.GeneratorParams(1.0, gamma, DELTAS_BY_M[m])
+        f = tp.SISFunction(params, tp.CoeffSeq(-3, (1.0, -0.5, 0.8, 0.3)))
+        lo, hi = f.support_window()
+        outside = np.array([lo - 0.5, lo - 1e-9, hi + 1e-9, hi + 0.5])
+        inside = np.array([lo + 1e-6, hi - 1e-6])
+        for evaluate in (tp.eval_f, tp.eval_deriv):
+            assert np.all(evaluate(f, outside) == 0.0)
+            assert np.all(evaluate(f, inside) != 0.0)
 
     def test_deriv_table_built_on_first_derivative_evaluation(self, m1_params, monkeypatch):
         calls = []
