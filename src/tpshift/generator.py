@@ -26,6 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline, PPoly
+from scipy.linalg import toeplitz
 from scipy.special import erfc, erfcx
 
 # Largest sum of |partial-fraction weights| accepted.  The weighted terms
@@ -277,32 +278,37 @@ class TimeDomainTable:
     def eval(self, x):
         return eval_pieces(self._spline, x)
 
-    def shift_sum(self, shifts, weights) -> PPoly:
-        """The piecewise cubic sum_k w_k s(. - k) of the table spline s.
+    def shift_sum(self, first: int, weights) -> PPoly:
+        """The piecewise cubic sum_k w_k s(. - first - k) of the table spline s.
 
-        With grid_step = 1/N an integer shift k moves s's pieces by exactly
-        k*N, so the sum's piece coefficients are slice-adds of s's and agree
-        with summing shifted spline values up to rounding.  Direct adds keep
-        the sum exactly 0 wherever no piece reaches, where an FFT convolution
-        would leave rounding noise.  A sum of more than MAX_TABLE_POINTS
-        pieces is refused (ValueError) before allocating.
+        The shifts are contiguous, first .. first + K - 1 for K weights.  With
+        grid_step = 1/N an integer shift moves s's pieces by exactly N, so with
+        s's pieces zero-padded to L blocks of N, block j of the sum is
+        sum_l w_{j-l} (block l of s): one product of the (K+L-1) x L Toeplitz
+        matrix of the weights with the blocks.  It agrees with summing shifted
+        spline values up to rounding, and BLAS decides the order of each sum.
+        A piece that no weight reaches is a sum of exact 0*x products, so it
+        stays exactly 0, where an FFT convolution would leave rounding noise.
+        A sum of more than MAX_TABLE_POINTS pieces is refused (ValueError)
+        before allocating.
         """
         n_per = self.steps_per_unit
         pieces = self._spline.c
-        width = pieces.shape[1]
-        shifts = np.asarray(shifts, dtype=int)
-        k0 = int(shifts.min())
-        n_pieces = (int(shifts.max()) - k0) * n_per + width
+        order, width = pieces.shape
+        weights = np.asarray(weights, dtype=float)
+        n_pieces = (weights.size - 1) * n_per + width
         if not n_pieces <= MAX_TABLE_POINTS:
-            raise ValueError(f"summing {shifts.size} shifts at step {self.grid_step} "
+            raise ValueError(f"summing {weights.size} shifts at step {self.grid_step} "
                              f"needs more than {MAX_TABLE_POINTS} samples")
-        coef = np.zeros((pieces.shape[0], n_pieces))
-        for k, w in zip(shifts, weights):
-            if w != 0.0:
-                start = (k - k0) * n_per
-                coef[:, start:start + width] += w * pieces
-        first = k0 * n_per - (len(self.values) - 1) // 2
-        breaks = (first + np.arange(n_pieces + 1)) / n_per
+        n_blocks = -(-width // n_per)
+        blocks = np.zeros((order, n_blocks * n_per))
+        blocks[:, :width] = pieces
+        weight_matrix = toeplitz(np.concatenate([weights, np.zeros(n_blocks - 1)]),
+                                 np.zeros(n_blocks))
+        coef = weight_matrix @ blocks.reshape(order, n_blocks, n_per)
+        coef = np.ascontiguousarray(coef.reshape(order, -1)[:, :n_pieces])
+        start = first * n_per - (len(self.values) - 1) // 2
+        breaks = (start + np.arange(n_pieces + 1)) / n_per
         return PPoly(coef, breaks)
 
 

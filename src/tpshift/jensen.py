@@ -44,6 +44,8 @@ ORDER_NOISE_FLOOR = 1e-12
 MAX_ORDER = 6
 # A zero this close to the counting circle makes phase tracking unreliable.
 CIRCLE_CLEARANCE = 1e-6
+# safe_radius searches [r, r + SAFE_SPAN] for a radius clear of the moduli.
+SAFE_SPAN = 0.25
 # Largest (points x terms) block _stable_terms builds at once: 64 KiB per complex
 # array, under glibc's default 128 KiB mmap threshold, so blocks reuse heap pages.
 MAX_TERM_BLOCK = 1 << 12
@@ -308,6 +310,15 @@ def count_zeros_disk(ctx: JensenContext, t: float) -> DiskZeroCount:
     if not t > 0:
         raise ValueError("t must be positive")
     mods = pair_moduli(ctx.real_zeros, ctx.lattice_step, t + 2.0 * CIRCLE_CLEARANCE)
+    return _count_zeros_disk(ctx, mods, t)
+
+
+def _count_zeros_disk(ctx: JensenContext, mods: np.ndarray, t: float) -> DiskZeroCount:
+    """count_zeros_disk from the sorted moduli up to at least t + 2*CIRCLE_CLEARANCE.
+
+    Moduli beyond that change nothing: they lie outside the disk and too far
+    from the circle to be too close.
+    """
     if mods.size and np.min(np.abs(mods - t)) < CIRCLE_CLEARANCE:
         raise ValueError(
             f"a lattice zero lies within {CIRCLE_CLEARANCE} of |z|={t}; perturb t")
@@ -329,7 +340,12 @@ def jensen_lhs(ctx: JensenContext, r: float) -> float:
     r = float(r)
     if not r > 0:
         raise ValueError("r must be positive")
-    mods = pair_moduli(ctx.real_zeros, ctx.lattice_step, r)
+    return _jensen_lhs(pair_moduli(ctx.real_zeros, ctx.lattice_step, r), r)
+
+
+def _jensen_lhs(mods: np.ndarray, r: float) -> float:
+    """jensen_lhs from the sorted lattice moduli up to at least r."""
+    mods = mods[:np.searchsorted(mods, r, side="right")]
     if mods.size == 0:
         return 0.0
     return float(np.sum(np.log(r / mods))) / (r * r)
@@ -388,13 +404,17 @@ def fit_growth_constant(ctx: JensenContext, radius: float, grid_step: float = 0.
 
 
 def safe_radius(ctx: JensenContext, r: float) -> float:
-    """Deterministically nudge r upward to the radius in [r, r+0.25] farthest
+    """Deterministically nudge r upward to the radius in [r, r+SAFE_SPAN] farthest
     from every lattice-zero modulus (never closer than CIRCLE_CLEARANCE)."""
-    span = 0.25
-    mods = pair_moduli(ctx.real_zeros, ctx.lattice_step, r + span + 1.0)
+    mods = pair_moduli(ctx.real_zeros, ctx.lattice_step, r + SAFE_SPAN + 1.0)
+    return _safe_radius(mods, r)
+
+
+def _safe_radius(mods: np.ndarray, r: float) -> float:
+    """safe_radius from the sorted lattice moduli up to r + SAFE_SPAN + 1."""
     if mods.size == 0:
         return float(r)
-    cands = r + np.arange(0, int(round(span / 1e-4)) + 1) * 1e-4
+    cands = r + np.arange(0, int(round(SAFE_SPAN / 1e-4)) + 1) * 1e-4
     # mods is sorted, so each candidate's nearest modulus is a neighbour of
     # its insertion point.
     i = np.searchsorted(mods, cands)
@@ -460,9 +480,12 @@ def verify_base_case(ctx: JensenContext, radii) -> BaseCaseReport:
     rows = []
     circ_values = []
     for r0 in rs:
-        r = safe_radius(ctx, r0)
-        count = count_zeros_disk(ctx, r)
-        lhs = jensen_lhs(ctx, r)
+        # One enumeration serves the radius search, the count and the zero
+        # sum: each reads only the moduli it needs from the sorted array.
+        mods = pair_moduli(ctx.real_zeros, ctx.lattice_step, r0 + SAFE_SPAN + 1.0)
+        r = _safe_radius(mods, r0)
+        count = _count_zeros_disk(ctx, mods, r)
+        lhs = _jensen_lhs(mods, r)
         rhs = jensen_rhs(ctx, r)
         circ = circ_density_direct(lam, [r]).values[0] if len(lam) else 0.0
         circ_full = circ_density_direct(full, [r]).values[0] if len(full) else 0.0

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.interpolate import PPoly
 
 from .errors import IdenticallyZeroError
 from .generator import (EVAL_TAIL_TOL, GeneratorParams, TimeDomainTable, build_table,
@@ -163,11 +164,11 @@ class SISFunction:
 
     @cached_property
     def _pieces(self):
-        return self.table.shift_sum(self.coeffs.support_indices(), self.coeffs.coeffs)
+        return self.table.shift_sum(self.coeffs.offset, self.coeffs.coeffs)
 
     @cached_property
     def _deriv_pieces(self):
-        return self.deriv_table.shift_sum(self.coeffs.support_indices(), self.coeffs.coeffs)
+        return self.deriv_table.shift_sum(self.coeffs.offset, self.coeffs.coeffs)
 
     def support_window(self) -> tuple:
         """The coefficient support padded by the table half-width; f is 0 outside it."""
@@ -207,14 +208,63 @@ def apply_rolle_op(f: SISFunction, delta: float) -> SISFunction:
     return SISFunction(reduce(f.params), f.coeffs)
 
 
+def _refine_on_pieces(pieces: PPoly, a: np.ndarray, b: np.ndarray,
+                      sign_a: np.ndarray) -> np.ndarray:
+    """One zero of the piecewise cubic in each bracket [a, b] where it changes sign.
+
+    The value at a break x_j is the piece's constant coefficient c[3, j].
+    The sign change lies in the first piece under the bracket whose
+    right-end value does not share the sign of f(a), or in the last piece if
+    none does.  That cubic is solved in local coordinates, all brackets at
+    once, by Newton steps that fall back to bisection whenever a step would
+    leave the shrinking bracket or fails to halve the previous step.  They
+    stop once every step is below BISECT_TOL/16, the four halvings of
+    headroom that bisection from SCAN_STEP used to take, and after at most
+    as many steps as that bisection.
+    """
+    x, c = pieces.x, pieces.c
+    first = np.searchsorted(x, a, side="right") - 1
+    last = np.searchsorted(x, b, side="left") - 1
+    idx = first[:, None] + np.arange(int(np.max(last - first)) + 1)
+    # idx + 1 passes the last break only where idx >= last, which flips drops.
+    right_ends = np.take(c[3], idx + 1, mode="clip")
+    flips = (idx < last[:, None]) & (np.sign(right_ends) != sign_a[:, None])
+    j = np.where(flips.any(axis=1), first + np.argmax(flips, axis=1), last)
+    c0, c1, c2, c3 = c[:, j]
+    lo = np.maximum(a - x[j], 0.0)
+    hi = np.minimum(b - x[j], x[j + 1] - x[j])
+    t = 0.5 * (lo + hi)
+    last_step = hi - lo
+    done = np.zeros(t.shape, dtype=bool)
+    for _ in range(int(math.ceil(math.log2(SCAN_STEP / BISECT_TOL))) + 4):
+        p = ((c0 * t + c1) * t + c2) * t + c3
+        same = np.sign(p) == sign_a
+        lo = np.where(same, t, lo)
+        hi = np.where(same, hi, t)
+        with np.errstate(all="ignore"):
+            step = p / ((3.0 * c0 * t + 2.0 * c1) * t + c2)
+        newton = t - step
+        use_newton = (newton > lo) & (newton < hi) & (2.0 * np.abs(step) < last_step)
+        t_next = np.where(use_newton, newton, 0.5 * (lo + hi))
+        t_next = np.where(done | (p == 0.0), t, t_next)
+        last_step = np.abs(t_next - t)
+        done |= last_step < BISECT_TOL / 16.0
+        t = t_next
+        if done.all():
+            break
+    return x[j] + t
+
+
 def find_zeros(f: SISFunction, interval: tuple) -> PointSet:
     """Locate the sign-change zeros of f on an interval.
 
-    Scans at SCAN_STEP, then bisects each bracket to absolute tolerance
-    BISECT_TOL.  Zeros are simple sign changes, counted without multiplicity;
-    grid local minima of |f| below TOUCH_TOL times the grid peak without an
-    adjacent sign change are flagged as touch candidates instead of resolved.
-    Raises ValueError when the scan grid would exceed MAX_SCAN_POINTS.
+    Scans at SCAN_STEP, then refines each bracket on its cubic piece of f
+    to absolute tolerance BISECT_TOL, without evaluating f again.  Zeros are
+    simple sign changes, found from the signs of the scan values and
+    counted without multiplicity; grid local minima of |f| below TOUCH_TOL
+    times the grid peak without an adjacent sign change are flagged as
+    touch candidates instead of resolved.  Raises ValueError when the scan
+    grid would exceed MAX_SCAN_POINTS.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
@@ -236,47 +286,30 @@ def find_zeros(f: SISFunction, interval: tuple) -> PointSet:
         raise IdenticallyZeroError(
             f"f is numerically zero on [{lo}, {hi}] ({scale:.3e} peak)")
 
-    zeros = []
-    exact = np.abs(vals) == 0.0
-    prod = vals[:-1] * vals[1:]
-    bracket_lo = []
-    bracket_hi = []
-    for i in np.nonzero(prod < 0.0)[0]:
-        # Skip noise brackets deep in the tails.
-        if max(abs(vals[i]), abs(vals[i + 1])) < 1e-12 * scale:
-            continue
-        bracket_lo.append(grid[i])
-        bracket_hi.append(grid[i + 1])
-    for i in np.nonzero(exact)[0]:
-        if 0 < i < n - 1 and vals[i - 1] * vals[i + 1] < 0.0:
-            zeros.append(float(grid[i]))
-
-    if bracket_lo:
-        a = np.asarray(bracket_lo)
-        b = np.asarray(bracket_hi)
-        fa = eval_f(f, a)
-        steps = int(math.ceil(math.log2(SCAN_STEP / BISECT_TOL))) + 4
-        for _ in range(steps):
-            mid = 0.5 * (a + b)
-            fm = eval_f(f, mid)
-            go_right = fa * fm > 0.0
-            a = np.where(go_right, mid, a)
-            fa = np.where(go_right, fm, fa)
-            b = np.where(go_right, b, mid)
-        zeros.extend((0.5 * (a + b)).tolist())
-
-    touches = []
+    # Signs, not products of values: a product of small values underflows
+    # to 0 and one of large values overflows.
+    sign = np.sign(vals)
+    crossing = sign[:-1] * sign[1:] < 0.0
     inner = np.arange(1, n - 1)
+    exact = inner[(vals[inner] == 0.0) & (sign[inner - 1] * sign[inner + 1] < 0.0)]
+    # Skip noise brackets deep in the tails.
+    brackets = np.nonzero(crossing & (np.maximum(np.abs(vals[:-1]), np.abs(vals[1:]))
+                                      >= 1e-12 * scale))[0]
+    zeros = grid[exact]
+    if brackets.size:
+        refined = _refine_on_pieces(f._pieces, grid[brackets], grid[brackets + 1],
+                                    sign[brackets])
+        zeros = np.sort(np.concatenate([zeros, refined]))
+
     is_min = (np.abs(vals[inner]) <= np.abs(vals[inner - 1])) & \
              (np.abs(vals[inner]) <= np.abs(vals[inner + 1]))
     small = np.abs(vals[inner]) < TOUCH_TOL * scale
-    crossing = (prod[inner - 1] < 0.0) | (prod[inner] < 0.0)
+    near_crossing = crossing[inner - 1] | crossing[inner]
     nonzero_here = np.abs(vals[inner]) > 0.0
-    for i in inner[is_min & small & ~crossing & nonzero_here]:
-        touches.append(float(grid[i]))
+    touches = grid[inner[is_min & small & ~near_crossing & nonzero_here]]
 
-    return PointSet(points=tuple(sorted(zeros)), window=(lo, hi),
-                    touch_points=tuple(touches))
+    return PointSet(points=tuple(zeros.tolist()), window=(lo, hi),
+                    touch_points=tuple(touches.tolist()))
 
 
 @dataclass(frozen=True)

@@ -175,6 +175,22 @@ class TestCommands:
         report = json.loads(out.read_text())
         assert report["result"]["points"] == pytest.approx([0.5], abs=1e-9)
 
+    @pytest.mark.parametrize("command,keys", [("zeros", ("points",)),
+                                              ("interlace", ("zeros_f", "zeros_f1"))])
+    def test_huge_coefficients_find_the_same_zeros(self, tmp_path, command, keys):
+        # Products of neighbouring scan values near 1e300 overflow.
+        results = []
+        for scale in (1.0, 1e300):
+            cfg = BASE_CONFIGS[command]
+            coeffs = dict(cfg["coeffs"], coeffs=[scale * c for c in cfg["coeffs"]["coeffs"]])
+            path = write_config(tmp_path, "cfg.json", dict(cfg, coeffs=coeffs))
+            out = tmp_path / "out.json"
+            assert run([command, "--config", path, "--out", str(out), "--quiet"]) == 0
+            results.append(json.loads(out.read_text())["result"])
+        for key in keys:
+            assert results[0][key]
+            assert results[1][key] == pytest.approx(results[0][key], abs=1e-9)
+
     @pytest.mark.parametrize("command,field,value,message", [
         ("zeros", "interval", [-1e15, 1e15], "scan points"),
         ("interlace", "interval", [-1e15, 1e15], "scan points"),

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import PPoly
 
 import tpshift as tp
 from tpshift.errors import IdenticallyZeroError
@@ -17,6 +18,45 @@ def per_shift_sum(f, x, deriv=False):
     for k, c in zip(f.coeffs.support_indices(), f.coeffs.coeffs):
         out += c * table.eval(np.asarray(x, dtype=float) - k)
     return out
+
+
+def slice_add_shift_sum(table, first, weights):
+    """Reference piece sum: weight k times the table pieces shifted by k*N, added."""
+    n_per = table.steps_per_unit
+    pieces = table._spline.c
+    width = pieces.shape[1]
+    n_pieces = (len(weights) - 1) * n_per + width
+    coef = np.zeros((pieces.shape[0], n_pieces))
+    for k, w in enumerate(weights):
+        if w != 0.0:
+            coef[:, k * n_per:k * n_per + width] += w * pieces
+    start = first * n_per - (len(table.values) - 1) // 2
+    return coef, (start + np.arange(n_pieces + 1)) / n_per
+
+
+def bisection_scan(f, interval):
+    """Reference zero scan: the find_zeros grid, each bracket bisected through eval_f."""
+    lo, hi = interval
+    n = int(math.ceil((hi - lo) / tp.sispace.SCAN_STEP)) + 1
+    grid = np.linspace(lo, hi, n)
+    vals = tp.eval_f(f, grid)
+    sign = np.sign(vals)
+    scale = np.max(np.abs(vals))
+    zeros = [grid[i] for i in range(1, n - 1)
+             if vals[i] == 0.0 and sign[i - 1] * sign[i + 1] < 0.0]
+    idx = np.array([i for i in range(n - 1) if sign[i] * sign[i + 1] < 0.0
+                    and max(abs(vals[i]), abs(vals[i + 1])) >= 1e-12 * scale], dtype=int)
+    a, b = grid[idx], grid[idx + 1]
+    for _ in range(40):
+        mid = 0.5 * (a + b)
+        right = np.sign(tp.eval_f(f, mid)) == sign[idx]
+        a, b = np.where(right, mid, a), np.where(right, b, mid)
+    zeros = sorted(zeros + (0.5 * (a + b)).tolist())
+    touches = [grid[i] for i in range(1, n - 1)
+               if 0.0 < abs(vals[i]) < tp.sispace.TOUCH_TOL * scale
+               and abs(vals[i]) <= min(abs(vals[i - 1]), abs(vals[i + 1]))
+               and sign[i - 1] * sign[i] >= 0.0 and sign[i] * sign[i + 1] >= 0.0]
+    return zeros, touches
 
 
 class TestCoeffSeqAndPointSet:
@@ -110,6 +150,31 @@ class TestSplineOfF:
         assert np.all(tp.eval_f(f, outside) == 0.0)
         assert np.all(tp.eval_deriv(f, outside) == 0.0)
         assert tp.eval_f(f, 0.37) == pytest.approx(per_shift_sum(f, 0.37), abs=tol)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3])
+    @pytest.mark.parametrize("gamma", [GAUSS_RATE_ONE, 1.0, 0.1])
+    def test_piece_product_matches_slice_adds(self, m, gamma):
+        params = tp.GeneratorParams(1.0, gamma, DELTAS_BY_M[m])
+        rng = np.random.default_rng(200 + m)
+        interior = rng.standard_normal(12)
+        interior[[3, 4, 8]] = 0.0
+        # A run of zeros longer than the table: pieces no weight reaches.
+        gap = int(2 * tp.table_half_width(params)) + 2
+        cases = [(3, (1.7,)), (-6, tuple(interior)), (-4, (1.0,) + (0.0,) * gap + (-0.5,))]
+        tables = [tp.build_table(params), tp.build_table(params, deriv=True),
+                  # 6N pieces, a whole number of blocks
+                  tp.TimeDomainTable(params, False, 125, rng.standard_normal(6 * 125 + 1))]
+        for table in tables:
+            pieces = table._spline.c
+            for first, weights in cases:
+                got = table.shift_sum(first, weights)
+                coef, breaks = slice_add_shift_sum(table, first, weights)
+                assert np.array_equal(got.x, breaks)
+                assert np.array_equal(got.c == 0.0, coef == 0.0)
+                tol = 1e-14 * np.sum(np.abs(weights)) * np.max(np.abs(pieces))
+                assert np.max(np.abs(got.c - coef)) <= tol
+        assert tables[0]._spline.c.shape[1] % tables[0].steps_per_unit != 0
+        assert tables[0].steps_per_unit > 125 or gamma == GAUSS_RATE_ONE
 
     def test_sharp_generator_gets_finer_unit_fraction_step(self):
         f = tp.SISFunction(tp.GeneratorParams(1.0, 1.0), tp.CoeffSeq(0, (1.0,)))
@@ -289,6 +354,39 @@ class TestFindZeros:
             assert scan.points == scans[0].points
             assert scan.touch_points == scans[0].touch_points
         assert scans[0].touch_points == (() if middle > 0 else (1.0,))
+
+    @pytest.mark.parametrize("s", [1e-170, 1e-200, 1e300])
+    def test_extreme_coefficients_keep_their_crossing(self, gauss_params, fn_factory, s):
+        # Products of neighbouring scan values underflow to 0 or overflow here.
+        zeros = tp.find_zeros(fn_factory(gauss_params, 0, (s, -s)), (-5.0, 6.0))
+        assert zeros.points == pytest.approx((0.5,), abs=1e-9)
+        assert zeros.touch_points == ()
+
+    def test_piece_refinement_matches_bisection(self, fn_factory):
+        rng = np.random.default_rng(53)
+        for i in range(50):
+            params = tp.GeneratorParams(1.0, GAUSS_RATE_ONE, DELTAS_BY_M[i % 4])
+            f = fn_factory(params, -20, rng.standard_normal(40))
+            zeros = tp.find_zeros(f, (-24.0, 24.0))
+            ref_zeros, ref_touches = bisection_scan(f, (-24.0, 24.0))
+            assert len(zeros.points) == len(ref_zeros)
+            assert list(zeros.touch_points) == ref_touches
+            assert np.max(np.abs(np.subtract(zeros.points, ref_zeros))) \
+                <= tp.sispace.BISECT_TOL
+
+    def test_piece_refinement_on_breaks_and_across_pieces(self):
+        # P(x) = (x - 2)(x - 4.625)(x - 7.25) on unit pieces, in local
+        # coordinates; P is exactly 0 at the break x = 2, and the bracket
+        # [3.5, 6.5] covers four pieces.
+        roots = (2.0, 4.625, 7.25)
+        poly = np.poly1d(roots, r=True)
+        breaks = np.arange(10.0)
+        coef = np.array([[poly.deriv(3 - k)(x) / math.factorial(3 - k) for x in breaks[:-1]]
+                         for k in range(4)])
+        pieces = PPoly(coef, breaks)
+        a, b = np.array([1.5, 3.5, 6.9]), np.array([2.5, 6.5, 7.9])
+        got = tp.sispace._refine_on_pieces(pieces, a, b, np.sign(poly(a)))
+        assert np.max(np.abs(got - roots)) <= tp.sispace.BISECT_TOL
 
     def test_rejects_oversized_scan_before_allocating(self, gauss_params, fn_factory):
         f = fn_factory(gauss_params, 0, (1.0, -1.0))
