@@ -19,6 +19,7 @@ values with the largest radius as the working estimate.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,8 @@ from .sispace import PointSet
 PROFILE_KINDS = ("beurling_lower", "circ_direct", "circ_lattice")
 # Largest lattice enumeration; larger radii are refused before allocating.
 MAX_PAIR_MODULI = 20_000_000
+# Largest radius: the profiles divide by pi r^2, which stays a finite double.
+MAX_RADIUS = math.sqrt(sys.float_info.max / math.pi)
 
 
 @dataclass(frozen=True)
@@ -67,9 +70,10 @@ class DensityProfile:
 
 def _validate_radii(radii) -> np.ndarray:
     arr = np.asarray(list(radii), dtype=float)
-    if arr.size == 0 or not np.all(np.isfinite(arr)) or np.any(arr <= 0) \
+    if arr.size == 0 or not np.all((arr > 0) & (arr <= MAX_RADIUS)) \
             or np.any(np.diff(arr) <= 0):
-        raise ValueError("radii must be a nonempty increasing list of finite positive reals")
+        raise ValueError("radii must be a nonempty increasing list of reals in "
+                         f"(0, {MAX_RADIUS:.3g}]")
     return arr
 
 

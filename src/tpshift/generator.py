@@ -105,9 +105,11 @@ def ft_eval(params: GeneratorParams, xi):
     for real xi since the deltas are real.
     """
     x = np.asarray(xi, dtype=float)
-    out = params.c0 * np.exp(-params.gamma * x * x) * np.ones_like(x, dtype=complex)
-    for d in params.deltas:
-        out = out / (1.0 + 2j * math.pi * d * x)
+    # x*x and delta*x overflow to inf only where ghat underflows to 0 (gamma > 1e-305).
+    with np.errstate(over="ignore"):
+        out = params.c0 * np.exp(-params.gamma * x * x) * np.ones_like(x, dtype=complex)
+        for d in params.deltas:
+            out = out / (1.0 + 2j * math.pi * d * x)
     if np.ndim(xi) == 0:
         return complex(out[()])
     return out

@@ -22,6 +22,7 @@ magnitude gets sign +1, making the {f, -f} quotient concrete.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from math import comb
@@ -73,6 +74,12 @@ class MagnitudeSample:
             raise ValueError("one magnitude per sample point required")
         if any(not math.isfinite(v) or v < 0 for v in mags):
             raise ValueError("magnitudes must be finite and nonnegative")
+        # The sign search's residuals are sums of squares bounded by this one.
+        with np.errstate(over="ignore"):
+            energy = float(np.dot(mags, mags))
+        if not math.isfinite(energy):
+            raise ValueError("the squared magnitudes must have a finite sum "
+                             f"(a norm below {math.sqrt(sys.float_info.max):.3g})")
 
     def mags_array(self) -> np.ndarray:
         return np.asarray(self.magnitudes)

@@ -101,6 +101,13 @@ class TestValidation:
                            coeffs=dict(BASE_CONFIGS["interlace"]["coeffs"], offset=1e300))),
         ("experiment", dict(BASE_CONFIGS["experiment"], trials=1e12)),
         ("experiment", dict(BASE_CONFIGS["experiment"], trials=2**63 - 1)),
+        # Radii past the density profiles' range, and magnitudes whose
+        # squares overflow, given or sampled.
+        ("density", {"points": POINTS, "radii": [1.0, 1e300]}),
+        ("lemma1", dict(BASE_CONFIGS["lemma1"], radii=[1e300])),
+        ("retrieve", dict(RETRIEVE, sample=dict(
+            RETRIEVE["sample"], magnitudes=[1e300] + RETRIEVE["sample"]["magnitudes"][1:]))),
+        ("experiment", dict(BASE_CONFIGS["experiment"], generator=dict(GAUSS, c0=1e300))),
     ])
     def test_malformed_shapes_and_nonfinite_values_exit_2(self, tmp_path, capsys, command,
                                                           config):
@@ -422,14 +429,14 @@ class TestExitCodeMapping:
         assert run(["lemma1", "--config", path, "--quiet"]) == 4
 
 
-# Besides small values, the fuzz draws integers at the int64 edges and 1e18,
-# which every size and range check must refuse or handle; it does not ask how
-# much work an extreme but valid size (a tiny gamma, a huge interval) takes.
-# 1e300 is left out: several float fields still overflow on it.
+# Besides small values, the fuzz draws integers at the int64 edges, 1e18 and
+# 1e300, which every size and range check must refuse or handle without an
+# overflow; it does not ask how much work an extreme but valid size (a tiny
+# gamma, a huge interval) takes.
 _NUMBERS = st.one_of(st.integers(-3, 8),
                      st.sampled_from([0.0, -1.5, 0.5, 2.5, 7.0, math.nan, math.inf,
                                       -math.inf, 2**63, -2**63, 2**63 - 1, 1e18,
-                                      -1e18]))
+                                      -1e18, 1e300, -1e300]))
 _SCALARS = st.one_of(st.none(), st.booleans(), _NUMBERS, st.text(max_size=2))
 _VALUES = st.recursive(
     _SCALARS, lambda kids: st.one_of(st.lists(kids, max_size=3),

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import tpshift as tp
+import tpshift.density as density
 
 
 def lattice_points(beta, extent):
@@ -234,6 +235,18 @@ class TestSubadditivity:
             assert report.ok
             for row in report.rows:
                 assert abs(row.union_value - row.sum_value) <= 1e-12
+
+
+class TestRadiusRange:
+    def test_largest_radius_evaluates_and_larger_is_refused(self):
+        pts = tp.PointSet(points=(-1.0, 0.0, 2.0), window=(-3.0, 3.0))
+        prof = tp.circ_density_direct(pts, [1.0, density.MAX_RADIUS])
+        assert all(math.isfinite(v) for v in prof.values)
+        for radii in ([1.0, 1e300], [math.nextafter(density.MAX_RADIUS, math.inf)]):
+            with pytest.raises(ValueError, match="radii"):
+                tp.circ_density_direct(pts, radii)
+            with pytest.raises(ValueError, match="radii"):
+                tp.check_lemma1(pts, [1.0], radii)
 
 
 class TestProfileType:

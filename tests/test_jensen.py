@@ -52,6 +52,65 @@ class TestLogAbs:
         with pytest.raises(ValueError):
             tp.log_abs_f_complex(f, 1j)
 
+    def test_zero_function_is_minus_infinity(self, gauss_params, fn_factory):
+        f = fn_factory(gauss_params, -1, (0.0, 0.0, 0.0))
+        assert tp.log_abs_f_complex(f, 0.5 + 2j) == -math.inf
+        zs = np.array([[0.0, 1j], [3.0 - 2j, -40.0 + 7j]])
+        assert np.all(tp.log_abs_f_complex(f, zs) == -math.inf)
+        scale, inner = _stable_terms(f, zs)
+        assert scale.shape == inner.shape == zs.shape
+        assert np.all(scale == -math.inf) and np.all(inner == 0.0)
+
+
+def per_term_stable_terms(f, z):
+    # Reference: one complex exponential per term, summed directly.
+    zz = np.asarray(z, dtype=complex)
+    ks = f.coeffs.support_indices()
+    cs = np.asarray(f.coeffs.coeffs)
+    keep = cs != 0.0
+    ks, cs = ks[keep], cs[keep]
+    a = f.params.gauss_rate
+    w = zz[..., None] - ks
+    log_mag = (math.log(f.params.time_amplitude) + np.log(np.abs(cs))
+               - a * (w.real * w.real - w.imag * w.imag))
+    phase = -2.0 * a * w.real * w.imag + np.where(cs < 0, math.pi, 0.0)
+    scale = np.max(log_mag, axis=-1)
+    return scale, np.sum(np.exp(log_mag - scale[..., None] + 1j * phase), axis=-1)
+
+
+def coefficient_cases():
+    rng = np.random.default_rng(53)
+    cases = []
+    for k in (1, 2, 40, 300):
+        c = rng.uniform(0.9, 1.1, k) * (-1.0) ** np.arange(k)
+        cases.append(pytest.param(-(k // 2), c, id=f"alternating-{k}"))
+    c = rng.standard_normal(40)
+    c[[1, 7, 8, 9, 20, 38]] = 0.0
+    cases.append(pytest.param(-20, c, id="interior-zeros"))
+    c = rng.choice([-1.0, 1.0], 40) * 10.0 ** rng.uniform(-200, 200, 40)
+    c[[0, -1]] = 1e-200, -1e200
+    cases.append(pytest.param(-20, c, id="1e-200-to-1e200"))
+    c = rng.uniform(0.9, 1.1, 300) * (-1.0) ** np.arange(300)
+    cases.append(pytest.param(-150, c, id="offset--150"))
+    cases.append(pytest.param(10**6, rng.standard_normal(40), id="offset-1e6"))
+    return cases
+
+
+class TestStableTerms:
+    @pytest.mark.parametrize("offset,coeffs", coefficient_cases())
+    @pytest.mark.parametrize("r", [0.5, 2.0, 8.0, 60.0])
+    def test_matches_per_term_evaluation(self, gauss_params, fn_factory, offset, coeffs, r):
+        # Contours around the support's centre; inner is in units of the
+        # largest term, so the tolerance is relative to it.
+        f = fn_factory(gauss_params, offset, coeffs)
+        centre = offset + (len(coeffs) - 1) / 2.0
+        zs = centre + r * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False))
+        zs = np.append(zs, [centre + 0.3j, centre - 1.7 + 0.9j])
+        scale, inner = _stable_terms(f, zs)
+        want_scale, want_inner = per_term_stable_terms(f, zs)
+        assert np.max(np.abs(scale - want_scale)) <= 1e-12
+        assert np.max(np.abs(inner - want_inner)) <= 1e-12
+
 
 class TestBuildContext:
     def test_nonvanishing_origin_order_zero(self, gauss_params, fn_factory):

@@ -57,6 +57,12 @@ class TestSampleTypes:
             tp.MagnitudeSample(lam=lam, magnitudes=(1.0,))
         with pytest.raises(ValueError):
             tp.MagnitudeSample(lam=lam, magnitudes=(1.0, -0.5))
+        # Squares that overflow are refused; the largest finite sum passes.
+        with pytest.raises(ValueError, match="finite sum"):
+            tp.MagnitudeSample(lam=lam, magnitudes=(1e154, 1e154))
+        with pytest.raises(ValueError, match="finite sum"):
+            tp.MagnitudeSample(lam=lam, magnitudes=(0.0, 1e300))
+        tp.MagnitudeSample(lam=lam, magnitudes=(1e154, 1e153))
 
 
 class TestFitCoeffs:
