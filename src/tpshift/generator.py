@@ -21,6 +21,7 @@ tabulated range.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -258,8 +259,9 @@ class TimeDomainTable:
     The samples are symmetric about 0.  Lookups inside the tabulated range
     use a cubic spline (local error is quartic in the grid step); outside it
     they return 0, which log_envelope(params, x) certifies is below
-    EVAL_TAIL_TOL times the amplitude for g.  Immutable after construction
-    and shareable across threads.
+    EVAL_TAIL_TOL times the amplitude for g.  The samples and the spline's
+    coefficients are read-only arrays, so one table is shared by every
+    function over its generator, across threads too.
     """
 
     params: GeneratorParams
@@ -272,6 +274,8 @@ class TimeDomainTable:
         half = (n - 1) // 2 * self.grid_step
         xs = np.arange(n) * self.grid_step - half
         self._spline = CubicSpline(xs, self.values)
+        self.values.flags.writeable = False
+        self._spline.c.flags.writeable = False
 
     @property
     def grid_step(self) -> float:
@@ -324,6 +328,13 @@ def eval_pieces(pieces: PPoly, x) -> np.ndarray:
     return out
 
 
+# Tables built so far, keyed by (params, deriv), least recently used first.
+# build_table evicts the oldest once they hold more than MAX_TABLE_POINTS
+# samples in all, so the cache never outgrows one maximal table.
+_tables: dict = {}
+_tables_lock = threading.Lock()
+
+
 def build_table(params: GeneratorParams, deriv: bool = False) -> TimeDomainTable:
     """Tabulate g (or g') of a generator on a grid that the generator fixes.
 
@@ -333,9 +344,21 @@ def build_table(params: GeneratorParams, deriv: bool = False) -> TimeDomainTable
     below the evaluation contract (1e-8) for sharp generators, and integer
     shifts move spline pieces by whole pieces.  Raises ValueError, before
     allocating, when the table would hold more than MAX_TABLE_POINTS samples.
+    A table built before for the same (params, deriv) is returned again
+    while it stays among the most recently used ones.
     """
-    n_per = _steps_per_unit(params)
-    step = 1.0 / n_per
-    n_half = round(table_half_width(params) * n_per)
-    vals = _evaluate(params, step * np.arange(2 * n_half + 1) - n_half * step, deriv)
-    return TimeDomainTable(params=params, deriv=deriv, steps_per_unit=n_per, values=vals)
+    key = (params, deriv)
+    with _tables_lock:
+        table = _tables.pop(key, None)
+    if table is None:
+        n_per = _steps_per_unit(params)
+        step = 1.0 / n_per
+        n_half = round(table_half_width(params) * n_per)
+        vals = _evaluate(params, step * np.arange(2 * n_half + 1) - n_half * step, deriv)
+        table = TimeDomainTable(params=params, deriv=deriv, steps_per_unit=n_per, values=vals)
+    with _tables_lock:
+        _tables[key] = table
+        total = sum(len(t.values) for t in _tables.values())
+        while total > MAX_TABLE_POINTS:
+            total -= len(_tables.pop(next(iter(_tables))).values)
+    return table

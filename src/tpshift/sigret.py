@@ -28,6 +28,7 @@ from functools import cached_property
 from math import comb
 
 import numpy as np
+from scipy.linalg.lapack import dgeqrf, dorgqr
 
 from .errors import RankDeficiencyError, SearchBudgetError
 from .generator import MAX_TABLE_POINTS, GeneratorParams, time_eval
@@ -180,12 +181,23 @@ class _PatternFitter:
 
     @cached_property
     def row_updates(self) -> list:
+        # LAPACK in place in one Fortran buffer: dgeqrf leaves R above the
+        # diagonal and the reflectors below, dorgqr expands them into the
+        # complete Q.  R's strict lower part is assigned +0.0, as numpy's
+        # triu does; a 0/1 product would leave -0.0 there.
+        m = self.m
+        buf = np.zeros((m + 1, m + 1), order="F")
+        below = np.tri(m, k=-1, dtype=bool)
+        r = np.zeros((m, m))
         updates = []
-        r = np.zeros((self.m, self.m))
         for row in self.a:
-            q, r_next = np.linalg.qr(np.vstack([r, row]), mode="complete")
-            updates.append(q.T)
-            r = r_next[:self.m]
+            buf[:m, :m] = r
+            buf[m, :m] = row
+            _, tau, _, _ = dgeqrf(buf[:, :m], overwrite_a=1)
+            r = buf[:m, :m].copy()
+            r[below] = 0.0
+            q, _, _ = dorgqr(buf, tau, overwrite_a=1)
+            updates.append(np.ascontiguousarray(q).T)
         return updates
 
     def sse_full(self, v: np.ndarray) -> float:
@@ -199,13 +211,20 @@ class _PatternFitter:
         return c, float(np.sqrt(np.mean(resid * resid)))
 
 
-def _fitter(params: GeneratorParams, lam: PointSet, support) -> _PatternFitter:
-    """The fitter of a sampling set, refusing one too sparse for the support:
-    fewer samples than coefficients, or condition number above COND_LIMIT."""
+def _n_coeffs(lam: PointSet, support) -> int:
+    """The number of coefficients of the support; RankDeficiencyError if the
+    sampling set has fewer points, even none."""
     _, n_coeffs = _support_size(support)
     if len(lam.points) < n_coeffs:
         raise RankDeficiencyError(
             f"{len(lam.points)} samples cannot determine {n_coeffs} coefficients")
+    return n_coeffs
+
+
+def _fitter(params: GeneratorParams, lam: PointSet, support) -> _PatternFitter:
+    """The fitter of a sampling set, refusing one too sparse for the support:
+    fewer samples than coefficients, or condition number above COND_LIMIT."""
+    _n_coeffs(lam, support)
     fitter = _PatternFitter(design_matrix(params, lam.as_array(), support))
     cond = fitter.s[0] / fitter.s[-1] if fitter.s[-1] > 0 else math.inf
     if cond > COND_LIMIT:
@@ -380,12 +399,14 @@ def solve_signs(params: GeneratorParams, sample: MagnitudeSample, support,
     running out returns the best so far, not necessarily the optimum.
     SearchBudgetError means that no pattern reached the tolerance.  More
     than MAX_TABLE_POINTS row-update entries are refused before allocating.
+    Fewer samples than coefficients, even none, raise RankDeficiencyError
+    before the magnitudes are checked.
     """
+    n_coeffs = _n_coeffs(sample.lam, support)
     mags = sample.mags_array()
     peak = _peak(mags)
     if max_changes < 0:
         raise ValueError("max_changes must be nonnegative")
-    n_coeffs = _support_size(support)[1]
     if not len(mags) * (n_coeffs + 1) ** 2 <= MAX_TABLE_POINTS:
         raise ValueError(f"a sign search over {len(mags)} samples and {n_coeffs} "
                          f"coefficients needs more than {MAX_TABLE_POINTS} samples")

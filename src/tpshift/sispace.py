@@ -135,12 +135,13 @@ class SISFunction:
     """A shift combination f = sum c_k g(. - k) with cached evaluation tables.
 
     The tables of g and g' come from build_table, which fixes their extent
-    and step from the generator alone, so functions over one generator can
-    share them; a passed table must tabulate this generator's g, and a
-    passed deriv_table its g' (ValueError otherwise).  The g' table is
-    built on first use unless passed in.  f and f' are each one piecewise
-    cubic, summed from all table pieces on first use, so evaluations
-    anywhere have absolute error at the interpolation level (<= 1e-8).
+    and step from the generator alone and returns the table it built before,
+    so functions over one generator share them; a passed table must
+    tabulate this generator's g, and a passed deriv_table its g' (ValueError
+    otherwise).  The g' table is looked up on first use unless passed in.
+    f and f' are each one piecewise cubic, summed from all table pieces on
+    first use, so evaluations anywhere have absolute error at the
+    interpolation level (<= 1e-8).
     Coefficients and tables are fixed after construction; concurrent first
     evaluations build the same pieces twice, which is harmless.
     """
@@ -197,8 +198,9 @@ def apply_rolle_op(f: SISFunction, delta: float) -> SISFunction:
 
     Multiplying the transform by (1 + 2*pi*i*delta*xi) cancels the matching
     first-order factor, so the image keeps the same coefficients over the
-    generator with that factor removed.  delta must equal the last factor
-    shift of f's generator.
+    generator with that factor removed, and shares that generator's tables
+    with every other image.  delta must equal the last factor shift of f's
+    generator.
     """
     if f.params.m == 0:
         raise ValueError("generator has no first-order factor to cancel")

@@ -26,14 +26,9 @@ def m2_params():
 
 @pytest.fixture(scope="session")
 def fn_factory():
-    """Build SISFunctions while sharing tables across one generator's functions."""
-    cache = {}
+    """Build SISFunctions from plain coefficient lists."""
 
     def make(params, offset, coeffs):
-        if params not in cache:
-            cache[params] = (tp.build_table(params), tp.build_table(params, deriv=True))
-        table, deriv = cache[params]
-        return tp.SISFunction(params, tp.CoeffSeq(offset, tuple(coeffs)),
-                              table=table, deriv_table=deriv)
+        return tp.SISFunction(params, tp.CoeffSeq(offset, tuple(coeffs)))
 
     return make

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, one PASS/FAIL line each.
 
 Criteria 4 and 7 build canonical report strings; criterion 10 rebuilds them
-from scratch and requires byte identity.
+from scratch, generator tables included, and requires byte identity.
 """
 
 import json
@@ -46,28 +46,23 @@ def _lattice_points(beta, extent):
                        window=(-extent, extent))
 
 
-def _shared_fn(tables, params, offset, coeffs):
-    """A SISFunction over the g and g' tables kept in `tables` for its generator.
+def _shared_fn(params, offset, coeffs):
+    """A SISFunction over its generator's g and g' tables.
 
-    Tables depend on the generator alone; each caller owns its dict, so a
-    rerun of a report builder builds its tables afresh.
+    build_table returns one table per generator and process, so every
+    function of a criterion over one generator shares them.
     """
-    if params not in tables:
-        tables[params] = (tp.build_table(params), tp.build_table(params, deriv=True))
-    table, deriv = tables[params]
-    return tp.SISFunction(params, tp.CoeffSeq(offset, tuple(coeffs)),
-                          table=table, deriv_table=deriv)
+    return tp.SISFunction(params, tp.CoeffSeq(offset, tuple(coeffs)))
 
 
-def _alternating(params, rng, n_shifts, tables):
+def _alternating(params, rng, n_shifts):
     c = rng.uniform(0.9, 1.1, n_shifts) * (-1.0) ** np.arange(n_shifts)
-    return _shared_fn(tables, params, -n_shifts // 2, c)
+    return _shared_fn(params, -n_shifts // 2, c)
 
 
 def build_zero_density_report():
     """Criterion 4 payload: chord-density of zero sets at two scales."""
     records = []
-    tables = {}
     for i in range(50):
         m = i % 4
         params = tp.GeneratorParams(1.0, GAMMA, DELTAS_BY_M[m])
@@ -75,7 +70,7 @@ def build_zero_density_report():
         rec = {"seed": i, "m": m}
         for label, n_coeffs, scan, r in (("r15", 40, 20.0, 15.0),
                                          ("r60", 136, 64.0, 60.0)):
-            f = _shared_fn(tables, params, -n_coeffs // 2, rng.standard_normal(n_coeffs))
+            f = _shared_fn(params, -n_coeffs // 2, rng.standard_normal(n_coeffs))
             zeros = tp.find_zeros(f, (-scan, scan))
             rec[label] = tp.circ_density_direct(zeros, [r]).values[0]
         records.append(rec)
@@ -197,14 +192,13 @@ def test_criterion_04_zero_set_density_bound():
 
 def test_criterion_05_contour_chain():
     t0 = time.time()
-    tables = {}
     params = tp.GeneratorParams(1.0, GAMMA)
     worst_eq = 0.0
     worst_bound = -math.inf
     worst_link = -math.inf
     for i in range(20):
         rng = _seeded_rng(5, i)
-        f = _alternating(params, rng, 40, tables)
+        f = _alternating(params, rng, 40)
         ctx = tp.build_context(f)
         report = tp.verify_base_case(ctx, [2.0, 4.0, 8.0])
         for row in report.rows:
@@ -222,14 +216,13 @@ def test_criterion_05_contour_chain():
 
 
 def test_criterion_06_interlacing_and_segments():
-    tables = {}
     n_ok_interlace = 0
     n_ok_segment = 0
     for i in range(100):
         m = 1 + i % 3
         params = tp.GeneratorParams(1.0, GAMMA, DELTAS_BY_M[m])
         rng = _seeded_rng(6, i)
-        f = _shared_fn(tables, params, -28, rng.standard_normal(57))
+        f = _shared_fn(params, -28, rng.standard_normal(57))
         f1 = tp.apply_rolle_op(f, params.deltas[-1])
         zf = tp.find_zeros(f, (-22.0, 22.0))
         zf1 = tp.find_zeros(f1, (-22.0, 22.0))
@@ -257,14 +250,13 @@ def test_criterion_07_sign_retrieval_threshold():
 
 def test_criterion_08_solver_oracle_agreement():
     params = tp.GeneratorParams(1.0, GAMMA)
-    tables = {}
     n_match = 0
     n_done = 0
     i = 0
     while n_done < 200:
         rng = _seeded_rng(8, i)
         i += 1
-        f = _shared_fn(tables, params, -1, rng.standard_normal(3))
+        f = _shared_fn(params, -1, rng.standard_normal(3))
         lo, hi = -2.0, 2.6
         spacing = 1.0 / 2.6
         n = int((hi - lo) / spacing)
@@ -289,12 +281,11 @@ def test_criterion_08_solver_oracle_agreement():
 
 
 def test_criterion_09_vertical_zero_lattice():
-    tables = {}
     params = tp.GeneratorParams(1.0, GAMMA)
     worst = -math.inf
     for i in range(50):
         rng = _seeded_rng(9, i)
-        f = _alternating(params, rng, 40, tables)
+        f = _alternating(params, rng, 40)
         ctx = tp.build_context(f)
         assert len(ctx.real_zeros.points) > 0
         lam = ctx.real_zeros.as_array()
@@ -312,11 +303,10 @@ def test_sampling_ratio_band_recorded():
     # window against its sup over half-integer samples.  The band is
     # recorded; no finite-scale constant is available to assert against.
     params = tp.GeneratorParams(1.0, GAMMA)
-    tables = {}
     ratios = []
     for i in range(100):
         rng = _seeded_rng(0, i)
-        f = _shared_fn(tables, params, -12, rng.standard_normal(25))
+        f = _shared_fn(params, -12, rng.standard_normal(25))
         grid = np.linspace(-6.0, 6.0, 2401)
         samples = np.arange(-6.0, 6.25, 0.5)
         ratios.append(np.max(np.abs(tp.eval_f(f, grid)))
@@ -326,10 +316,12 @@ def test_sampling_ratio_band_recorded():
                f"ratio in [{min(ratios):.4f}, {max(ratios):.4f}] over 100 draws")
 
 
-def test_criterion_10_determinism():
+def test_criterion_10_determinism(monkeypatch):
     first4 = _cached("criterion4", build_zero_density_report)
-    second4 = build_zero_density_report()
     first7 = _cached("criterion7", build_experiment_reports)
+    # The reruns build every table from scratch.
+    monkeypatch.setattr(tp.generator, "_tables", {})
+    second4 = build_zero_density_report()
     second7 = build_experiment_reports()
     ok4 = first4 == second4
     ok7 = all(first7["texts"][k] == second7["texts"][k] for k in first7["texts"])

@@ -405,6 +405,17 @@ class TestExperimentCommand:
         report = json.loads(out.read_text())
         assert report["result"]["config"]["seed"] == 77
 
+    @pytest.mark.parametrize("changes", [{"densities": [0.01]}, {"window": [0.0, 0.1]}])
+    def test_too_few_samples_count_as_rank_deficient(self, tmp_path, changes):
+        # Each trial draws fewer samples than coefficients, here none at all.
+        payload = {"generator": GAUSS, "densities": [2.5], "trials": 3, "seed": 5,
+                   "support": [-4, 4], "window": [-6.0, 6.0], "max_changes": 14, **changes}
+        path = write_config(tmp_path, "sparse.json", payload)
+        out = tmp_path / "sparse.out.json"
+        assert run(["experiment", "--config", path, "--out", str(out), "--quiet"]) == 0
+        [row] = json.loads(out.read_text())["result"]["rows"]
+        assert row["rank_deficient"] == row["trials"] == 3
+
 
 class TestExitCodeMapping:
     def test_verification_error_maps_to_4(self, tmp_path, monkeypatch):

@@ -276,6 +276,15 @@ class TestRolleOp:
         rhs = tp.eval_f(f, xs) + m2_params.deltas[-1] * tp.eval_deriv(f, xs)
         assert np.max(np.abs(tp.eval_f(f1, xs) - rhs)) < 1e-7
 
+    def test_images_share_the_reduced_generators_tables(self, m2_params, fn_factory):
+        f = fn_factory(m2_params, -4, (1.0, -0.5, 0.8))
+        g = fn_factory(m2_params, 7, (0.3,))
+        f1, g1 = (tp.apply_rolle_op(h, m2_params.deltas[-1]) for h in (f, g))
+        assert f1.table is g1.table is tp.build_table(f1.params)
+        assert tp.eval_deriv(f1, 0.5) != 0.0
+        assert f1.deriv_table is g1.deriv_table is tp.build_table(f1.params, deriv=True)
+        assert f1.table is not f1.deriv_table
+
     def test_rejects_wrong_delta(self, m1_params, fn_factory):
         f = fn_factory(m1_params, 0, (1.0,))
         with pytest.raises(ValueError):
