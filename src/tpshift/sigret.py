@@ -4,16 +4,17 @@ A real continuous f changes sign only at its zeros, so the unknown signs are
 constant between consecutive "crossing slots" (gaps between adjacent sample
 points).  The solver searches run-structured sign patterns with a bounded
 number of changes by branch and bound over the slots in position order.
-All live partial patterns advance one sample at a time as one batch, at
-most FRONTIER_CAP wide: a wider batch is split into consecutive blocks,
-each finished before the next, so complete patterns arrive in depth-first
-order.  The locally likely branch comes first (slots where |f| dips
-relative to its neighbors are likely crossings); each partial pattern is
-bounded by the least-squares residual of the samples seen so far and
-dropped once that exceeds the best complete pattern.  The design matrix
-comes from the closed-form generator, with entries below roundoff of its
-largest zeroed.  Candidate coefficients come from one orthogonal
-factorization of it shared by all patterns.
+All live partial patterns advance together, LEVEL_ROWS samples per level
+after the first sample, as one batch at most FRONTIER_CAP wide: a wider
+batch is split into consecutive blocks, each finished before the next, so
+complete patterns arrive in depth-first order.  The locally likely branch
+comes first (slots where |f| dips relative to its neighbors are likely
+crossings); at each level boundary a partial pattern is bounded by the
+least-squares residual of the samples seen so far and dropped once that
+exceeds the best complete pattern.  The design matrix comes from the
+closed-form generator, with entries below roundoff of its largest zeroed.
+Candidate coefficients come from one orthogonal factorization of it shared
+by all patterns.
 
 Recovered patterns are canonicalized so the first sample with nonnegligible
 magnitude gets sign +1, making the {f, -f} quotient concrete.
@@ -24,7 +25,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -46,6 +48,11 @@ PATTERN_BUDGET = 100_000
 # is 86 MB at 256 and 93 MB uncapped (frontiers up to 16384 wide), and the
 # search is no slower than uncapped.
 FRONTIER_CAP = 256
+# Samples the sign search decides per level after the first, which is sample 0
+# alone.  The 576 solve_signs calls of the sign_retrieval benchmark pool take
+# 0.51 s in all at 6 rows, 0.57-0.66 s at 3, 4, 5 and 7, 0.87 s at 8 (6.75M
+# nodes instead of 0.83M) and 1.01 s at 2 (fastest of 3 runs, BLAS threads 1).
+LEVEL_ROWS = 6
 # The exhaustive oracle refuses instances with more sign patterns than this.
 BRUTE_FORCE_CAP = 1_000_000
 COND_LIMIT = 1e12
@@ -108,11 +115,12 @@ class SignPattern:
 class RetrievalResult:
     """Recovered coefficients and signs, canonicalized up to the global sign.
 
-    nodes counts the partial patterns whose prefix residual was evaluated
-    (batched expansion evaluates some that a depth-first walk would already
-    have pruned), patterns the complete patterns scored, and second_pass
-    tells whether the unrestricted second pass of the search ran.  All three
-    are deterministic.
+    nodes counts the children whose prefix residual was evaluated, one per
+    allowed combination of a level's slot decisions (pruning acts at level
+    boundaries only, so this includes children that a per-sample walk
+    would have cut inside a level), patterns the complete patterns scored,
+    and second_pass tells whether the unrestricted second pass of the
+    search ran.  All three are deterministic.
     """
 
     coeffs: CoeffSeq
@@ -160,44 +168,50 @@ def sample_magnitudes(f: SISFunction, lam: PointSet) -> MagnitudeSample:
     return MagnitudeSample(lam=lam, magnitudes=tuple(np.abs(vals)))
 
 
+def _level_bounds(n: int) -> list:
+    """Sample ranges of the search levels: [0, 1, 1 + LEVEL_ROWS, ..., n]."""
+    return [0, *range(1, n, LEVEL_ROWS), n]
+
+
 class _PatternFitter:
     """Shared least-squares machinery for all sign patterns of one instance.
 
     The design matrix is fixed; only the right-hand side changes with the
     pattern.  One thin SVD A = U diag(s) V^T gives the condition number,
     full residuals and least-squares coefficients.  Partial patterns use
-    sequential row-updating QR (Golub & Van Loan, section 6.5): row p gets
-    one orthogonal (m+1)x(m+1) transform T_p, the Q.T of the complete QR of
-    [R_p; a_p], which maps the carried state (w, v_p) to (w', e_p).  The
-    running sum of e_p^2 is the least-squares residual of the rows seen so
-    far, so it never decreases as rows are added and bounds every
-    completion from below.  The row updates are computed on first use.
+    block row-updating QR (Bjorck, Numerical Methods for Least Squares
+    Problems, sections 3.2 and 6.3): the level of samples lo..hi-1, b of
+    them, gets one orthogonal (m+b)x(m+b) transform T, the Q.T of the
+    complete QR of [R; A[lo:hi]], which maps the carried state
+    (w, v[lo:hi]) to (w', e).  The running sum of |e|^2 is the
+    least-squares residual of the samples seen so far, so it never
+    decreases from one level to the next and bounds every completion from
+    below.  The level transforms are computed on first use and serve every
+    pass of the search.
     """
 
     def __init__(self, a: np.ndarray):
         self.a = a
         self.n, self.m = a.shape
         self.u, self.s, self.vt = np.linalg.svd(a, full_matrices=False)
+        self.bounds = _level_bounds(self.n)
 
     @cached_property
-    def row_updates(self) -> list:
-        # LAPACK in place in one Fortran buffer: dgeqrf leaves R above the
-        # diagonal and the reflectors below, dorgqr expands them into the
-        # complete Q.  R's strict lower part is assigned +0.0, as numpy's
-        # triu does; a 0/1 product would leave -0.0 there.
+    def level_updates(self) -> list:
+        # LAPACK in place in one Fortran buffer per level: dgeqrf leaves R
+        # above the diagonal and the reflectors below, dorgqr expands them
+        # into the complete Q.
         m = self.m
-        buf = np.zeros((m + 1, m + 1), order="F")
-        below = np.tri(m, k=-1, dtype=bool)
         r = np.zeros((m, m))
         updates = []
-        for row in self.a:
+        for lo, hi in zip(self.bounds, self.bounds[1:]):
+            buf = np.zeros((m + hi - lo, m + hi - lo), order="F")
             buf[:m, :m] = r
-            buf[m, :m] = row
+            buf[m:, :m] = self.a[lo:hi]
             _, tau, _, _ = dgeqrf(buf[:, :m], overwrite_a=1)
-            r = buf[:m, :m].copy()
-            r[below] = 0.0
+            r = np.triu(buf[:m, :m])
             q, _, _ = dorgqr(buf, tau, overwrite_a=1)
-            updates.append(np.ascontiguousarray(q).T)
+            updates.append(q.T)
         return updates
 
     def sse_full(self, v: np.ndarray) -> float:
@@ -260,60 +274,87 @@ class _BudgetExceeded(Exception):
     pass
 
 
+@cache
+def _level_children(orders: tuple) -> tuple:
+    """The children of a level whose slots have these branch orders.
+
+    Children are the Cartesian product of the orders, in lexicographic
+    order.  Returns each child's signs relative to its parent's last sign,
+    a read-only (C, b) int8 array, and its number of flips.  A slot's order
+    is one of three tuples, so the cache holds at most 3^b entries for
+    levels of b slots.
+    """
+    flips = np.array(list(product(*orders)), dtype=bool).reshape(-1, len(orders))
+    relative = np.where(np.cumsum(flips, axis=1) % 2 == 1, -1, 1).astype(np.int8)
+    flips = flips.sum(axis=1)
+    relative.flags.writeable = flips.flags.writeable = False
+    return relative, flips
+
+
 def _pattern_search(fitter: _PatternFitter, mags: np.ndarray, branch_at: np.ndarray,
                     flip_first: np.ndarray, max_changes: int, accept_sse: float,
                     prune_eps: float, budget: int, state: dict):
     """Level-synchronous branch and bound over slot decisions.
 
     branch_at masks the slots where a flip may be placed; elsewhere the sign
-    carries over.  Each node carries the row-updated right-hand side w and
-    the least-squares residual of the samples seen so far; a partial
-    pattern is abandoned once that residual exceeds the acceptance
-    threshold or the best complete pattern found so far (state is shared
-    between phases), whichever is smaller: such branches can neither be
-    accepted nor optimal among accepted patterns.
+    carries over.  Sample 0 is a level of its own with sign +1; the
+    following levels decide up to LEVEL_ROWS samples each (fitter.bounds).
+    Each node carries the level-updated right-hand side w and the
+    least-squares residual of the samples seen so far; a partial pattern is
+    abandoned once that residual exceeds the acceptance threshold or the
+    best complete pattern found so far (state is shared between phases),
+    whichever is smaller: such branches can neither be accepted nor optimal
+    among accepted patterns.
 
-    The live nodes of one depth advance together: one (L, m) @ (m, m+1)
-    product with T_q[:, :m].T serves all of them, and each node's children
-    follow one another in the slot's branch order, so the frontier stays in
-    depth-first preorder.  A frontier wider than FRONTIER_CAP is cut into
+    A node's children are the allowed combinations of its level's slot
+    decisions, each slot in its branch order, in lexicographic order, so
+    the frontier stays in depth-first preorder; a child is allowed when its
+    flips keep the pattern within max_changes.  One (L, m) @ (m, m+b)
+    product with T[:, :m].T serves all L live nodes of a level; each child
+    adds its parent's last sign times its row of a (C, m+b) table of signed
+    tail combinations.  A frontier wider than FRONTIER_CAP is cut into
     consecutive blocks, each finished to the last sample before the next
     starts.  A block is pruned against the bound left by the complete
-    patterns scored before it, never tighter than what a recursive
-    depth-first walk would apply, so (up to rounding in the batched product)
-    every pattern that walk scores is scored here too, in the same order.
-    Scoring one by one with a strict "<" then picks the walk's winner, the
-    first minimum in depth-first order; `nodes` and `patterns` can be
-    larger than the walk's.  Leaf signs are read back through per-depth
-    parent and sign arrays.  Raises _BudgetExceeded once more than `budget`
-    complete patterns are scored.
+    patterns scored before it, and each leaf is re-checked against the live
+    bound and scored one at a time with a strict "<".  The prefix residual
+    never decreases, so (up to rounding in the batched products) the scored
+    patterns and their order are those of a recursive per-sample
+    depth-first walk, which picks the first minimum in depth-first order;
+    `nodes` counts evaluated children and differs from the walk's.  Leaf
+    signs are read back through per-level parent arrays and (nodes, b)
+    sign blocks.  Raises _BudgetExceeded once more than `budget` complete
+    patterns are scored.
     """
     n, m = fitter.n, fitter.m
-    heads = [t[:, :m].T for t in fitter.row_updates]
-    tails = [mags[p] * t[:, m] for p, t in enumerate(fitter.row_updates)]
-    # Per slot, whether each child flips the sign, in branch order.
-    orders = [np.array(((True, False) if first else (False, True)) if free else (False,))
+    bounds = fitter.bounds
+    orders = [((True, False) if first else (False, True)) if free else (False,)
               for free, first in zip(branch_at, flip_first)]
+    heads = [t[:, :m].T for t in fitter.level_updates]
+    tails = [mags[lo:hi, None] * t[:, m:].T
+             for lo, hi, t in zip(bounds, bounds[1:], fitter.level_updates)]
+    children = [None] + [_level_children(tuple(orders[lo - 1:hi - 1]))
+                         for lo, hi in zip(bounds[1:], bounds[2:])]
+    last = len(bounds) - 2
     bound = min(state["sse"] + prune_eps, accept_sse)
-    # parents[p][i] and signs_at[p][i]: index at depth p - 1 of the parent of
-    # node i at depth p, and that node's sign of sample p.  A block pushed at
-    # depth p is popped before any block of smaller depth, so depth p's
-    # arrays are not rewritten while a block refers to them.
-    parents = [np.zeros(1, dtype=np.int32)] * n
-    signs_at = [np.ones(1, dtype=np.int8)] * n
-    root = tails[0]
-    # Blocks: (depth, node indices at that depth, w rows, prefix SSE, changes).
+    # parents[l][i] and signs_at[l][i]: index at level l - 1 of the parent of
+    # node i at level l, and that node's signs of the level's samples.  A
+    # block pushed at level l is popped before any block of a lower level,
+    # so level l's arrays are not rewritten while a block refers to them.
+    parents = [np.zeros(1, dtype=np.int32)] * (last + 1)
+    signs_at = [np.ones((1, 1), dtype=np.int8)] * (last + 1)
+    root = tails[0][0]
+    # Blocks: (level, node indices at that level, w rows, prefix SSE, changes).
     stack = [(0, np.zeros(1, dtype=np.int32), root[None, :m], np.array([root[m] ** 2]),
               np.zeros(1, dtype=int))]
     while stack:
-        p, idx, w, sse, changes = stack.pop()
+        level, idx, w, sse, changes = stack.pop()
         live = sse <= bound
         if not live.all():
             idx, w, sse, changes = idx[live], w[live], sse[live], changes[live]
-        if p == n - 1:
+        if level == last:
             leaf_signs = np.empty((idx.size, n))
-            for d in range(n - 1, -1, -1):
-                leaf_signs[:, d] = signs_at[d][idx]
+            for d in range(last, -1, -1):
+                leaf_signs[:, bounds[d]:bounds[d + 1]] = signs_at[d][idx]
                 idx = parents[d][idx]
             for signs, prefix in zip(leaf_signs, sse):
                 if prefix > bound:
@@ -327,24 +368,25 @@ def _pattern_search(fitter: _PatternFitter, mags: np.ndarray, branch_at: np.ndar
                 if state["patterns"] > budget:
                     raise _BudgetExceeded()
             continue
-        # Both children of a node share T_q[:, :m] @ w; they differ only in
-        # the sign of the last column's contribution mags[q] * T_q[:, m].
-        q = p + 1
-        flip = orders[p]
-        sign = signs_at[p][idx][:, None]
-        child_sign = np.where(flip, -sign, sign)
-        allowed = ~flip | (changes < max_changes)[:, None]
+        q = level + 1
+        relative, flips = children[q]
+        combos = relative @ tails[q]
+        sign = signs_at[level][idx, -1]
         shared = w @ heads[q]
-        e = shared[:, m, None] + child_sign * tails[q][m]
-        child_sse = sse[:, None] + e * e
+        # Built in place: at 256 nodes of 64 children this (L, C, b) array is
+        # the search's largest.
+        e = sign[:, None, None] * combos[:, m:]
+        e += shared[:, None, m:]
+        child_sse = sse[:, None] + np.einsum("lck,lck->lc", e, e)
+        allowed = changes[:, None] + flips <= max_changes
         state["nodes"] += int(np.count_nonzero(allowed))
         rows, cols = np.nonzero(allowed & (child_sse <= bound))
         parents[q] = idx[rows]
-        signs_at[q] = child_sign[rows, cols]
+        signs_at[q] = sign[rows, None] * relative[cols]
         idx = np.arange(rows.size, dtype=np.int32)
-        w = shared[rows, :m] + signs_at[q][:, None] * tails[q][:m]
+        w = shared[rows, :m] + sign[rows, None] * combos[cols, :m]
         sse = child_sse[rows, cols]
-        changes = changes[rows] + flip[cols]
+        changes = changes[rows] + flips[cols]
         for lo in reversed(range(0, rows.size, FRONTIER_CAP)):
             block = slice(lo, lo + FRONTIER_CAP)
             stack.append((q, idx[block], w[block], sse[block], changes[block]))
@@ -383,9 +425,10 @@ def solve_signs(params: GeneratorParams, sample: MagnitudeSample, support,
                 max_changes: int) -> RetrievalResult:
     """Branch-and-bound search over run-structured sign patterns.
 
-    Slots are decided left to right, all live partial patterns of one depth
-    at a time (see _pattern_search), with the dip-preferred branch first
-    (flip where |f| dips relative to its neighbors).  Complete patterns are
+    Slots are decided left to right, all live partial patterns of one level
+    of up to LEVEL_ROWS slots at a time (see _pattern_search), with the
+    dip-preferred branch first (flip where |f| dips relative to its
+    neighbors).  Complete patterns are
     scored in depth-first order, so the first is the greedy guess and
     typically near-exact, after which prefix-residual pruning collapses the
     rest of the tree.  A first pass places flips only in slots whose dip
@@ -397,20 +440,24 @@ def solve_signs(params: GeneratorParams, sample: MagnitudeSample, support,
     threshold, so PATTERN_BUDGET (read at call time) caps the near-tied
     patterns scored after the first accepted one, over both passes, and
     running out returns the best so far, not necessarily the optimum.
-    SearchBudgetError means that no pattern reached the tolerance.  More
-    than MAX_TABLE_POINTS row-update entries are refused before allocating.
-    Fewer samples than coefficients, even none, raise RankDeficiencyError
-    before the magnitudes are checked.
+    SearchBudgetError means that no pattern reached the tolerance.  Level
+    transforms of more than MAX_TABLE_POINTS entries in all are refused
+    before allocating.  A sampling set too sparse for the support (fewer
+    samples than coefficients, even none, or an ill-conditioned design
+    matrix, as when every sample lies far from the support) raises
+    RankDeficiencyError before the magnitudes are checked.
     """
     n_coeffs = _n_coeffs(sample.lam, support)
     mags = sample.mags_array()
-    peak = _peak(mags)
     if max_changes < 0:
         raise ValueError("max_changes must be nonnegative")
-    if not len(mags) * (n_coeffs + 1) ** 2 <= MAX_TABLE_POINTS:
+    bounds = _level_bounds(len(mags))
+    if not sum((n_coeffs + hi - lo) ** 2 for lo, hi in zip(bounds, bounds[1:])) \
+            <= MAX_TABLE_POINTS:
         raise ValueError(f"a sign search over {len(mags)} samples and {n_coeffs} "
                          f"coefficients needs more than {MAX_TABLE_POINTS} samples")
     fitter = _fitter(params, sample.lam, support)
+    peak = _peak(mags)
 
     n = len(mags)
     n_slots = n - 1

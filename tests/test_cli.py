@@ -318,7 +318,7 @@ class TestCommands:
         # design matrix four million (and its sign search far more).  The
         # 20,000-coefficient eval sums 2.5 million table pieces, and the
         # 1000-point retrieve fits its design matrix but its sign search
-        # would keep a billion row-update entries.  The caps refuse them
+        # would keep 170 million level-transform entries.  The caps refuse them
         # before anything that large is allocated.
         resource = pytest.importorskip("resource")
         path = write_config(tmp_path, "big.json", payload)
@@ -415,6 +415,24 @@ class TestExperimentCommand:
         assert run(["experiment", "--config", path, "--out", str(out), "--quiet"]) == 0
         [row] = json.loads(out.read_text())["result"]["rows"]
         assert row["rank_deficient"] == row["trials"] == 3
+
+    def test_samples_far_from_the_support_count_as_rank_deficient(self, tmp_path):
+        # Every magnitude underflows to 0 and the design matrix is all zeros:
+        # the condition check refuses it before the magnitudes are checked.
+        payload = {"generator": GAUSS, "densities": [2.5], "trials": 2, "seed": 5,
+                   "support": [-4, 4], "window": [100, 108], "max_changes": 14}
+        path = write_config(tmp_path, "far.json", payload)
+        out = tmp_path / "far.out.json"
+        assert run(["experiment", "--config", path, "--out", str(out), "--quiet"]) == 0
+        [row] = json.loads(out.read_text())["result"]["rows"]
+        assert row["rank_deficient"] == row["trials"] == 2
+        far = dict(RETRIEVE, support=[-4, 4],
+                   sample={"points": {"points": [100.0, 102.0, 104.0, 106.0, 108.0,
+                                                 110.0, 112.0, 114.0, 116.0],
+                                      "window": [99.0, 117.0]},
+                           "magnitudes": [0.0] * 9})
+        assert run(["retrieve", "--config", write_config(tmp_path, "far_r.json", far),
+                    "--quiet"]) == 3
 
 
 class TestExitCodeMapping:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgeqrf, dorgqr
 
 import tpshift as tp
 from tpshift import sigret
@@ -188,22 +189,29 @@ class TestFitter:
 
 
 class TestCarriedBound:
-    """The row-updated prefix residual that prunes the sign search."""
+    """The level-updated prefix residual that prunes the sign search."""
 
     def test_carried_sse_is_the_prefix_least_squares_residual(self):
+        # 40 samples: levels of 1, 6, ..., 6 and 3 rows, the second ending
+        # with 7 prefix rows for 9 coefficients, where the residual is 0.
         rng = np.random.default_rng(37)
         a = rng.standard_normal((40, 9))
         v = rng.standard_normal(40)
         fitter = sigret._PatternFitter(a)
         m = fitter.m
+        bounds = fitter.bounds
+        assert bounds[:3] == [0, 1, 1 + sigret.LEVEL_ROWS] and bounds[2] < m
+        assert 0 < bounds[-1] - bounds[-2] < sigret.LEVEL_ROWS
         w = np.zeros(m)
         sse = 0.0
         previous = 0.0
-        for p, t in enumerate(fitter.row_updates):
-            we = t @ np.append(w, v[p])
-            w, sse = we[:m], sse + we[m] ** 2
-            c, *_ = np.linalg.lstsq(a[:p + 1], v[:p + 1], rcond=None)
-            resid = a[:p + 1] @ c - v[:p + 1]
+        for lo, hi, t in zip(bounds, bounds[1:], fitter.level_updates):
+            assert t.shape == (m + hi - lo, m + hi - lo)
+            assert np.allclose(t @ t.T, np.eye(m + hi - lo), atol=1e-12)
+            we = t @ np.concatenate([w, v[lo:hi]])
+            w, sse = we[:m], sse + we[m:] @ we[m:]
+            c, *_ = np.linalg.lstsq(a[:hi], v[:hi], rcond=None)
+            resid = a[:hi] @ c - v[:hi]
             assert sse == pytest.approx(resid @ resid, abs=1e-9 * (v @ v))
             assert sse >= previous
             previous = sse
@@ -226,16 +234,37 @@ class TestCarriedBound:
         assert (oracle.nodes, oracle.patterns, oracle.second_pass) == (0, 64, False)
 
 
+def _row_updates(a):
+    """Per-row orthogonal transforms: for each row a_p, the Q.T of the complete
+    QR of [R_p; a_p], which maps the carried (w, v_p) to (w', e_p)."""
+    m = a.shape[1]
+    buf = np.zeros((m + 1, m + 1), order="F")
+    below = np.tri(m, k=-1, dtype=bool)
+    r = np.zeros((m, m))
+    updates = []
+    for row in a:
+        buf[:m, :m] = r
+        buf[m, :m] = row
+        _, tau, _, _ = dgeqrf(buf[:, :m], overwrite_a=1)
+        r = buf[:m, :m].copy()
+        r[below] = 0.0
+        q, _, _ = dorgqr(buf, tau, overwrite_a=1)
+        updates.append(np.ascontiguousarray(q).T)
+    return updates
+
+
 def _recursive_search(fitter, mags, branch_at, flip_first, max_changes, accept_sse,
                       prune_eps, budget, state):
-    """Reference: the recursive depth-first form of sigret._pattern_search."""
+    """Reference: a recursive depth-first walk that decides one sample at a
+    time, pruning after every sample with per-row transforms."""
     n, m = fitter.n, fitter.m
     n_slots = n - 1
     signs = [1.0] * n
     orders = [((True, False) if first else (False, True)) if free else (False,)
               for free, first in zip(branch_at, flip_first)]
-    heads = [t[:, :m] for t in fitter.row_updates]
-    tails = [mags[p] * t[:, m] for p, t in enumerate(fitter.row_updates)]
+    updates = _row_updates(fitter.a)
+    heads = [t[:, :m] for t in updates]
+    tails = [mags[p] * t[:, m] for p, t in enumerate(updates)]
     bound = min(state["sse"] + prune_eps, accept_sse)
 
     def leaf():
@@ -298,17 +327,39 @@ def _criterion7_instances(support, window, max_changes):
         yield params, sample, support, max_changes
 
 
+def _short_instances(max_changes):
+    """Instances of 2 to LEVEL_ROWS + 3 samples for two coefficients: after
+    sample 0 they leave one short level, one full level, or a full level
+    and a short one.  f = g - c g(. - 1) changes sign once in the window;
+    with an odd number of samples, only the last sample lies past the zero,
+    so the last slot holds the crossing."""
+    params = tp.GeneratorParams(1.0, math.pi**2, ())
+    window = (-1.5, 2.5)
+    for n in range(2, sigret.LEVEL_ROWS + 4):
+        rng = np.random.default_rng(700 + n)
+        c = (1.0, -rng.uniform(0.5, 2.0))
+        if n % 2:
+            [zero] = tp.find_zeros(tp.SISFunction(params, tp.CoeffSeq(0, c)), window).points
+            pts = np.append(np.sort(rng.uniform(window[0], zero - 0.1, n - 1)), zero + 0.2)
+        else:
+            pts = np.sort(rng.uniform(*window, n))
+        mags = np.abs(tp.design_matrix(params, pts, (0, 1)) @ c)
+        sample = tp.MagnitudeSample(lam=tp.PointSet(points=tuple(pts), window=window),
+                                    magnitudes=tuple(mags))
+        yield params, sample, (0, 1), max_changes
+
+
 def _outcome(params, sample, support, max_changes):
     try:
         res = tp.solve_signs(params, sample, support, max_changes)
     except SearchBudgetError:
         return "SearchBudgetError"
     return (res.signs, [c.hex() for c in res.coeffs.coeffs], res.residual.hex(),
-            res.second_pass)
+            res.patterns, res.second_pass)
 
 
 class TestBatchedSearch:
-    """The level-by-level search returns what a recursive depth-first walk does."""
+    """The level-by-level search scores what a recursive depth-first walk does."""
 
     @pytest.mark.parametrize("cap", [sigret.FRONTIER_CAP, 2])
     @pytest.mark.parametrize("all_free", [False, True])
@@ -320,14 +371,21 @@ class TestBatchedSearch:
             shape = ((-4, 4), (-6.0, 6.0), 14)
         else:
             shape = ((-8, 8), (-10.0, 10.0), 22)
-        instances = list(_criterion7_instances(*shape))
+        criterion7 = list(_criterion7_instances(*shape))
+        instances = criterion7 + list(_short_instances(shape[2]))
+        # A short last level after full ones, a full last level, and a short
+        # level alone after sample 0.
+        slots = [len(inst[1].magnitudes) - 1 for inst in instances]
+        rows = sigret.LEVEL_ROWS
+        assert any(k > rows and k % rows for k in slots)
+        assert any(k % rows == 0 for k in slots) and min(slots) < rows
         monkeypatch.setattr(sigret, "FRONTIER_CAP", cap)
         batched = [_outcome(*inst) for inst in instances]
         monkeypatch.setattr(sigret, "_pattern_search", _recursive_search)
         recursive = [_outcome(*inst) for inst in instances]
         assert batched == recursive
         assert "SearchBudgetError" not in batched
-        assert any(second_pass for *_, second_pass in batched) == all_free
+        assert any(second_pass for *_, second_pass in batched[:len(criterion7)]) == all_free
 
     def test_budget_stops_after_budget_plus_one_patterns(self, monkeypatch, gauss_params,
                                                           fn_factory):
