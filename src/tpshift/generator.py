@@ -13,20 +13,19 @@ convolved with one-sided exponential densities of means delta_nu.  For
 distinct shifts, partial fractions split g into a weighted sum of single
 convolutions, each an exponentially modified Gaussian with a closed form
 through erfcx (Grushka, Anal. Chem. 44, 1972), so g and g' are evaluated
-directly.  Values of g on a uniform grid back fast evaluation of shift
-combinations; a certified exponential-moment envelope bounds |g| beyond the
-tabulated range.
+directly.  Polynomial interpolants of g on cells that integer shifts map onto
+whole cells back fast evaluation of shift combinations; a certified
+exponential-moment envelope bounds |g| beyond the tabulated range.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly
+from scipy.interpolate import PPoly
 from scipy.linalg import toeplitz
 from scipy.special import erfc, erfcx
 
@@ -38,6 +37,22 @@ MAX_WEIGHT_SUM = 1e4
 MAX_TABLE_POINTS = 2_000_000
 # Dropped far-tail contributions per unit coefficient stay below this.
 EVAL_TAIL_TOL = 1e-13
+# Degree of g's interpolant on each table cell.  The table keeps it in the
+# power basis, which loses digits as the degree grows (1.5e-4 at degree 16).
+CELL_DEGREE = 9
+
+# Chebyshev points of the second kind s_j = cos(pi*j/n), n = CELL_DEGREE, as
+# fractions of a cell; samples there times _CHEB_FIT are the coefficients
+# c_k = (2/n) sum_j'' f(s_j) cos(pi*j*k/n), the ends of the sum and c_0, c_n halved.
+_CHEB_ANGLES = np.pi * np.arange(CELL_DEGREE + 1) / CELL_DEGREE
+_CELL_NODES = 0.5 * (1.0 + np.cos(_CHEB_ANGLES))
+_HALVE_ENDS = np.where(np.arange(CELL_DEGREE + 1) % CELL_DEGREE == 0, 0.5, 1.0)
+_CHEB_FIT = (2.0 / CELL_DEGREE) * np.outer(_HALVE_ENDS, _HALVE_ENDS) \
+    * np.cos(np.outer(np.arange(CELL_DEGREE + 1), _CHEB_ANGLES))
+# Row k: the integer coefficients of T_k(2u - 1) in powers u^n .. u^0.
+_POWER_BASIS = np.array([np.pad(np.polynomial.Chebyshev.basis(k, domain=[0, 1]).convert(
+    kind=np.polynomial.Polynomial).coef[::-1], (CELL_DEGREE - k, 0))
+    for k in range(CELL_DEGREE + 1)])
 
 
 @dataclass(frozen=True)
@@ -226,94 +241,79 @@ def decay_radius(params: GeneratorParams, tol: float) -> float:
     return hi
 
 
-def _steps_per_unit(params: GeneratorParams) -> int:
-    return math.ceil(125.0 * max(1.0, math.sqrt(params.gauss_rate)))
+def _cells_per_unit(params: GeneratorParams) -> int:
+    return 4 * math.ceil(math.sqrt(params.gauss_rate))
 
 
 # The bisection costs about as much as summing f's pieces, and every function
 # over the same generator needs the same half-width.
 @lru_cache(maxsize=64)
 def table_half_width(params: GeneratorParams) -> float:
-    """Half-width w of every table of the generator: where its outermost samples lie.
+    """Half-width w of every table of the generator: where its outermost cells end.
 
-    w is R + 1 rounded up to the table grid 1/N, with R the decay radius for
+    w is R + 1 rounded up to the cell grid 1/N, with R the decay radius for
     EVAL_TAIL_TOL times the amplitude; the extra unit covers g', which g's
     envelope does not bound directly.  ValueError if a table would hold more
     than MAX_TABLE_POINTS samples.
     """
-    n_per = _steps_per_unit(params)
-    grid_step = 1.0 / n_per
+    n_per = _cells_per_unit(params)
     radius = decay_radius(params, EVAL_TAIL_TOL * params.time_amplitude) + 1.0
-    steps = radius / grid_step
-    if not steps <= (MAX_TABLE_POINTS - 1) // 2:
+    if not radius * n_per <= MAX_TABLE_POINTS // (2 * (CELL_DEGREE + 1)):
         raise ValueError(
-            f"a table on [-{radius}, {radius}] at step {grid_step} needs "
+            f"a table on [-{radius}, {radius}] in cells of width 1/{n_per} needs "
             f"more than {MAX_TABLE_POINTS} samples")
-    return math.ceil(steps) / n_per
+    return math.ceil(radius * n_per) / n_per
 
 
 @dataclass(eq=False)
 class TimeDomainTable:
-    """Samples of g, or g' with deriv, of one generator at step 1/steps_per_unit.
+    """g, or g' with deriv, of one generator as polynomial pieces on cells of width 1/N.
 
-    The samples are symmetric about 0.  Lookups inside the tabulated range
-    use a cubic spline (local error is quartic in the grid step); outside it
-    they return 0, which log_envelope(params, x) certifies is below
-    EVAL_TAIL_TOL times the amplitude for g.  The samples and the spline's
-    coefficients are read-only arrays, so one table is shared by every
-    function over its generator, across threads too.
+    N = cells_per_unit.  The cells are symmetric about 0; outside them
+    lookups return 0, which log_envelope(params, x) certifies is below
+    EVAL_TAIL_TOL times the amplitude for g.  The coefficients are read-only.
     """
 
     params: GeneratorParams
     deriv: bool
-    steps_per_unit: int
-    values: np.ndarray
+    cells_per_unit: int
+    pieces: PPoly
 
     def __post_init__(self):
-        n = len(self.values)
-        half = (n - 1) // 2 * self.grid_step
-        xs = np.arange(n) * self.grid_step - half
-        self._spline = CubicSpline(xs, self.values)
-        self.values.flags.writeable = False
-        self._spline.c.flags.writeable = False
-
-    @property
-    def grid_step(self) -> float:
-        return 1.0 / self.steps_per_unit
+        self.pieces.c.flags.writeable = False
 
     def eval(self, x):
-        return eval_pieces(self._spline, x)
+        return eval_pieces(self.pieces, x)
 
     def shift_sum(self, first: int, weights) -> PPoly:
-        """The piecewise cubic sum_k w_k s(. - first - k) of the table spline s.
+        """The piecewise polynomial sum_k w_k p(. - first - k) of the table pieces p.
 
         The shifts are contiguous, first .. first + K - 1 for K weights.  With
-        grid_step = 1/N an integer shift moves s's pieces by exactly N, so with
-        s's pieces zero-padded to L blocks of N, block j of the sum is
-        sum_l w_{j-l} (block l of s): one product of the (K+L-1) x L Toeplitz
+        cells of width 1/N an integer shift moves p's pieces by exactly N, so
+        with p's pieces zero-padded to L blocks of N, block j of the sum is
+        sum_l w_{j-l} (block l of p): one product of the (K+L-1) x L Toeplitz
         matrix of the weights with the blocks.  It agrees with summing shifted
-        spline values up to rounding, and BLAS decides the order of each sum.
+        table values up to rounding, and BLAS decides the order of each sum.
         A piece that no weight reaches is a sum of exact 0*x products, so it
         stays exactly 0, where an FFT convolution would leave rounding noise.
-        A sum of more than MAX_TABLE_POINTS pieces is refused (ValueError)
-        before allocating.
+        A sum of more than MAX_TABLE_POINTS coefficients is refused
+        (ValueError) before allocating.
         """
-        n_per = self.steps_per_unit
-        pieces = self._spline.c
-        order, width = pieces.shape
+        n_per = self.cells_per_unit
+        order, width = self.pieces.c.shape
         weights = np.asarray(weights, dtype=float)
         n_pieces = (weights.size - 1) * n_per + width
-        if not n_pieces <= MAX_TABLE_POINTS:
-            raise ValueError(f"summing {weights.size} shifts at step {self.grid_step} "
+        if not n_pieces * order <= MAX_TABLE_POINTS:
+            raise ValueError(f"summing {weights.size} shifts in cells of width 1/{n_per} "
                              f"needs more than {MAX_TABLE_POINTS} samples")
         n_blocks = -(-width // n_per)
         blocks = np.zeros((order, n_blocks * n_per))
-        blocks[:, :width] = pieces
+        blocks[:, :width] = self.pieces.c
         weight_matrix = toeplitz(np.concatenate([weights, np.zeros(n_blocks - 1)]),
                                  np.zeros(n_blocks))
         coef = weight_matrix @ blocks.reshape(order, n_blocks, n_per)
         coef = np.ascontiguousarray(coef.reshape(order, -1)[:, :n_pieces])
-        start = first * n_per - (len(self.values) - 1) // 2
+        start = first * n_per - width // 2
         breaks = (start + np.arange(n_pieces + 1)) / n_per
         return PPoly(coef, breaks)
 
@@ -328,37 +328,24 @@ def eval_pieces(pieces: PPoly, x) -> np.ndarray:
     return out
 
 
-# Tables built so far, keyed by (params, deriv), least recently used first.
-# build_table evicts the oldest once they hold more than MAX_TABLE_POINTS
-# samples in all, so the cache never outgrows one maximal table.
-_tables: dict = {}
-_tables_lock = threading.Lock()
-
-
 def build_table(params: GeneratorParams, deriv: bool = False) -> TimeDomainTable:
-    """Tabulate g (or g') of a generator on a grid that the generator fixes.
+    """Tabulate g (or g') of a generator on cells that the generator fixes.
 
-    The table spans [-w, w] with w = table_half_width(params).  The step is
-    1/N with N = ceil(125*max(1, sqrt(a))) for the Gaussian rate a: it
-    resolves the Gaussian width, so the quartic interpolation error stays
-    below the evaluation contract (1e-8) for sharp generators, and integer
-    shifts move spline pieces by whole pieces.  Raises ValueError, before
+    The table spans [-w, w] with w = table_half_width(params), in cells of
+    width 1/N with N = 4*ceil(sqrt(a)) for the Gaussian rate a.  Each cell's
+    piece interpolates g at the cell's CELL_DEGREE + 1 Chebyshev points, so
+    it errs by at most 5e-12 times the amplitude.  Raises ValueError, before
     allocating, when the table would hold more than MAX_TABLE_POINTS samples.
-    A table built before for the same (params, deriv) is returned again
-    while it stays among the most recently used ones.
     """
-    key = (params, deriv)
-    with _tables_lock:
-        table = _tables.pop(key, None)
-    if table is None:
-        n_per = _steps_per_unit(params)
-        step = 1.0 / n_per
-        n_half = round(table_half_width(params) * n_per)
-        vals = _evaluate(params, step * np.arange(2 * n_half + 1) - n_half * step, deriv)
-        table = TimeDomainTable(params=params, deriv=deriv, steps_per_unit=n_per, values=vals)
-    with _tables_lock:
-        _tables[key] = table
-        total = sum(len(t.values) for t in _tables.values())
-        while total > MAX_TABLE_POINTS:
-            total -= len(_tables.pop(next(iter(_tables))).values)
-    return table
+    n_per = _cells_per_unit(params)
+    n_half = round(table_half_width(params) * n_per)
+    cells = np.arange(-n_half, n_half)
+    samples = _evaluate(params, ((cells[:, None] + _CELL_NODES) / n_per).ravel(), deriv)
+    # Two products, not one with their product: the Chebyshev coefficients
+    # decay fast, so the large power-basis entries only meet small ones.
+    cheb = samples.reshape(cells.size, -1) @ _CHEB_FIT
+    scaled = _POWER_BASIS * float(n_per) ** np.arange(CELL_DEGREE, -1, -1)  # u = N*(x - x_j)
+    coef = np.ascontiguousarray((cheb @ scaled).T)
+    breaks = np.arange(-n_half, n_half + 1) / n_per
+    return TimeDomainTable(params=params, deriv=deriv, cells_per_unit=n_per,
+                           pieces=PPoly(coef, breaks))

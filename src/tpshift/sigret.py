@@ -504,6 +504,7 @@ def brute_force_signs(params: GeneratorParams, sample: MagnitudeSample, support,
     from itertools import combinations
 
     mags = sample.mags_array()
+    fitter = _fitter(params, sample.lam, support)
     _peak(mags)
     n = len(mags)
     n_slots = n - 1
@@ -511,7 +512,6 @@ def brute_force_signs(params: GeneratorParams, sample: MagnitudeSample, support,
     if total > BRUTE_FORCE_CAP:
         raise SearchBudgetError(
             f"{total} patterns exceed the enumeration cap {BRUTE_FORCE_CAP}")
-    fitter = _fitter(params, sample.lam, support)
 
     best_sse = math.inf
     best_signs = None

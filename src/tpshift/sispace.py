@@ -28,7 +28,7 @@ BISECT_TOL = 1e-10
 TOUCH_TOL = 1e-9
 # Largest zero-scan grid; longer intervals are refused before allocating.
 MAX_SCAN_POINTS = 2_000_000
-# Largest |offset|: piece indices k*N stay inside int64 for every table step 1/N.
+# Largest |offset|: piece indices k*N stay inside int64 for every cell width 1/N.
 MAX_OFFSET = 2**31
 
 
@@ -132,18 +132,14 @@ class PointSet:
 
 
 class SISFunction:
-    """A shift combination f = sum c_k g(. - k) with cached evaluation tables.
+    """A shift combination f = sum c_k g(. - k) with its evaluation tables.
 
     The tables of g and g' come from build_table, which fixes their extent
-    and step from the generator alone and returns the table it built before,
-    so functions over one generator share them; a passed table must
-    tabulate this generator's g, and a passed deriv_table its g' (ValueError
-    otherwise).  The g' table is looked up on first use unless passed in.
-    f and f' are each one piecewise cubic, summed from all table pieces on
-    first use, so evaluations anywhere have absolute error at the
-    interpolation level (<= 1e-8).
-    Coefficients and tables are fixed after construction; concurrent first
-    evaluations build the same pieces twice, which is harmless.
+    and cells from the generator alone; a passed table must tabulate this
+    generator's g, and a passed deriv_table its g' (ValueError otherwise).
+    The g' table is built on first use unless passed in.  f and f' are each
+    one piecewise polynomial, summed from all table pieces on first use, so
+    they err by at most 5e-12 * amplitude * sum|c_k| anywhere.
     """
 
     def __init__(self, params: GeneratorParams, coeffs: CoeffSeq,
@@ -198,9 +194,8 @@ def apply_rolle_op(f: SISFunction, delta: float) -> SISFunction:
 
     Multiplying the transform by (1 + 2*pi*i*delta*xi) cancels the matching
     first-order factor, so the image keeps the same coefficients over the
-    generator with that factor removed, and shares that generator's tables
-    with every other image.  delta must equal the last factor shift of f's
-    generator.
+    generator with that factor removed.  delta must equal the last factor
+    shift of f's generator.
     """
     if f.params.m == 0:
         raise ValueError("generator has no first-order factor to cancel")
@@ -212,61 +207,49 @@ def apply_rolle_op(f: SISFunction, delta: float) -> SISFunction:
 
 def _refine_on_pieces(pieces: PPoly, a: np.ndarray, b: np.ndarray,
                       sign_a: np.ndarray) -> np.ndarray:
-    """One zero of the piecewise cubic in each bracket [a, b] where it changes sign.
+    """One zero of the piecewise polynomial in each bracket [a, b] where it changes sign.
 
-    The value at a break x_j is the piece's constant coefficient c[3, j].
-    The sign change lies in the first piece under the bracket whose
-    right-end value does not share the sign of f(a), or in the last piece if
-    none does.  That cubic is solved in local coordinates, all brackets at
-    once, by Newton steps that fall back to bisection whenever a step would
-    leave the shrinking bracket or fails to halve the previous step.  They
-    stop once every step is below BISECT_TOL/16, the four halvings of
-    headroom that bisection from SCAN_STEP used to take, and after at most
-    as many steps as that bisection.
+    All brackets at once, by Newton steps through the pieces and their
+    derivative that fall back to bisection whenever a step would leave the
+    shrinking bracket or fails to halve the previous step.  A bracket is
+    done once a step, taken or only proposed, is below BISECT_TOL/16, the
+    four halvings of headroom that bisection from SCAN_STEP used to take,
+    and all stop after at most as many steps as that bisection.
     """
-    x, c = pieces.x, pieces.c
-    first = np.searchsorted(x, a, side="right") - 1
-    last = np.searchsorted(x, b, side="left") - 1
-    idx = first[:, None] + np.arange(int(np.max(last - first)) + 1)
-    # idx + 1 passes the last break only where idx >= last, which flips drops.
-    right_ends = np.take(c[3], idx + 1, mode="clip")
-    flips = (idx < last[:, None]) & (np.sign(right_ends) != sign_a[:, None])
-    j = np.where(flips.any(axis=1), first + np.argmax(flips, axis=1), last)
-    c0, c1, c2, c3 = c[:, j]
-    lo = np.maximum(a - x[j], 0.0)
-    hi = np.minimum(b - x[j], x[j + 1] - x[j])
-    t = 0.5 * (lo + hi)
-    last_step = hi - lo
+    lo, hi = a, b
+    t = 0.5 * (a + b)
+    last_step = b - a
     done = np.zeros(t.shape, dtype=bool)
     for _ in range(int(math.ceil(math.log2(SCAN_STEP / BISECT_TOL))) + 4):
-        p = ((c0 * t + c1) * t + c2) * t + c3
+        p = pieces(t)
         same = np.sign(p) == sign_a
         lo = np.where(same, t, lo)
         hi = np.where(same, hi, t)
         with np.errstate(all="ignore"):
-            step = p / ((3.0 * c0 * t + 2.0 * c1) * t + c2)
+            step = p / pieces(t, 1)
         newton = t - step
         use_newton = (newton > lo) & (newton < hi) & (2.0 * np.abs(step) < last_step)
-        t_next = np.where(use_newton, newton, 0.5 * (lo + hi))
-        t_next = np.where(done | (p == 0.0), t, t_next)
+        # Within the tolerance of the zero t is often a bracket end, and the
+        # proposed step then points out of the bracket: its size alone ends it.
+        done |= (p == 0.0) | (np.abs(step) < BISECT_TOL / 16.0)
+        t_next = np.where(done, t, np.where(use_newton, newton, 0.5 * (lo + hi)))
         last_step = np.abs(t_next - t)
         done |= last_step < BISECT_TOL / 16.0
         t = t_next
         if done.all():
             break
-    return x[j] + t
+    return t
 
 
 def find_zeros(f: SISFunction, interval: tuple) -> PointSet:
     """Locate the sign-change zeros of f on an interval.
 
-    Scans at SCAN_STEP, then refines each bracket on its cubic piece of f
-    to absolute tolerance BISECT_TOL, without evaluating f again.  Zeros are
-    simple sign changes, found from the signs of the scan values and
-    counted without multiplicity; grid local minima of |f| below TOUCH_TOL
-    times the grid peak without an adjacent sign change are flagged as
-    touch candidates instead of resolved.  Raises ValueError when the scan
-    grid would exceed MAX_SCAN_POINTS.
+    Scans at SCAN_STEP, then refines each bracket on f's pieces to absolute
+    tolerance BISECT_TOL.  Zeros are simple sign changes, found from the
+    signs of the scan values and counted without multiplicity; grid local
+    minima of |f| below TOUCH_TOL times the grid peak without an adjacent
+    sign change are flagged as touch candidates instead of resolved.
+    Raises ValueError when the scan grid would exceed MAX_SCAN_POINTS.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):

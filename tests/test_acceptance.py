@@ -47,11 +47,7 @@ def _lattice_points(beta, extent):
 
 
 def _shared_fn(params, offset, coeffs):
-    """A SISFunction over its generator's g and g' tables.
-
-    build_table returns one table per generator and process, so every
-    function of a criterion over one generator shares them.
-    """
+    """A SISFunction over its generator's g and g' tables."""
     return tp.SISFunction(params, tp.CoeffSeq(offset, tuple(coeffs)))
 
 
@@ -316,11 +312,9 @@ def test_sampling_ratio_band_recorded():
                f"ratio in [{min(ratios):.4f}, {max(ratios):.4f}] over 100 draws")
 
 
-def test_criterion_10_determinism(monkeypatch):
+def test_criterion_10_determinism():
     first4 = _cached("criterion4", build_zero_density_report)
     first7 = _cached("criterion7", build_experiment_reports)
-    # The reruns build every table from scratch.
-    monkeypatch.setattr(tp.generator, "_tables", {})
     second4 = build_zero_density_report()
     second7 = build_experiment_reports()
     ok4 = first4 == second4

@@ -25,6 +25,22 @@ def run(argv):
     return cli.main(argv)
 
 
+def run_in_768_mib(command, path):
+    """Run the CLI in a subprocess whose address space is capped at 768 MiB."""
+    resource = pytest.importorskip("resource")
+    limit = 768 << 20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "tpshift.cli", command,
+                           "--config", path, "--quiet"],
+                          env=env, preexec_fn=cap, capture_output=True, text=True,
+                          timeout=300)
+
+
 GAUSS = {"c0": 1.0, "gamma": math.pi**2, "deltas": []}
 RETRIEVE_PTS = (np.arange(-12, 16) / 3.0).tolist()
 RETRIEVE = {"generator": GAUSS,
@@ -251,25 +267,24 @@ class TestCommands:
         # 300 coefficients at r = 60 need 65536 contour samples: one
         # (samples x coefficients) complex array would be 300 MiB, more than
         # this address-space limit leaves after the imports.
-        resource = pytest.importorskip("resource")
         rng = np.random.default_rng(3)
         c = (rng.uniform(0.9, 1.1, 300) * (-1.0) ** np.arange(300)).tolist()
         path = write_config(tmp_path, "big.json",
                             {"generator": GAUSS,
                              "coeffs": {"offset": -150, "coeffs": c},
                              "radii": [60.0]})
-        limit = 768 << 20
-
-        def cap():
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-        proc = subprocess.run([sys.executable, "-m", "tpshift.cli", "jensen",
-                               "--config", path, "--quiet"],
-                              env=env, preexec_fn=cap, capture_output=True, text=True,
-                              timeout=300)
+        proc = run_in_768_mib("jensen", path)
         assert proc.returncode in (0, 3), proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_eval_many_coefficients_in_bounded_memory(self, tmp_path):
+        # 20,000 shifts sum to 800,000 piece coefficients, within the cap.
+        path = write_config(tmp_path, "big.json",
+                            {"generator": GAUSS,
+                             "coeffs": {"offset": 0, "coeffs": [1.0] * 20000},
+                             "x": [0.0]})
+        proc = run_in_768_mib("eval", path)
+        assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_jensen_ambiguous_order_exits_3(self, tmp_path, capsys):
@@ -304,7 +319,7 @@ class TestCommands:
                                             "window": [-1.0, 2000.0]},
                                  "magnitudes": [1.0] * 2000},
                       "support": [0, 1999], "max_changes": 3}),
-        ("eval", {"generator": GAUSS, "coeffs": {"offset": 0, "coeffs": [1.0] * 20000},
+        ("eval", {"generator": GAUSS, "coeffs": {"offset": 0, "coeffs": [1.0] * 60000},
                   "x": [0.0]}),
         ("retrieve", {"generator": GAUSS,
                       "sample": {"points": {"points": list(np.arange(1000.0)),
@@ -316,23 +331,12 @@ class TestCommands:
         # The first eval table and the experiment's check-grid design matrix
         # would need hundreds of millions of samples, the first retrieve
         # design matrix four million (and its sign search far more).  The
-        # 20,000-coefficient eval sums 2.5 million table pieces, and the
+        # 60,000-coefficient eval sums 2.4 million piece coefficients, and the
         # 1000-point retrieve fits its design matrix but its sign search
         # would keep 170 million level-transform entries.  The caps refuse them
         # before anything that large is allocated.
-        resource = pytest.importorskip("resource")
         path = write_config(tmp_path, "big.json", payload)
-        limit = 768 << 20
-
-        def cap():
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-        proc = subprocess.run([sys.executable, "-m", "tpshift.cli", command,
-                               "--config", path, "--quiet"],
-                              env=env, preexec_fn=cap, capture_output=True, text=True,
-                              timeout=300)
+        proc = run_in_768_mib(command, path)
         assert proc.returncode == 2, proc.stderr
         assert "samples" in proc.stderr
         assert "Traceback" not in proc.stderr

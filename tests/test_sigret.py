@@ -135,10 +135,15 @@ class TestSolveSigns:
             tp.solve_signs(gauss_params, sample, (0, 1), 2)
 
     def test_undersampling_raises_rank_error(self, gauss_params):
-        lam = tp.PointSet(points=tuple(np.linspace(-10, 10, 12)), window=(-10.0, 10.0))
-        sample = tp.MagnitudeSample(lam=lam, magnitudes=tuple(np.ones(12)))
-        with pytest.raises(RankDeficiencyError):
-            tp.solve_signs(gauss_params, sample, (-8, 8), 5)
+        sparse = tp.PointSet(points=tuple(np.linspace(-10, 10, 12)), window=(-10.0, 10.0))
+        # Samples far from the support: every design-matrix entry underflows.
+        far = tp.PointSet(points=tuple(np.arange(100.0, 109.0)), window=(99.0, 109.0))
+        cases = [(tp.MagnitudeSample(lam=sparse, magnitudes=tuple(np.ones(12))), (-8, 8)),
+                 (tp.MagnitudeSample(lam=far, magnitudes=(0.0,) * 9), (-4, 4))]
+        for sample, support in cases:
+            for solve in (tp.solve_signs, tp.brute_force_signs):
+                with pytest.raises(RankDeficiencyError):
+                    solve(gauss_params, sample, support, 5)
 
     def test_global_sign_quotient(self, gauss_params, fn_factory):
         rng = np.random.default_rng(17)

@@ -22,15 +22,15 @@ def per_shift_sum(f, x, deriv=False):
 
 def slice_add_shift_sum(table, first, weights):
     """Reference piece sum: weight k times the table pieces shifted by k*N, added."""
-    n_per = table.steps_per_unit
-    pieces = table._spline.c
+    n_per = table.cells_per_unit
+    pieces = table.pieces.c
     width = pieces.shape[1]
     n_pieces = (len(weights) - 1) * n_per + width
     coef = np.zeros((pieces.shape[0], n_pieces))
     for k, w in enumerate(weights):
         if w != 0.0:
             coef[:, k * n_per:k * n_per + width] += w * pieces
-    start = first * n_per - (len(table.values) - 1) // 2
+    start = first * n_per - width // 2
     return coef, (start + np.arange(n_pieces + 1)) / n_per
 
 
@@ -140,7 +140,7 @@ class TestSplineOfF:
         f = tp.SISFunction(params, tp.CoeffSeq(-5, tuple(c)))
         tol = 1e-12 * np.sum(np.abs(c))
         lo, hi = f._pieces.x[[0, -1]]
-        step = f.table.grid_step
+        step = 1.0 / f.table.cells_per_unit
         inside = np.linspace(-7.0, 8.0, 1501)
         edges = np.array([lo, lo + 0.3 * step, hi - 0.3 * step, hi])
         outside = np.array([lo - 0.3 * step, lo - 1.0, hi + 0.3 * step, hi + 1.0, 1e6])
@@ -150,6 +150,23 @@ class TestSplineOfF:
         assert np.all(tp.eval_f(f, outside) == 0.0)
         assert np.all(tp.eval_deriv(f, outside) == 0.0)
         assert tp.eval_f(f, 0.37) == pytest.approx(per_shift_sum(f, 0.37), abs=tol)
+
+    @pytest.mark.parametrize("gamma,deltas",
+                             [(gamma, DELTAS_BY_M[m])
+                              for gamma in (GAUSS_RATE_ONE, 1.0, 0.1, 100.0) for m in range(4)]
+                             + [(GAUSS_RATE_ONE, (-45.0,))])
+    def test_matches_closed_form_sum(self, gamma, deltas):
+        # The evaluation contract: error at most 5e-12 * amplitude * sum|c_k|.
+        params = tp.GeneratorParams(1.0, gamma, deltas)
+        rng = np.random.default_rng(300 + len(deltas))
+        c = rng.standard_normal(12)
+        f = tp.SISFunction(params, tp.CoeffSeq(-5, tuple(c)))
+        xs = np.concatenate([np.linspace(*f.support_window(), 4001), rng.uniform(-8, 8, 2000)])
+        shifted = xs[:, None] - f.coeffs.support_indices()
+        tol = 5e-12 * params.time_amplitude * np.sum(np.abs(c))
+        for evaluate, exact in ((tp.eval_f, tp.time_eval),
+                                (tp.eval_deriv, tp.generator.time_deriv_eval)):
+            assert np.max(np.abs(evaluate(f, xs) - exact(params, shifted) @ c)) <= tol
 
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
     @pytest.mark.parametrize("gamma", [GAUSS_RATE_ONE, 1.0, 0.1])
@@ -162,10 +179,12 @@ class TestSplineOfF:
         gap = int(2 * tp.table_half_width(params)) + 2
         cases = [(3, (1.7,)), (-6, tuple(interior)), (-4, (1.0,) + (0.0,) * gap + (-0.5,))]
         tables = [tp.build_table(params), tp.build_table(params, deriv=True),
-                  # 6N pieces, a whole number of blocks
-                  tp.TimeDomainTable(params, False, 125, rng.standard_normal(6 * 125 + 1))]
+                  # 6N and 5.5N pieces: a whole number of blocks, and a padded last block
+                  *(tp.TimeDomainTable(params, False, 4, PPoly(rng.standard_normal((10, 2 * h)),
+                                                               np.arange(-h, h + 1) / 4.0))
+                    for h in (12, 11))]
         for table in tables:
-            pieces = table._spline.c
+            pieces = table.pieces.c
             for first, weights in cases:
                 got = table.shift_sum(first, weights)
                 coef, breaks = slice_add_shift_sum(table, first, weights)
@@ -173,23 +192,23 @@ class TestSplineOfF:
                 assert np.array_equal(got.c == 0.0, coef == 0.0)
                 tol = 1e-14 * np.sum(np.abs(weights)) * np.max(np.abs(pieces))
                 assert np.max(np.abs(got.c - coef)) <= tol
-        assert tables[0]._spline.c.shape[1] % tables[0].steps_per_unit != 0
-        assert tables[0].steps_per_unit > 125 or gamma == GAUSS_RATE_ONE
+        assert tables[0].cells_per_unit > 4 or gamma == GAUSS_RATE_ONE
 
     def test_sharp_generator_gets_finer_unit_fraction_step(self):
         f = tp.SISFunction(tp.GeneratorParams(1.0, 1.0), tp.CoeffSeq(0, (1.0,)))
-        assert f.table.steps_per_unit == math.ceil(125.0 * math.pi)
-        assert f.table.grid_step == 1.0 / f.table.steps_per_unit
+        assert f.table.cells_per_unit == 4 * math.ceil(math.pi)
+        assert np.allclose(np.diff(f.table.pieces.x), 1.0 / f.table.cells_per_unit)
 
     def test_table_extent_depends_on_generator_only(self, m1_params):
         small = tp.SISFunction(m1_params, tp.CoeffSeq(-1, (1.0, -0.5, 0.8)))
         large = tp.SISFunction(m1_params, tp.CoeffSeq(-150, (1.0,) * 300))
-        assert len(small.table.values) == len(large.table.values)
-        assert len(small.deriv_table.values) == len(large.deriv_table.values)
-        half = (len(large.table.values) - 1) // 2 * large.table.grid_step
+        assert small.table.pieces.c.shape == large.table.pieces.c.shape
+        assert small.deriv_table.pieces.c.shape == large.deriv_table.pieces.c.shape
+        half = large.table.pieces.x[-1]
+        assert large.table.pieces.x[0] == -half
         radius = tp.decay_radius(m1_params, tp.generator.EVAL_TAIL_TOL
                                  * m1_params.time_amplitude) + 1.0
-        assert radius <= half < radius + large.table.grid_step
+        assert radius <= half < radius + 1.0 / large.table.cells_per_unit
         assert half == pytest.approx(tp.table_half_width(m1_params), abs=1e-12)
 
     @pytest.mark.parametrize("m,gamma", [(1, GAUSS_RATE_ONE), (2, GAUSS_RATE_ONE),
@@ -275,15 +294,6 @@ class TestRolleOp:
         xs = np.linspace(-7, 7, 400)
         rhs = tp.eval_f(f, xs) + m2_params.deltas[-1] * tp.eval_deriv(f, xs)
         assert np.max(np.abs(tp.eval_f(f1, xs) - rhs)) < 1e-7
-
-    def test_images_share_the_reduced_generators_tables(self, m2_params, fn_factory):
-        f = fn_factory(m2_params, -4, (1.0, -0.5, 0.8))
-        g = fn_factory(m2_params, 7, (0.3,))
-        f1, g1 = (tp.apply_rolle_op(h, m2_params.deltas[-1]) for h in (f, g))
-        assert f1.table is g1.table is tp.build_table(f1.params)
-        assert tp.eval_deriv(f1, 0.5) != 0.0
-        assert f1.deriv_table is g1.deriv_table is tp.build_table(f1.params, deriv=True)
-        assert f1.table is not f1.deriv_table
 
     def test_rejects_wrong_delta(self, m1_params, fn_factory):
         f = fn_factory(m1_params, 0, (1.0,))
