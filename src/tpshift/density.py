@@ -29,8 +29,10 @@ from .sispace import PointSet
 PROFILE_KINDS = ("beurling_lower", "circ_direct", "circ_lattice")
 # Largest lattice enumeration; larger radii are refused before allocating.
 MAX_PAIR_MODULI = 20_000_000
-# Largest radius: the profiles divide by pi r^2, which stays a finite double.
+# Radius range: the profiles divide by pi r^2, and both pi r^2 and 1/(pi r^2)
+# stay finite, nonzero doubles between these ends.
 MAX_RADIUS = math.sqrt(sys.float_info.max / math.pi)
+MIN_RADIUS = 1.0 / MAX_RADIUS
 
 
 @dataclass(frozen=True)
@@ -52,8 +54,8 @@ class DensityProfile:
             raise ValueError("radii and values must have equal length")
         if any(r <= 0 for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
             raise ValueError("radii must be positive and strictly increasing")
-        if any(v < -1e-15 for v in values):
-            raise ValueError("density values must be nonnegative")
+        if not all(-1e-15 <= v < math.inf for v in values):
+            raise ValueError("density values must be finite and nonnegative")
 
     @property
     def extrapolated(self) -> float:
@@ -70,10 +72,10 @@ class DensityProfile:
 
 def _validate_radii(radii) -> np.ndarray:
     arr = np.asarray(list(radii), dtype=float)
-    if arr.size == 0 or not np.all((arr > 0) & (arr <= MAX_RADIUS)) \
+    if arr.size == 0 or not np.all((arr >= MIN_RADIUS) & (arr <= MAX_RADIUS)) \
             or np.any(np.diff(arr) <= 0):
         raise ValueError("radii must be a nonempty increasing list of reals in "
-                         f"(0, {MAX_RADIUS:.3g}]")
+                         f"[{MIN_RADIUS:.3g}, {MAX_RADIUS:.3g}]")
     return arr
 
 
@@ -166,7 +168,7 @@ def pair_moduli(points: PointSet, alpha: float, r_max: float) -> np.ndarray:
     flat_lam = np.repeat(lam, kmax + 1)
     offsets = np.repeat(np.cumsum(kmax + 1) - (kmax + 1), kmax + 1)
     flat_k = np.arange(flat_lam.size, dtype=np.int64) - offsets
-    mods = np.sqrt(flat_lam**2 + (alpha * flat_k) ** 2)
+    mods = np.hypot(flat_lam, alpha * flat_k)
     mods = np.concatenate([mods, mods[flat_k > 0]])
     mods.sort()
     return mods
@@ -187,9 +189,10 @@ def circ_density_lattice(points: PointSet, alpha: float, radii) -> DensityProfil
     mods = pair_moduli(points, alpha, float(rs[-1]))
     prefix = np.concatenate([[0.0], np.cumsum(np.log(mods))]) if mods.size else np.zeros(1)
     values = []
-    for r in rs:
+    # In Python floats, where an overflow gives inf, which DensityProfile refuses.
+    for r in rs.tolist():
         j = int(np.searchsorted(mods, r, side="left"))
-        integral = j * math.log(r) - prefix[j]
+        integral = j * math.log(r) - float(prefix[j])
         values.append(2.0 * alpha / (math.pi * r * r) * integral)
     return DensityProfile("circ_lattice", tuple(rs), tuple(values))
 

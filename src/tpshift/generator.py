@@ -215,7 +215,7 @@ def log_envelope(params: GeneratorParams, x: float) -> float:
     cap = 0.999 * min((1.0 / (side * d) for d in params.deltas if side * d > 0),
                       default=math.inf)
     thetas = side * min(2.0 * a * abs(x), cap) * np.linspace(0.0, 1.0, 65)
-    vals = math.log(params.time_amplitude) + thetas**2 / (4.0 * a) - thetas * x
+    vals = math.log(params.time_amplitude) + thetas * (thetas / (4.0 * a) - x)
     for d in params.deltas:
         vals = vals - np.log1p(-thetas * d)
     return float(np.min(vals))

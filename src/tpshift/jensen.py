@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import eval_hermite
 
-from .density import circ_density_direct, pair_moduli
+from .density import MAX_RADIUS, MIN_RADIUS, circ_density_direct, pair_moduli
 from .errors import ChainViolationError, OrderDetectionError, PhaseTrackingError, \
     QuadratureError
 # eval_f is unused, but the benchmark self-test checks tracing restores it here.
@@ -504,8 +504,8 @@ def verify_base_case(ctx: JensenContext, radii) -> BaseCaseReport:
     at its radius (samples).
     """
     rs = [float(r) for r in radii]
-    if not rs or any(r <= 0 for r in rs):
-        raise ValueError("radii must be positive")
+    if not rs or not all(MIN_RADIUS <= r <= MAX_RADIUS for r in rs):
+        raise ValueError(f"radii must lie in [{MIN_RADIUS:.3g}, {MAX_RADIUS:.3g}]")
     a = ctx.gauss_rate
     log_c = ctx.log_c
     lam = ctx.real_zeros

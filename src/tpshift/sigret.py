@@ -270,10 +270,6 @@ def fit_coeffs(params: GeneratorParams, lam: PointSet, signed_values, support):
     return CoeffSeq(_support_size(support)[0], tuple(c)), rms
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 @cache
 def _level_children(orders: tuple) -> tuple:
     """The children of a level whose slots have these branch orders.
@@ -320,12 +316,12 @@ def _pattern_search(fitter: _PatternFitter, mags: np.ndarray, branch_at: np.ndar
     never decreases, so (up to rounding in the batched products) the scored
     patterns and their order are those of a recursive per-sample
     depth-first walk, which picks the first minimum in depth-first order;
-    `nodes` counts evaluated children and differs from the walk's.  Leaf
-    signs are read back through per-level parent arrays and (nodes, b)
-    sign blocks.  Raises _BudgetExceeded once more than `budget` complete
+    `nodes` counts evaluated children and differs from the walk's.  Each
+    block carries its live nodes' signs so far, one int8 row per node, and
+    leaves read theirs directly.  Returns once more than `budget` complete
     patterns are scored.
     """
-    n, m = fitter.n, fitter.m
+    m = fitter.m
     bounds = fitter.bounds
     orders = [((True, False) if first else (False, True)) if free else (False,)
               for free, first in zip(branch_at, flip_first)]
@@ -336,42 +332,32 @@ def _pattern_search(fitter: _PatternFitter, mags: np.ndarray, branch_at: np.ndar
                          for lo, hi in zip(bounds[1:], bounds[2:])]
     last = len(bounds) - 2
     bound = min(state["sse"] + prune_eps, accept_sse)
-    # parents[l][i] and signs_at[l][i]: index at level l - 1 of the parent of
-    # node i at level l, and that node's signs of the level's samples.  A
-    # block pushed at level l is popped before any block of a lower level,
-    # so level l's arrays are not rewritten while a block refers to them.
-    parents = [np.zeros(1, dtype=np.int32)] * (last + 1)
-    signs_at = [np.ones((1, 1), dtype=np.int8)] * (last + 1)
     root = tails[0][0]
-    # Blocks: (level, node indices at that level, w rows, prefix SSE, changes).
-    stack = [(0, np.zeros(1, dtype=np.int32), root[None, :m], np.array([root[m] ** 2]),
+    # Blocks: (level, signs so far, w rows, prefix SSE, changes).
+    stack = [(0, np.ones((1, 1), dtype=np.int8), root[None, :m], np.array([root[m] ** 2]),
               np.zeros(1, dtype=int))]
     while stack:
-        level, idx, w, sse, changes = stack.pop()
+        level, signs, w, sse, changes = stack.pop()
         live = sse <= bound
         if not live.all():
-            idx, w, sse, changes = idx[live], w[live], sse[live], changes[live]
+            signs, w, sse, changes = signs[live], w[live], sse[live], changes[live]
         if level == last:
-            leaf_signs = np.empty((idx.size, n))
-            for d in range(last, -1, -1):
-                leaf_signs[:, bounds[d]:bounds[d + 1]] = signs_at[d][idx]
-                idx = parents[d][idx]
-            for signs, prefix in zip(leaf_signs, sse):
+            for leaf, prefix in zip(signs, sse):
                 if prefix > bound:
                     continue
-                score = fitter.sse_full(signs * mags)
+                score = fitter.sse_full(leaf * mags)
                 state["patterns"] += 1
                 if score < state["sse"]:
                     state["sse"] = score
-                    state["signs"] = signs
+                    state["signs"] = leaf
                     bound = min(score + prune_eps, accept_sse)
                 if state["patterns"] > budget:
-                    raise _BudgetExceeded()
+                    return
             continue
         q = level + 1
         relative, flips = children[q]
         combos = relative @ tails[q]
-        sign = signs_at[level][idx, -1]
+        sign = signs[:, -1]
         shared = w @ heads[q]
         # Built in place: at 256 nodes of 64 children this (L, C, b) array is
         # the search's largest.
@@ -381,15 +367,13 @@ def _pattern_search(fitter: _PatternFitter, mags: np.ndarray, branch_at: np.ndar
         allowed = changes[:, None] + flips <= max_changes
         state["nodes"] += int(np.count_nonzero(allowed))
         rows, cols = np.nonzero(allowed & (child_sse <= bound))
-        parents[q] = idx[rows]
-        signs_at[q] = sign[rows, None] * relative[cols]
-        idx = np.arange(rows.size, dtype=np.int32)
+        signs = np.concatenate([signs[rows], sign[rows, None] * relative[cols]], axis=1)
         w = shared[rows, :m] + sign[rows, None] * combos[cols, :m]
         sse = child_sse[rows, cols]
         changes = changes[rows] + flips[cols]
         for lo in reversed(range(0, rows.size, FRONTIER_CAP)):
             block = slice(lo, lo + FRONTIER_CAP)
-            stack.append((q, idx[block], w[block], sse[block], changes[block]))
+            stack.append((q, signs[block], w[block], sse[block], changes[block]))
 
 
 def _dip_scores(mags: np.ndarray) -> np.ndarray:
@@ -472,16 +456,13 @@ def solve_signs(params: GeneratorParams, sample: MagnitudeSample, support,
     def accepted() -> bool:
         return state["signs"] is not None and state["sse"] < accept_sse
 
-    second_pass = False
-    try:
-        _pattern_search(fitter, mags, candidates, flip_first, max_changes,
-                        accept_sse, prune_eps, PATTERN_BUDGET, state)
-        if not accepted() and not candidates.all():
-            second_pass = True
-            _pattern_search(fitter, mags, np.ones(n_slots, dtype=bool), flip_first,
-                            max_changes, accept_sse, prune_eps, PATTERN_BUDGET, state)
-    except _BudgetExceeded:
-        pass
+    _pattern_search(fitter, mags, candidates, flip_first, max_changes,
+                    accept_sse, prune_eps, PATTERN_BUDGET, state)
+    second_pass = (not accepted() and not candidates.all()
+                   and state["patterns"] <= PATTERN_BUDGET)
+    if second_pass:
+        _pattern_search(fitter, mags, np.ones(n_slots, dtype=bool), flip_first,
+                        max_changes, accept_sse, prune_eps, PATTERN_BUDGET, state)
 
     if not accepted():
         best_rms = math.sqrt(state["sse"] / n) if state["signs"] is not None else math.inf

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +125,15 @@ class TestValidation:
         ("retrieve", dict(RETRIEVE, sample=dict(
             RETRIEVE["sample"], magnitudes=[1e300] + RETRIEVE["sample"]["magnitudes"][1:]))),
         ("experiment", dict(BASE_CONFIGS["experiment"], generator=dict(GAUSS, c0=1e300))),
+        # Radii so small that pi r^2 or 1/(pi r^2) leaves the doubles, and a
+        # lattice profile whose value at the smallest radius does.
+        ("jensen", dict(BASE_CONFIGS["jensen"], radii=[1e-300])),
+        ("jensen", dict(BASE_CONFIGS["jensen"], radii=[1e-160])),
+        ("density", dict(BASE_CONFIGS["density"], radii=[1e-160])),
+        ("lemma1", dict(BASE_CONFIGS["lemma1"], radii=[1e-160])),
+        ("density", dict(BASE_CONFIGS["density"], radii=[1e-320])),
+        ("density", {"points": {"points": [1e-200, 1.0], "window": [-3.0, 3.0]},
+                     "radii": [1.4e-154]}),
     ])
     def test_malformed_shapes_and_nonfinite_values_exit_2(self, tmp_path, capsys, command,
                                                           config):
@@ -173,6 +183,15 @@ class TestCommands:
         assert report["command"] == "gen"
         assert report["result"]["time_values"][0] == pytest.approx(1 / math.sqrt(math.pi))
         assert "config_hash" in report and "version" in report
+
+    def test_gen_tiny_gamma_runs_without_warning(self, tmp_path):
+        path = write_config(tmp_path, "gen.json",
+                            dict(BASE_CONFIGS["gen"], generator=dict(GAUSS, gamma=1e-300)))
+        out = tmp_path / "gen.out.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["gen", "--config", path, "--out", str(out), "--quiet"]) == 0
+        assert "NaN" not in out.read_text() and "Infinity" not in out.read_text()
 
     def test_density_csv(self, tmp_path):
         pts = list(np.arange(-200.0, 201.0))
@@ -463,13 +482,14 @@ class TestExitCodeMapping:
 
 
 # Besides small values, the fuzz draws integers at the int64 edges, 1e18 and
-# 1e300, which every size and range check must refuse or handle without an
-# overflow; it does not ask how much work an extreme but valid size (a tiny
+# 1e300, and the tiny 1e-300 and 5e-324 (the smallest subnormal), which every
+# size and range check must refuse or handle without an overflow or
+# underflow; it does not ask how much work an extreme but valid size (a tiny
 # gamma, a huge interval) takes.
 _NUMBERS = st.one_of(st.integers(-3, 8),
                      st.sampled_from([0.0, -1.5, 0.5, 2.5, 7.0, math.nan, math.inf,
                                       -math.inf, 2**63, -2**63, 2**63 - 1, 1e18,
-                                      -1e18, 1e300, -1e300]))
+                                      -1e18, 1e300, -1e300, 1e-300, 5e-324]))
 _SCALARS = st.one_of(st.none(), st.booleans(), _NUMBERS, st.text(max_size=2))
 _VALUES = st.recursive(
     _SCALARS, lambda kids: st.one_of(st.lists(kids, max_size=3),

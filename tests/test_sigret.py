@@ -261,7 +261,12 @@ def _row_updates(a):
 def _recursive_search(fitter, mags, branch_at, flip_first, max_changes, accept_sse,
                       prune_eps, budget, state):
     """Reference: a recursive depth-first walk that decides one sample at a
-    time, pruning after every sample with per-row transforms."""
+    time, pruning after every sample with per-row transforms.  Returns once
+    more than `budget` complete patterns are scored."""
+
+    class Stop(Exception):
+        pass
+
     n, m = fitter.n, fitter.m
     n_slots = n - 1
     signs = [1.0] * n
@@ -281,7 +286,7 @@ def _recursive_search(fitter, mags, branch_at, flip_first, max_changes, accept_s
             state["signs"] = np.array(signs)
             bound = min(sse + prune_eps, accept_sse)
         if state["patterns"] > budget:
-            raise sigret._BudgetExceeded()
+            raise Stop()
 
     def walk(j, changes, w, sse):
         if j == n_slots:
@@ -301,7 +306,10 @@ def _recursive_search(fitter, mags, branch_at, flip_first, max_changes, accept_s
                 walk(p, changes + do_flip, we[:m], child)
 
     root = tails[0]
-    walk(0, 0, root[:m], float(root[m]) ** 2)
+    try:
+        walk(0, 0, root[:m], float(root[m]) ** 2)
+    except Stop:
+        pass
 
 
 def _criterion7_instances(support, window, max_changes):
