@@ -19,20 +19,15 @@ values with the largest radius as the working estimate.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sispace import PointSet
+from .sispace import MAX_RADIUS, MIN_RADIUS, PointSet, _radius  # noqa: F401
 
 PROFILE_KINDS = ("beurling_lower", "circ_direct", "circ_lattice")
 # Largest lattice enumeration; larger radii are refused before allocating.
 MAX_PAIR_MODULI = 20_000_000
-# Radius range: the profiles divide by pi r^2, and both pi r^2 and 1/(pi r^2)
-# stay finite, nonzero doubles between these ends.
-MAX_RADIUS = math.sqrt(sys.float_info.max / math.pi)
-MIN_RADIUS = 1.0 / MAX_RADIUS
 
 
 @dataclass(frozen=True)
@@ -46,21 +41,19 @@ class DensityProfile:
     def __post_init__(self):
         if self.kind not in PROFILE_KINDS:
             raise ValueError(f"kind must be one of {PROFILE_KINDS}, got {self.kind!r}")
-        radii = tuple(float(r) for r in self.radii)
+        radii = tuple(_validate_radii(self.radii).tolist())
         values = tuple(float(v) for v in self.values)
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "values", values)
         if len(radii) != len(values):
             raise ValueError("radii and values must have equal length")
-        if any(r <= 0 for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
-            raise ValueError("radii must be positive and strictly increasing")
         if not all(-1e-15 <= v < math.inf for v in values):
             raise ValueError("density values must be finite and nonnegative")
 
     @property
     def extrapolated(self) -> float:
-        """The working estimate: the value at the largest radius (0.0 if none)."""
-        return self.values[-1] if self.values else 0.0
+        """The working estimate: the value at the largest radius."""
+        return self.values[-1]
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "radii": list(self.radii),
@@ -71,11 +64,9 @@ class DensityProfile:
 
 
 def _validate_radii(radii) -> np.ndarray:
-    arr = np.asarray(list(radii), dtype=float)
-    if arr.size == 0 or not np.all((arr >= MIN_RADIUS) & (arr <= MAX_RADIUS)) \
-            or np.any(np.diff(arr) <= 0):
-        raise ValueError("radii must be a nonempty increasing list of reals in "
-                         f"[{MIN_RADIUS:.3g}, {MAX_RADIUS:.3g}]")
+    arr = np.array([_radius(r, "radii") for r in radii])
+    if arr.size == 0 or np.any(np.diff(arr) <= 0):
+        raise ValueError("radii must be a nonempty, strictly increasing list")
     return arr
 
 
@@ -115,11 +106,9 @@ def circ_inner_integral(lambda_abs: float, r: float) -> float:
     sqrt(t^2 - x^2)/t evaluated between t = |x| and t = r.
     """
     lam = float(lambda_abs)
-    r = float(r)
     if not lam >= 0:
         raise ValueError("lambda_abs must be nonnegative")
-    if not r > 0:
-        raise ValueError("r must be positive")
+    r = _radius(r, "r")
     return float(_inner_vec(np.array([lam]), r)[0])
 
 
@@ -153,6 +142,7 @@ def pair_moduli(points: PointSet, alpha: float, r_max: float) -> np.ndarray:
     carry no weight for any caller.  Raises ValueError before allocating more
     than MAX_PAIR_MODULI moduli.
     """
+    alpha, r_max = _radius(alpha, "alpha"), _radius(r_max, "r_max")
     lam = points.as_array()
     lam = np.abs(lam[lam != 0.0])
     lam = lam[lam < r_max]
@@ -160,8 +150,9 @@ def pair_moduli(points: PointSet, alpha: float, r_max: float) -> np.ndarray:
         return np.empty(0)
     s = np.sqrt(r_max * r_max - lam * lam)
     kmax = np.floor(s / alpha)
-    # k = 0 contributes once, each k >= 1 twice.
-    if not np.sum(2.0 * kmax + 1.0) <= MAX_PAIR_MODULI:
+    # k = 0 contributes once, each k >= 1 twice.  The max goes first: at the
+    # radius domain's ends the sum of the terms overflows.
+    if not (kmax.max() <= MAX_PAIR_MODULI and np.sum(2.0 * kmax + 1.0) <= MAX_PAIR_MODULI):
         raise ValueError(f"lattice at step {alpha} up to radius {r_max} has more "
                          f"than {MAX_PAIR_MODULI} moduli")
     kmax = kmax.astype(np.int64)
@@ -182,9 +173,7 @@ def circ_density_lattice(points: PointSet, alpha: float, radii) -> DensityProfil
     so the integral telescopes to sum over moduli m < r of log(r/m), which is
     evaluated exactly from the sorted moduli and prefix sums of their logs.
     """
-    alpha = float(alpha)
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    alpha = _radius(alpha, "alpha")
     rs = _validate_radii(radii)
     mods = pair_moduli(points, alpha, float(rs[-1]))
     prefix = np.concatenate([[0.0], np.cumsum(np.log(mods))]) if mods.size else np.zeros(1)
@@ -192,7 +181,8 @@ def circ_density_lattice(points: PointSet, alpha: float, radii) -> DensityProfil
     # In Python floats, where an overflow gives inf, which DensityProfile refuses.
     for r in rs.tolist():
         j = int(np.searchsorted(mods, r, side="left"))
-        integral = j * math.log(r) - float(prefix[j])
+        # No modulus below r: 0, where j * log(r) would be -0.0 for r < 1.
+        integral = j * math.log(r) - float(prefix[j]) if j else 0.0
         values.append(2.0 * alpha / (math.pi * r * r) * integral)
     return DensityProfile("circ_lattice", tuple(rs), tuple(values))
 
@@ -236,7 +226,7 @@ def check_lemma1(points: PointSet, alphas, radii) -> RelationReport:
     gap shrinks like O(1/r)), and direct - beurling, which should be
     nonnegative up to finite-size slack 2/r * (1 + max alpha).
     """
-    alphas = [float(a) for a in alphas]
+    alphas = [_radius(a, "alphas") for a in alphas]
     if not alphas:
         raise ValueError("alphas must be nonempty")
     rs = _validate_radii(radii)

@@ -78,6 +78,11 @@ class GeneratorParams:
                 raise ValueError(f"every delta must be nonzero and finite, got {self.deltas}")
         if len(set(self.deltas)) < len(self.deltas):
             raise ValueError(f"deltas must be distinct, got {self.deltas}")
+        # Each on its own: at gamma 1e-300 both scales are finite, their product is not.
+        scales = [self.gauss_rate, self.time_amplitude] + [1.0 / d for d in self.deltas]
+        if not all(math.isfinite(v) for v in scales):
+            raise ValueError(f"gauss_rate, time_amplitude or a 1/delta of {self} "
+                             "is not a finite double")
         weight_sum = sum(abs(w) for w in _partial_fraction_weights(self.deltas))
         if not weight_sum <= MAX_WEIGHT_SUM:
             raise ValueError(
@@ -222,18 +227,26 @@ def log_envelope(params: GeneratorParams, x: float) -> float:
 
 
 def decay_radius(params: GeneratorParams, tol: float) -> float:
-    """Smallest radius beyond which g's two-sided envelope stays below tol."""
+    """Smallest radius beyond which g's two-sided envelope stays below tol.
+
+    0 when the envelope's peak, the amplitude, is not above tol.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
 
     def above(r):
         return max(log_envelope(params, r), log_envelope(params, -r)) > math.log(tol)
 
+    if not above(0.0):
+        return 0.0
     d = 1.0
     while above(d):
         d *= 2.0
         if d > 1e6:
             raise ValueError(f"envelope never drops below {tol}")
+    # above(0) holds, so the halving stops at some d > 0.
+    while not above(d / 2.0):
+        d /= 2.0
     lo, hi = d / 2.0, d
     for _ in range(60):
         mid = 0.5 * (lo + hi)

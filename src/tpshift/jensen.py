@@ -32,11 +32,11 @@ from functools import cached_property
 import numpy as np
 from scipy.special import eval_hermite
 
-from .density import MAX_RADIUS, MIN_RADIUS, circ_density_direct, pair_moduli
+from .density import circ_density_direct, pair_moduli
 from .errors import ChainViolationError, OrderDetectionError, PhaseTrackingError, \
     QuadratureError
 # eval_f is unused, but the benchmark self-test checks tracing restores it here.
-from .sispace import PointSet, SISFunction, eval_f, find_zeros
+from .sispace import PointSet, SISFunction, _radius, eval_f, find_zeros
 
 # Order detection: smallest derivative order at 0 clearly above noise.
 ORDER_DETECT_TOL = 1e-8
@@ -343,9 +343,7 @@ def count_zeros_disk(ctx: JensenContext, t: float) -> DiskZeroCount:
     over the lattice count is reported separately (the zero set contains the
     lattice extension but equality is not promised).
     """
-    t = float(t)
-    if not t > 0:
-        raise ValueError("t must be positive")
+    t = _radius(t, "t")
     mods = pair_moduli(ctx.real_zeros, ctx.lattice_step, t + 2.0 * CIRCLE_CLEARANCE)
     return _count_zeros_disk(ctx, mods, t)
 
@@ -374,9 +372,7 @@ def jensen_lhs(ctx: JensenContext, r: float) -> float:
     the integral telescopes exactly to sum over moduli m <= r of log(r/m):
     (a/2) times circ_density_lattice(real_zeros, pi/a, [r]).
     """
-    r = float(r)
-    if not r > 0:
-        raise ValueError("r must be positive")
+    r = _radius(r, "r")
     return _jensen_lhs(pair_moduli(ctx.real_zeros, ctx.lattice_step, r), r)
 
 
@@ -405,7 +401,7 @@ def jensen_rhs(ctx: JensenContext, r: float) -> float:
     signals a zero on or near the contour and the caller is expected to
     perturb r.
     """
-    r = float(r)
+    r = _radius(r, "r")
     prev = None
     nt = 64
     while nt <= (1 << 18):
@@ -443,6 +439,7 @@ def fit_growth_constant(ctx: JensenContext, radius: float, grid_step: float = 0.
 def safe_radius(ctx: JensenContext, r: float) -> float:
     """Deterministically nudge r upward to the radius in [r, r+SAFE_SPAN] farthest
     from every lattice-zero modulus (never closer than CIRCLE_CLEARANCE)."""
+    r = _radius(r, "r")
     mods = pair_moduli(ctx.real_zeros, ctx.lattice_step, r + SAFE_SPAN + 1.0)
     return _safe_radius(mods, r)
 
@@ -503,9 +500,9 @@ def verify_base_case(ctx: JensenContext, radii) -> BaseCaseReport:
     diagnostic values.  Each row records the finest contour grid evaluated
     at its radius (samples).
     """
-    rs = [float(r) for r in radii]
-    if not rs or not all(MIN_RADIUS <= r <= MAX_RADIUS for r in rs):
-        raise ValueError(f"radii must lie in [{MIN_RADIUS:.3g}, {MAX_RADIUS:.3g}]")
+    rs = [_radius(r, "radii") for r in radii]
+    if not rs:
+        raise ValueError("radii must be nonempty")
     a = ctx.gauss_rate
     log_c = ctx.log_c
     lam = ctx.real_zeros

@@ -34,7 +34,8 @@ from scipy.linalg.lapack import dgeqrf, dorgqr
 
 from .errors import RankDeficiencyError, SearchBudgetError
 from .generator import MAX_TABLE_POINTS, GeneratorParams, time_eval
-from .sispace import MAX_SCAN_POINTS, CoeffSeq, PointSet, SISFunction, _int_value, eval_f
+from .sispace import (MAX_OFFSET, MAX_SCAN_POINTS, CoeffSeq, PointSet, SISFunction,
+                      _int_value, eval_f)
 
 # Acceptance: a pattern fits when its RMS residual drops below this times the
 # peak magnitude.
@@ -136,10 +137,14 @@ class RetrievalResult:
 
 
 def _support_size(support) -> tuple:
-    """(first index, number of coefficients) of a support range [klo, khi]."""
+    """(first index, number of coefficients) of a support range [klo, khi].
+
+    Both ends lie within MAX_OFFSET of 0, as a coefficient offset does.
+    """
     k_lo, k_hi = int(support[0]), int(support[1])
-    if k_hi < k_lo:
-        raise ValueError(f"empty support range {support}")
+    if not -MAX_OFFSET <= k_lo <= k_hi <= MAX_OFFSET:
+        raise ValueError(f"support range {support} must be nonempty within "
+                         f"[{-MAX_OFFSET}, {MAX_OFFSET}]")
     return k_lo, k_hi - k_lo + 1
 
 
@@ -533,8 +538,8 @@ class ExperimentConfig:
         object.__setattr__(self, "densities", dens)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "window", window)
-        if any(d <= 0 for d in dens):
-            raise ValueError("densities must be positive")
+        if not all(d > 0 and math.isfinite(1.0 / d) for d in dens):
+            raise ValueError("densities must be positive with a finite spacing 1/d")
         if self.trials < 0:
             raise ValueError("trials must be nonnegative")
         if not self.trials * len(dens) <= MAX_TOTAL_TRIALS:
@@ -543,8 +548,7 @@ class ExperimentConfig:
             raise ValueError("max_changes must be nonnegative")
         if self.window[1] <= self.window[0]:
             raise ValueError("window must be nondegenerate")
-        if self.support[1] < self.support[0]:
-            raise ValueError("support range must be nonempty")
+        _support_size(support)
         if self.noise < 0 or self.pair_offset < 0:
             raise ValueError("noise and pair_offset must be nonnegative")
         width = self.window[1] - self.window[0]

@@ -10,6 +10,7 @@ that relate f to its image under that operator.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,6 +31,20 @@ TOUCH_TOL = 1e-9
 MAX_SCAN_POINTS = 2_000_000
 # Largest |offset|: piece indices k*N stay inside int64 for every cell width 1/N.
 MAX_OFFSET = 2**31
+# Range of every radius, chord radius t and lattice step alpha: the density
+# profiles divide by pi r^2, and both pi r^2 and 1/(pi r^2) stay finite,
+# nonzero doubles between these ends.
+MAX_RADIUS = math.sqrt(sys.float_info.max / math.pi)
+MIN_RADIUS = 1.0 / MAX_RADIUS
+
+
+def _radius(value, name: str) -> float:
+    """value as a float in [MIN_RADIUS, MAX_RADIUS]; ValueError naming it otherwise."""
+    value = float(value)
+    if not MIN_RADIUS <= value <= MAX_RADIUS:  # NaN fails too
+        raise ValueError(
+            f"{name} must lie in [{MIN_RADIUS:.3g}, {MAX_RADIUS:.3g}], got {value}")
+    return value
 
 
 def _int_value(obj, name: str) -> int:
@@ -351,9 +366,7 @@ def segment_inequality(zf: PointSet, zf1: PointSet, t: float) -> SegmentReport:
     lhs = sum over zf inside [-t, t] of sqrt(t^2 - x^2); rhs = 2t plus the
     same sum over zf1.  Reports both and whether lhs <= rhs + 1e-12.
     """
-    t = float(t)
-    if not (t > 0 and math.isfinite(t)):
-        raise ValueError(f"t must be positive and finite, got {t}")
+    t = _radius(t, "t")
 
     def chord_sum(ps: PointSet) -> float:
         x = ps.as_array()

@@ -134,6 +134,15 @@ class TestValidation:
         ("density", dict(BASE_CONFIGS["density"], radii=[1e-320])),
         ("density", {"points": {"points": [1e-200, 1.0], "window": [-3.0, 3.0]},
                      "radii": [1.4e-154]}),
+        # Chord radii and lattice steps outside the radius domain, and
+        # generators, densities and supports whose derived scales leave the
+        # doubles.
+        ("interlace", dict(BASE_CONFIGS["interlace"], ts=[1e300])),
+        ("interlace", dict(BASE_CONFIGS["interlace"], ts=[1e-300])),
+        ("density", dict(BASE_CONFIGS["density"], alphas=[5e-324])),
+        ("gen", dict(BASE_CONFIGS["gen"], generator=dict(GAUSS, gamma=5e-324))),
+        ("experiment", dict(BASE_CONFIGS["experiment"], densities=[5e-324])),
+        ("retrieve", dict(RETRIEVE, support=[1e300, 1e300])),
     ])
     def test_malformed_shapes_and_nonfinite_values_exit_2(self, tmp_path, capsys, command,
                                                           config):
@@ -523,3 +532,66 @@ def test_schema_fuzz_exit_codes_are_documented(tmp_path, data):
     cfg = tmp_path / "fuzz.json"
     cfg.write_text(json.dumps(config))
     assert run([command, "--config", str(cfg), "--quiet"]) in {0, 2, 3, 4}
+
+
+# Every numeric leaf of BASE_CONFIGS (a number, or a nonempty list of numbers
+# whose entries all change together) takes each of these values in turn.
+_EXTREMES = (1e300, -1e300, 1e-300, 5e-324, 0.0)
+
+
+def _numeric_leaves(config, prefix=()):
+    def numeric(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    paths = []
+    for key, value in config.items():
+        if isinstance(value, dict):
+            paths += _numeric_leaves(value, prefix + (key,))
+        elif numeric(value) or (isinstance(value, list) and value
+                                and all(numeric(v) for v in value)):
+            paths.append(prefix + (key,))
+    return paths
+
+
+def _nonfinite(obj, path=()):
+    """(path, value) of every non-finite float in a parsed report."""
+    if isinstance(obj, float):
+        return [] if math.isfinite(obj) else [(path, obj)]
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    return [hit for key, value in items for hit in _nonfinite(value, path + (key,))]
+
+
+def test_extreme_numbers_in_every_numeric_field_keep_the_contract(tmp_path):
+    # Unlike the fuzz, this reaches every field with every extreme and reads
+    # each report: an exit-0 report is strict JSON, except for the
+    # experiment's documented NaN mean_residual of a row without residuals.
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out.json"
+    violations = []
+    for command, base in BASE_CONFIGS.items():
+        for path in _numeric_leaves(base):
+            for value in _EXTREMES:
+                config = copy.deepcopy(base)
+                parent = config
+                for key in path[:-1]:
+                    parent = parent[key]
+                leaf = parent[path[-1]]
+                parent[path[-1]] = [value] * len(leaf) if isinstance(leaf, list) else value
+                cfg_path.write_text(json.dumps(config))
+                out.unlink(missing_ok=True)
+                case = (command, path, value)
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error", RuntimeWarning)
+                        code = run([command, "--config", str(cfg_path), "--out", str(out),
+                                    "--quiet"])
+                except Exception as exc:
+                    violations.append(case + (repr(exc),))
+                    continue
+                if code not in {0, 2, 3, 4}:
+                    violations.append(case + (code,))
+                elif code == 0:
+                    violations += [case + hit for hit in _nonfinite(json.loads(out.read_text()))
+                                   if not (command == "experiment" and math.isnan(hit[1])
+                                           and hit[0][-1] == "mean_residual")]
+    assert not violations

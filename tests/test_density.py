@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,17 @@ class TestCircLattice:
         spread = max(vals) - min(vals)
         assert spread <= 10.0 / r
 
+    def test_radius_below_every_modulus_gives_positive_zero(self):
+        # log(0.5) < 0, so an empty sum taken as 0 * log(r) would be -0.0.
+        pts = tp.PointSet(points=(-1.0, 0.0, 2.0), window=(-3.0, 3.0))
+        values = tp.circ_density_lattice(pts, 1.0, [0.5, 1.5]).values
+        assert math.copysign(1.0, values[0]) == 1.0 and values[0] == 0.0
+        # Moduli below 1.5: 1 at k = 0 and sqrt(2) at k = +-1, both from x = -1.
+        want = 2.0 / (math.pi * 1.5**2) * (math.log(1.5) + 2.0 * math.log(1.5 / math.sqrt(2.0)))
+        assert values[1] == pytest.approx(want, rel=1e-14)
+        row = tp.check_lemma1(pts, [1.0], [0.5, 1.5]).to_json_dict()["rows"][0]
+        assert math.copysign(1.0, row["lattice"]["1.0"]) == 1.0
+
     def test_rejects_bad_alpha(self):
         pts = lattice_points(1.0, 10.0)
         for alpha in (0.0, math.inf, math.nan):
@@ -247,6 +259,14 @@ class TestRadiusRange:
                 tp.circ_density_direct(pts, radii)
             with pytest.raises(ValueError, match="radii"):
                 tp.check_lemma1(pts, [1.0], radii)
+
+
+    def test_lattice_at_the_domain_ends_is_refused_without_overflow(self):
+        pts = tp.PointSet(points=(-1.0, 2.0), window=(-3.0, 3.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="moduli"):
+                tp.circ_density_lattice(pts, density.MIN_RADIUS, [density.MAX_RADIUS])
 
 
 class TestProfileType:

@@ -69,6 +69,9 @@ class TestParamsValidation:
         (1.0, 1.0, (0.0,)), (1.0, 1.0, (0.5, 0.0)), (math.nan, 1.0, ()),
         # Coincident shifts: equal, or so close that partial fractions cancel.
         (1.0, 1.0, (0.45, 0.45)), (1.0, 1.0, (0.45, 0.4501, 0.4502)),
+        # gauss_rate, time_amplitude or a 1/delta past the largest double.
+        (1.0, 5e-324, ()), (1e300, 1e-300, ()), (1.0, 1.0, (5e-324,)),
+        (1.0, 1.0, (0.45, -5e-324)),
     ])
     def test_rejects_bad_params(self, c0, gamma, deltas):
         with pytest.raises(ValueError):
@@ -220,3 +223,25 @@ class TestBuildTable:
         radius = tp.decay_radius(m2_params, 1e-12)
         assert max(env(radius), env(-radius)) <= 1e-12 * (1 + 1e-9)
         assert max(env(radius * 0.5), env(-radius * 0.5)) > 1e-12
+
+    @pytest.mark.parametrize("gamma", [0.01, 1e-4, 1e-300])
+    def test_gaussian_decay_radius_below_one_half_is_closed_form(self, gamma):
+        # For m = 0 the envelope is amp * exp(-a x^2) itself.
+        params = tp.GeneratorParams(1.0, gamma)
+        want = math.sqrt(math.log(params.time_amplitude / 1e-12) / params.gauss_rate)
+        assert want < 0.5
+        assert tp.decay_radius(params, 1e-12) == pytest.approx(want, rel=1e-13)
+
+    def test_factored_decay_radius_below_one_half_is_tight(self):
+        params = tp.GeneratorParams(1.0, 0.01, (0.001, -0.002))
+
+        def env(x):
+            return max(tp.log_envelope(params, x), tp.log_envelope(params, -x))
+
+        radius = tp.decay_radius(params, 1e-12)
+        assert radius < 0.5
+        assert env(radius) <= math.log(1e-12) < env(radius * (1 - 1e-9))
+
+    def test_decay_radius_is_zero_when_tol_is_not_below_the_amplitude(self):
+        params = tp.GeneratorParams(1e-20, 1.0)
+        assert tp.decay_radius(params, 1e-12) == 0.0

@@ -504,12 +504,23 @@ class TestBruteForce:
 
 class TestExperiment:
     def test_config_validation(self, gauss_params):
-        with pytest.raises(ValueError):
-            tp.ExperimentConfig(generator=gauss_params, densities=(-1.0,), trials=1,
-                                seed=0, support=(-2, 2), window=(-4.0, 4.0),
-                                max_changes=5)
+        # 5e-324 is positive, but its spacing 1/d is not a finite double.
+        for density in (-1.0, 5e-324):
+            with pytest.raises(ValueError):
+                tp.ExperimentConfig(generator=gauss_params, densities=(density,), trials=1,
+                                    seed=0, support=(-2, 2), window=(-4.0, 4.0),
+                                    max_changes=5)
         with pytest.raises(ValueError):
             tp.ExperimentConfig.from_json_dict({"generator": {"c0": 1, "gamma": 1}})
+
+    @pytest.mark.parametrize("support", [(2**31 + 1, 2**31 + 1), (-2**40, 0), (3, 2)])
+    def test_support_range_is_nonempty_within_offset_range(self, gauss_params, support):
+        with pytest.raises(ValueError, match="support range"):
+            tp.design_matrix(gauss_params, np.zeros(1), support)
+        with pytest.raises(ValueError, match="support range"):
+            tp.ExperimentConfig(generator=gauss_params, densities=(2.5,), trials=1,
+                                seed=0, support=support, window=(-4.0, 4.0),
+                                max_changes=5)
 
     def test_config_refuses_too_many_trials(self, gauss_params):
         with pytest.raises(ValueError, match="trials x densities"):

@@ -6,6 +6,7 @@ from scipy.interpolate import PPoly
 
 import tpshift as tp
 from tpshift.errors import IdenticallyZeroError
+from tpshift.sispace import MAX_RADIUS, MIN_RADIUS
 
 GAUSS_RATE_ONE = math.pi**2
 DELTAS_BY_M = {0: (), 1: (0.45,), 2: (0.45, -0.3), 3: (0.45, -0.3, 0.2)}
@@ -505,3 +506,54 @@ class TestSamplingRatio:
             ratios.append(ratio)
         assert min(ratios) >= 1.0 - 1e-12
         assert max(ratios) < 2.5
+
+
+# Every public function taking a radius, chord radius t or lattice step
+# alpha, keyed by name: (argument named in the error, call with that value).
+RADIUS_ENTRY_POINTS = {
+    "beurling_lower_profile": (
+        "radii", lambda pts, ctx, v: tp.beurling_lower_profile(pts, [v])),
+    "circ_density_direct": ("radii", lambda pts, ctx, v: tp.circ_density_direct(pts, [v])),
+    "circ_density_lattice.radii": (
+        "radii", lambda pts, ctx, v: tp.circ_density_lattice(pts, 1.0, [v])),
+    "circ_density_lattice.alpha": (
+        "alpha", lambda pts, ctx, v: tp.circ_density_lattice(pts, v, [1.0])),
+    "check_lemma1.radii": ("radii", lambda pts, ctx, v: tp.check_lemma1(pts, [1.0], [v])),
+    "check_lemma1.alphas": ("alphas", lambda pts, ctx, v: tp.check_lemma1(pts, [v], [1.0])),
+    "circ_subadditivity": ("radii", lambda pts, ctx, v: tp.circ_subadditivity(pts, pts, [v])),
+    "DensityProfile": (
+        "radii", lambda pts, ctx, v: tp.DensityProfile("circ_direct", (v,), (0.0,))),
+    "circ_inner_integral": ("r", lambda pts, ctx, v: tp.circ_inner_integral(0.5, v)),
+    "pair_moduli.alpha": ("alpha", lambda pts, ctx, v: tp.pair_moduli(pts, v, 1.0)),
+    "pair_moduli.r_max": ("r_max", lambda pts, ctx, v: tp.pair_moduli(pts, 1.0, v)),
+    "verify_base_case": ("radii", lambda pts, ctx, v: tp.verify_base_case(ctx, [v])),
+    "count_zeros_disk": ("t", lambda pts, ctx, v: tp.count_zeros_disk(ctx, v)),
+    "jensen_lhs": ("r", lambda pts, ctx, v: tp.jensen_lhs(ctx, v)),
+    "jensen_rhs": ("r", lambda pts, ctx, v: tp.jensen_rhs(ctx, v)),
+    "safe_radius": ("r", lambda pts, ctx, v: tp.safe_radius(ctx, v)),
+    "segment_inequality": ("t", lambda pts, ctx, v: tp.segment_inequality(pts, pts, v)),
+}
+
+
+@pytest.fixture(scope="module")
+def radius_inputs():
+    pts = tp.PointSet(points=(-1.0, 0.0, 2.0), window=(-3.0, 3.0))
+    f = tp.SISFunction(tp.GeneratorParams(1.0, GAUSS_RATE_ONE), tp.CoeffSeq(0, (1.0, -1.0)))
+    return pts, tp.build_context(f)
+
+
+class TestRadiusDomain:
+    @pytest.mark.parametrize("value", [0.0, 1e-300, math.nan, math.inf, 1e200])
+    @pytest.mark.parametrize("entry", sorted(RADIUS_ENTRY_POINTS))
+    def test_every_entry_point_refuses_values_outside_the_domain(self, radius_inputs,
+                                                                 entry, value):
+        name, call = RADIUS_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \["):
+            call(*radius_inputs, value)
+
+    def test_domain_ends_are_accepted_and_their_neighbours_refused(self, radius_inputs):
+        pts, _ = radius_inputs
+        for inside, outside in ((MIN_RADIUS, 0.0), (MAX_RADIUS, math.inf)):
+            assert tp.segment_inequality(pts, pts, inside).ok
+            with pytest.raises(ValueError, match="^t must lie in"):
+                tp.segment_inequality(pts, pts, math.nextafter(inside, outside))
