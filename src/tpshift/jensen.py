@@ -4,9 +4,15 @@ A shift combination over a Gaussian generator extends to an entire function
 
     f(z) = sum_k c_k * amp * exp(-a*(z - k)**2),        a = pi**2/gamma,
 
-whose zero set repeats vertically with period pi/a: if f(x) = 0 for real x
-then f(x + i*pi*k/a) = 0 for every integer k.  Dividing out the order n of
-f at the origin and normalizing,
+or, with p_k = c_k * exp(-a*k**2) and w = exp(2*a*z),
+
+    f(z) = amp * exp(-a*z**2) * P(w),        P(w) = sum_k p_k * w**k.
+
+So f(z + i*pi*k/a) = exp(-2*pi*i*k*z + pi**2*k**2/a) * f(z): the zero set,
+with orders, repeats vertically with period pi/a.  Expanding
+P(exp(2az)) at z = 0, f vanishes at the origin to the order n of the first
+nonzero moment m_j = sum_k p_k k**j, and f^(n)(0) = amp * (2a)**n * m_n.
+Dividing out that order and normalizing,
 
     F(z) = C1 * z**(-n) * f(z) * exp((a/2) * z**2),  F(0) = 1,
 
@@ -17,10 +23,12 @@ classical identity for the zero counter n_F(t) = #{|z| <= t : F(z) = 0},
 
     integral_0^r n_F(t)/t dt = (1/2pi) integral_0^{2pi} log|F(r e^{i th})| dth,
 
-ties the vertical-lattice zero count (density.pair_moduli at alpha = pi/a)
-to a contour average bounded by (log(C) - n log(r))/r^2 + a/2 after dividing
-by r^2.  All magnitude work happens in log space: exp((a/2) r^2) overflows
-doubles near r = 27 for a = 1.
+ties the count of F's known zeros, the real zeros' vertical lattice
+(density.pair_moduli at alpha = pi/a) and, for n >= 1, the origin's images
+i*pi*k/a, k != 0, each of order n, to a contour average bounded by
+(log(C) - n log(r))/r^2 + a/2 after dividing by r^2.  All magnitude work
+happens in log space: exp((a/2) r^2) overflows doubles near r = 27 for
+a = 1.
 """
 
 from __future__ import annotations
@@ -30,15 +38,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import eval_hermite
 
-from .density import circ_density_direct, pair_moduli
+from .density import MAX_PAIR_MODULI, circ_density_direct, pair_moduli
 from .errors import ChainViolationError, OrderDetectionError, PhaseTrackingError, \
     QuadratureError
 # eval_f is unused, but the benchmark self-test checks tracing restores it here.
 from .sispace import PointSet, SISFunction, _radius, eval_f, find_zeros
 
-# Order detection: smallest derivative order at 0 clearly above noise.
+# Order detection: first moment at 0 clearly above noise, relative to its terms.
 ORDER_DETECT_TOL = 1e-8
 ORDER_NOISE_FLOOR = 1e-12
 MAX_ORDER = 6
@@ -147,23 +154,23 @@ def log_abs_f_complex(f: SISFunction, z):
     return out
 
 
-def _derivatives_at_zero(f: SISFunction, max_order: int) -> list:
-    """f^(j)(0) for j = 0..max_order from termwise Gaussian derivatives.
+def _moments_at_zero(f: SISFunction) -> tuple:
+    """(s, m, size) with m_j = sum_k p_k k^j and size_j = sum_k |p_k k^j|.
 
-    d^j/dx^j exp(-a x^2) = a^(j/2) * (-1)^j * H_j(sqrt(a) x) * exp(-a x^2)
-    with H_j the physicists' Hermite polynomial, so each derivative is an
-    exact finite sum over the coefficient support.
+    p_k = c_k exp(-a k^2 - s), j = 0..MAX_ORDER, and s is the largest
+    -a k^2 over the nonzero c_k, so the p_k stay in range for supports far
+    from the origin.  By the module doc's P(w), f^(j)(0) = 0 for j below the
+    first nonzero moment m_n, and f^(n)(0) = amp (2a)^n exp(s) m_n.
     """
     a = f.params.gauss_rate
-    amp = f.params.time_amplitude
     ks = f.coeffs.support_indices().astype(float)
     cs = np.asarray(f.coeffs.coeffs)
-    base = amp * np.exp(-a * ks * ks)
-    out = []
-    for j in range(max_order + 1):
-        h = eval_hermite(j, -math.sqrt(a) * ks)
-        out.append(float(np.sum(cs * a ** (j / 2.0) * (-1) ** j * h * base)))
-    return out
+    exps = -a * ks * ks
+    s = float(np.max(exps[cs != 0.0]))
+    terms = cs * np.exp(exps - s) * ks ** np.arange(MAX_ORDER + 1)[:, None]
+    # Correctly rounded sums: the order test reads how far m_j cancels.
+    moments = np.array([math.fsum(row) for row in terms])
+    return s, moments, np.abs(terms).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -249,32 +256,32 @@ class ContourSampler:
 def build_context(f: SISFunction) -> JensenContext:
     """Detect the order at the origin, normalize, and collect real zeros.
 
-    The order n is the smallest derivative order at 0 with magnitude above
-    ORDER_DETECT_TOL (orders up to MAX_ORDER).  A lower-order derivative
-    above ORDER_NOISE_FLOOR makes n ambiguous and raises rather than
-    misnormalize.  Real zeros come from a sign-change scan of the support
-    window.
+    The order n is the first j <= MAX_ORDER whose moment m_j (see
+    _moments_at_zero) exceeds ORDER_DETECT_TOL times its term size.  A lower
+    moment above ORDER_NOISE_FLOOR times its term size makes n ambiguous and
+    raises rather than misnormalize.  log C1 is formed in log space.  Real
+    zeros come from a sign-change scan of the support window.
     """
     _require_gaussian(f)
     if f.coeffs.is_zero:
         raise ValueError("f must be nonzero")
-    derivs = _derivatives_at_zero(f, MAX_ORDER)
-    order = None
-    for j, d in enumerate(derivs):
-        if abs(d) > ORDER_DETECT_TOL:
-            order = j
-            break
-    if order is None:
+    s, moments, sizes = _moments_at_zero(f)
+    above = np.flatnonzero(np.abs(moments) > ORDER_DETECT_TOL * sizes)
+    if above.size == 0:
         raise OrderDetectionError(
-            f"derivative magnitudes at orders 0..{MAX_ORDER} all below "
-            f"{ORDER_DETECT_TOL} (floor {ORDER_NOISE_FLOOR}): {derivs}")
-    ambiguous = [j for j in range(order) if abs(derivs[j]) > ORDER_NOISE_FLOOR]
-    if ambiguous:
+            f"moments of orders 0..{MAX_ORDER} all below {ORDER_DETECT_TOL} times "
+            f"their term sizes: {moments.tolist()} vs {sizes.tolist()}")
+    order = int(above[0])
+    ambiguous = np.flatnonzero(np.abs(moments[:order]) > ORDER_NOISE_FLOOR * sizes[:order])
+    if ambiguous.size:
+        ratios = np.abs(moments[ambiguous]) / sizes[ambiguous]
         raise OrderDetectionError(
-            f"derivatives at orders {ambiguous} lie between the noise floor "
-            f"{ORDER_NOISE_FLOOR} and {ORDER_DETECT_TOL}, so the order at the "
-            f"origin is ambiguous: {derivs[:order + 1]}")
-    log_c1 = math.lgamma(order + 1) - math.log(abs(derivs[order]))
+            f"moments at orders {ambiguous.tolist()} lie between {ORDER_NOISE_FLOOR} "
+            f"and {ORDER_DETECT_TOL} times their term sizes, so the order at the "
+            f"origin is ambiguous: {ratios.tolist()}")
+    log_c1 = math.lgamma(order + 1) - (
+        math.log(f.params.time_amplitude) + s + order * math.log(2.0 * f.params.gauss_rate)
+        + math.log(abs(moments[order])))
 
     zeros = find_zeros(f, f.support_window())
     pts = tuple(p for p in zeros.points if abs(p) > 1e-8)
@@ -335,16 +342,36 @@ def _winding_number(ctx: JensenContext, t: float) -> int:
         "(zero near the contour?)")
 
 
+def _known_moduli(ctx: JensenContext, r_max: float) -> np.ndarray:
+    """Sorted moduli up to r_max of F's known zeros, with multiplicity.
+
+    They are the real zeros' vertical lattice and, for order n >= 1, the
+    origin's images i*pi*k/a, k != 0, each a zero of order n (module doc).
+    Raises ValueError before allocating more than MAX_PAIR_MODULI moduli.
+    """
+    step = ctx.lattice_step
+    mods = pair_moduli(ctx.real_zeros, step, r_max)
+    if ctx.order == 0:
+        return mods
+    # Finite: pair_moduli has checked step and r_max against the radius domain.
+    kmax = math.floor(r_max / step)
+    if mods.size + 2 * ctx.order * kmax > MAX_PAIR_MODULI:
+        raise ValueError(f"known zeros at step {step} up to radius {r_max} have "
+                         f"more than {MAX_PAIR_MODULI} moduli")
+    images = np.repeat(step * np.arange(1, kmax + 1), 2 * ctx.order)
+    return np.sort(np.concatenate([mods, images]))
+
+
 def count_zeros_disk(ctx: JensenContext, t: float) -> DiskZeroCount:
     """Count zeros of F with |z| <= t.
 
-    The vertical-lattice extension of the real zeros is enumerated exactly;
-    the winding number of F over the circle counts all zeros, and the excess
-    over the lattice count is reported separately (the zero set contains the
-    lattice extension but equality is not promised).
+    F's known zeros (_known_moduli) are enumerated exactly; the winding
+    number of F over the circle counts all zeros, and the excess over the
+    known count is reported separately (the zero set contains the known
+    zeros but equality is not promised).
     """
     t = _radius(t, "t")
-    mods = pair_moduli(ctx.real_zeros, ctx.lattice_step, t + 2.0 * CIRCLE_CLEARANCE)
+    mods = _known_moduli(ctx, t + 2.0 * CIRCLE_CLEARANCE)
     return _count_zeros_disk(ctx, mods, t)
 
 
@@ -366,18 +393,18 @@ def _count_zeros_disk(ctx: JensenContext, mods: np.ndarray, t: float) -> DiskZer
 
 
 def jensen_lhs(ctx: JensenContext, r: float) -> float:
-    """(1/r^2) integral_0^r n_F(t)/t dt from the enumerated lattice zeros.
+    """(1/r^2) integral_0^r n_F(t)/t dt from F's known zeros (_known_moduli).
 
     n_F(t)/t is piecewise constant with breakpoints at the zero moduli, so
-    the integral telescopes exactly to sum over moduli m <= r of log(r/m):
-    (a/2) times circ_density_lattice(real_zeros, pi/a, [r]).
+    the integral telescopes exactly to sum over moduli m <= r of log(r/m).
+    At order 0 that is (a/2) times circ_density_lattice(real_zeros, pi/a, [r]).
     """
     r = _radius(r, "r")
-    return _jensen_lhs(pair_moduli(ctx.real_zeros, ctx.lattice_step, r), r)
+    return _jensen_lhs(_known_moduli(ctx, r), r)
 
 
 def _jensen_lhs(mods: np.ndarray, r: float) -> float:
-    """jensen_lhs from the sorted lattice moduli up to at least r."""
+    """jensen_lhs from the sorted known-zero moduli up to at least r."""
     mods = mods[:np.searchsorted(mods, r, side="right")]
     if mods.size == 0:
         return 0.0
@@ -438,14 +465,14 @@ def fit_growth_constant(ctx: JensenContext, radius: float, grid_step: float = 0.
 
 def safe_radius(ctx: JensenContext, r: float) -> float:
     """Deterministically nudge r upward to the radius in [r, r+SAFE_SPAN] farthest
-    from every lattice-zero modulus (never closer than CIRCLE_CLEARANCE)."""
+    from every known-zero modulus (never closer than CIRCLE_CLEARANCE)."""
     r = _radius(r, "r")
-    mods = pair_moduli(ctx.real_zeros, ctx.lattice_step, r + SAFE_SPAN + 1.0)
+    mods = _known_moduli(ctx, r + SAFE_SPAN + 1.0)
     return _safe_radius(mods, r)
 
 
 def _safe_radius(mods: np.ndarray, r: float) -> float:
-    """safe_radius from the sorted lattice moduli up to r + SAFE_SPAN + 1."""
+    """safe_radius from the sorted known-zero moduli up to r + SAFE_SPAN + 1."""
     if mods.size == 0:
         return float(r)
     cands = r + np.arange(0, int(round(SAFE_SPAN / 1e-4)) + 1) * 1e-4
@@ -516,7 +543,7 @@ def verify_base_case(ctx: JensenContext, radii) -> BaseCaseReport:
     for r0 in rs:
         # One enumeration serves the radius search, the count and the zero
         # sum: each reads only the moduli it needs from the sorted array.
-        mods = pair_moduli(ctx.real_zeros, ctx.lattice_step, r0 + SAFE_SPAN + 1.0)
+        mods = _known_moduli(ctx, r0 + SAFE_SPAN + 1.0)
         r = _safe_radius(mods, r0)
         count = _count_zeros_disk(ctx, mods, r)
         lhs = _jensen_lhs(mods, r)

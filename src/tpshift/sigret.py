@@ -254,9 +254,13 @@ def _fitter(params: GeneratorParams, lam: PointSet, support) -> _PatternFitter:
 
 
 def _peak(mags: np.ndarray) -> float:
+    """The largest magnitude, refused when the search's pruning slack
+    (1e-9 * peak)^2 would leave the normal doubles (peak below about
+    1.5e-145, which includes an all-zero sample)."""
     peak = float(np.max(mags, initial=0.0))
-    if peak < 1e-10:
-        raise ValueError("all magnitudes below 1e-10; nothing to retrieve")
+    if not (1e-9 * peak) ** 2 >= sys.float_info.min:
+        raise ValueError(f"largest magnitude {peak:.3g} is below "
+                         f"{math.sqrt(sys.float_info.min) / 1e-9:.3g}; nothing to retrieve")
     return peak
 
 

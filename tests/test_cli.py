@@ -291,6 +291,20 @@ class TestCommands:
             assert row["extra_zeros"] == 0
             assert row["samples"] >= 1024
 
+    @pytest.mark.parametrize("c0,offset", [(1e-12, -6), (1.0, 10)])
+    def test_jensen_small_or_shifted_function_exits_0(self, tmp_path, c0, offset):
+        # f(0) is far below 1e-8 in both; the order test is relative.
+        rng = np.random.default_rng(1)
+        c = (rng.uniform(0.9, 1.1, 12) * (-1.0) ** np.arange(12)).tolist()
+        path = write_config(tmp_path, "j.json",
+                            {"generator": dict(GAUSS, c0=c0),
+                             "coeffs": {"offset": offset, "coeffs": c},
+                             "radii": [2.0, 4.0]})
+        out = tmp_path / "jensen.json"
+        assert run(["jensen", "--config", path, "--out", str(out), "--quiet"]) == 0
+        for row in json.loads(out.read_text())["result"]["rows"]:
+            assert row["extra_zeros"] == 0 and abs(row["lhs"] - row["rhs"]) < 2e-6
+
     def test_jensen_many_coefficients_in_bounded_memory(self, tmp_path):
         # 300 coefficients at r = 60 need 65536 contour samples: one
         # (samples x coefficients) complex array would be 300 MiB, more than
@@ -396,6 +410,14 @@ class TestCommands:
         assert report["result"]["patterns"] >= 1
         assert report["result"]["nodes"] >= len(pts) - 1
         assert report["result"]["second_pass"] is False
+        # The magnitude floor is far below 1e-12 times these magnitudes.
+        path = write_config(tmp_path, "tiny.json",
+                            {"generator": GAUSS,
+                             "sample": {"points": {"points": pts, "window": [-4.0, 5.0]},
+                                        "magnitudes": [1e-12 * m for m in mags]},
+                             "support": [0, 1], "max_changes": 3})
+        assert run(["retrieve", "--config", path, "--out", str(out), "--quiet"]) == 0
+        assert json.loads(out.read_text())["result"]["signs"] == report["result"]["signs"]
 
     def test_retrieve_budget_failure_exits_3(self, tmp_path):
         pts = (np.arange(-12, 16) / 3.0).tolist()

@@ -138,15 +138,30 @@ class TestBuildContext:
         assert all(abs(p) > 1e-8 for p in ctx.real_zeros.points)
 
     def test_ambiguous_order_raises(self, gauss_params, fn_factory):
-        # f(0) = 4.15e-10 lies between the noise floor and the detection
-        # tolerance and f'(0) = 0 by symmetry, so order 2 would be detected
-        # and F misnormalized by a factor of about 1e9.
+        # m_0 is 5e-10 of its term size, between the noise floor and the
+        # detection tolerance, and m_1 = 0 by symmetry, so order 2 would be
+        # detected and F misnormalized by a factor of about 1e9.
         c = 2.0 * math.exp(-1.0) * (1.0 - 1e-9)
         f = fn_factory(gauss_params, -1, (1.0, -c, 1.0))
-        value = abs(jensen._derivatives_at_zero(f, 0)[0])
+        _, moments, sizes = jensen._moments_at_zero(f)
+        value = abs(moments[0]) / sizes[0]
         assert jensen.ORDER_NOISE_FLOOR < value < jensen.ORDER_DETECT_TOL
         with pytest.raises(OrderDetectionError, match="ambiguous"):
             tp.build_context(f)
+
+    @pytest.mark.parametrize("offset,scale", [(5, 1.0), (10, 1.0), (30, 1.0),
+                                              (-6, 1e-9), (-6, 1e-12)])
+    def test_order_is_relative_to_the_terms(self, gauss_params, fn_factory, offset, scale):
+        # f(0) is 7.9e-12 at offset 5 and underflows at offset 30; only the
+        # moments relative to their term sizes, with the shift s, see order 0.
+        rng = np.random.default_rng(1)
+        c = scale * rng.uniform(0.9, 1.1, 12) * (-1.0) ** np.arange(12)
+        ctx = tp.build_context(fn_factory(gauss_params, offset, c))
+        assert ctx.order == 0
+        report = tp.verify_base_case(ctx, [2.0, 4.0, 8.0])
+        for row in report.rows:
+            assert row.extra_zeros == 0
+            assert abs(row.lhs - row.rhs) <= 2e-6
 
 
 class TestCountZeros:
@@ -202,6 +217,36 @@ class TestCountZeros:
             cands = r + np.arange(0, 2501) * 1e-4
             dist = np.min(np.abs(mods[None, :] - cands[:, None]), axis=1)
             assert tp.safe_radius(ctx, r) == cands[int(np.argmax(dist))]
+
+    def test_origin_images_are_known_zeros(self, gauss_params, fn_factory):
+        # P(w) = (w - 1)(w - 4)/w: order 1 at the origin, so F vanishes at
+        # i*pi*k, k != 0, and one real zero at log(4)/2.  Within |z| <= 7:
+        # five lattice points over log 2 and the images +-i*pi, +-2i*pi.
+        f = fn_factory(gauss_params, -1, (4.0 * math.e, -5.0, math.e))
+        ctx = tp.build_context(f)
+        assert ctx.order == 1
+        assert ctx.real_zeros.points == pytest.approx((math.log(2.0),), abs=1e-9)
+        count = tp.count_zeros_disk(ctx, 7.0)
+        assert (count.total, count.lattice) == (9, 9)
+        report = tp.verify_base_case(ctx, [4.0, 8.0, 30.0])
+        assert [row.r for row in report.rows] == [4.25, 8.25, 30.25]
+        for row in report.rows:
+            assert row.extra_zeros == 0
+            assert abs(row.lhs - row.rhs) <= 1e-8
+
+    def test_origin_images_move_the_radius(self, gauss_params, fn_factory):
+        # P(w) = (1 - w^2)/e has the root w = -1 besides w = 1, so the zeros
+        # +-i*pi/2 and +-3i*pi/2 stay unenumerated.
+        f = fn_factory(gauss_params, -1, (1.0, 0.0, -1.0))
+        row = tp.verify_base_case(tp.build_context(f), [5.0]).rows[0]
+        assert (row.r, row.extra_zeros) == (5.25, 4)
+
+    def test_origin_images_are_capped_before_allocating(self, gauss_params, fn_factory):
+        # No real zeros, so the 2.5e7 images alone pass the cap.
+        ctx = tp.build_context(fn_factory(gauss_params, -1, (1.0, 0.0, -1.0)))
+        assert len(ctx.real_zeros) == 0
+        with pytest.raises(ValueError, match="known zeros"):
+            tp.count_zeros_disk(ctx, 4e7)
 
     def test_rejects_zero_on_circle(self, fn_factory):
         params = tp.GeneratorParams(1.0, 1.0)

@@ -129,10 +129,13 @@ class TestSolveSigns:
             tp.solve_signs(gauss_params, sample, (0, 1), 0)
 
     def test_rejects_all_tiny_magnitudes(self, gauss_params):
+        # Below about 1.5e-145 the pruning slack (1e-9 * peak)^2 is subnormal.
         lam = tp.PointSet(points=(0.0, 1.0, 2.0), window=(-1.0, 3.0))
-        sample = tp.MagnitudeSample(lam=lam, magnitudes=(1e-12, 1e-13, 0.0))
-        with pytest.raises(ValueError):
-            tp.solve_signs(gauss_params, sample, (0, 1), 2)
+        for mags in ((1e-146, 1e-147, 0.0), (0.0, 0.0, 0.0)):
+            sample = tp.MagnitudeSample(lam=lam, magnitudes=mags)
+            for solve in (tp.solve_signs, tp.brute_force_signs):
+                with pytest.raises(ValueError, match="nothing to retrieve"):
+                    solve(gauss_params, sample, (0, 1), 2)
 
     def test_undersampling_raises_rank_error(self, gauss_params):
         sparse = tp.PointSet(points=tuple(np.linspace(-10, 10, 12)), window=(-10.0, 10.0))
@@ -554,6 +557,17 @@ class TestExperiment:
         r2 = tp.run_threshold_experiment(cfg)
         assert r1.csv_text() == r2.csv_text()
         assert r1.to_json_dict() == r2.to_json_dict()
+
+    def test_counts_do_not_depend_on_the_amplitude(self):
+        # c0 = 1e-12 puts every magnitude near 1e-13; the counts match c0 = 1.
+        def counts(c0):
+            cfg = tp.ExperimentConfig(generator=tp.GeneratorParams(c0, math.pi**2),
+                                      densities=(2.5,), trials=3, seed=1,
+                                      support=(-4, 4), window=(-6.0, 6.0), max_changes=14)
+            row = tp.run_threshold_experiment(cfg).rows[0]
+            return (row.successes, row.rank_deficient, row.budget_exceeded,
+                    row.wrong_recovery)
+        assert counts(1e-12) == counts(1.0) == (3, 0, 0, 0)
 
     def test_success_at_good_density(self, gauss_params):
         cfg = tp.ExperimentConfig(generator=gauss_params, densities=(2.5,), trials=6,
