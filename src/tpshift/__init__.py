@@ -11,9 +11,10 @@ to a global sign.
 
 __version__ = "0.1.0"
 
-from .errors import (ChainViolationError, IdenticallyZeroError, NumericalError,
-                     OrderDetectionError, PhaseTrackingError, QuadratureError,
-                     RankDeficiencyError, SearchBudgetError, VerificationError)
+from .errors import (ChainViolationError, IdenticallyZeroError, MagnitudeFloorError,
+                     NumericalError, OrderDetectionError, PhaseTrackingError,
+                     QuadratureError, RankDeficiencyError, SearchBudgetError,
+                     VerificationError)
 from .generator import (GeneratorParams, TimeDomainTable, build_table, decay_radius,
                         ft_eval, log_envelope, reduce, table_half_width, time_eval)
 from .sispace import (CoeffSeq, InterlaceReport, PointSet, SegmentReport,

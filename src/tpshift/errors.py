@@ -35,6 +35,10 @@ class OrderDetectionError(NumericalError):
     """Order of vanishing at the origin could not be decided reliably."""
 
 
+class MagnitudeFloorError(ValueError):
+    """Every sample magnitude is too small for the sign search to tell signs apart."""
+
+
 class IdenticallyZeroError(ValueError):
     """Zero scan rejected an input that is numerically zero on the interval."""
 

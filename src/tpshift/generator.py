@@ -13,9 +13,11 @@ convolved with one-sided exponential densities of means delta_nu.  For
 distinct shifts, partial fractions split g into a weighted sum of single
 convolutions, each an exponentially modified Gaussian with a closed form
 through erfcx (Grushka, Anal. Chem. 44, 1972), so g and g' are evaluated
-directly.  Polynomial interpolants of g on cells that integer shifts map onto
-whole cells back fast evaluation of shift combinations; a certified
-exponential-moment envelope bounds |g| beyond the tabulated range.
+directly.  A table keeps g's polynomial interpolant on each cell of width
+1/N as one row of a (cells, CELL_DEGREE + 1) array; an integer shift moves
+whole cells, so a shift combination is again one such array, found by one
+matrix product, with all its breaks at j/N.  A certified exponential-moment
+envelope bounds |g| beyond the tabulated range.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PPoly
-from scipy.linalg import toeplitz
 from scipy.special import erfc, erfcx
 
 # Largest sum of |partial-fraction weights| accepted.  The weighted terms
@@ -258,86 +258,121 @@ def _cells_per_unit(params: GeneratorParams) -> int:
     return 4 * math.ceil(math.sqrt(params.gauss_rate))
 
 
-# The bisection costs about as much as summing f's pieces, and every function
-# over the same generator needs the same half-width.
+# Every function over the same generator needs the same half-width.
 @lru_cache(maxsize=64)
 def table_half_width(params: GeneratorParams) -> float:
     """Half-width w of every table of the generator: where its outermost cells end.
 
-    w is R + 1 rounded up to the cell grid 1/N, with R the decay radius for
-    EVAL_TAIL_TOL times the amplitude; the extra unit covers g', which g's
-    envelope does not bound directly.  ValueError if a table would hold more
-    than MAX_TABLE_POINTS samples.
+    w = j/N is the first point of the cell grid 1/N with w - 1 beyond the
+    decay radius for EVAL_TAIL_TOL times the amplitude, found by doubling
+    and bisecting over j; the extra unit covers g', which g's envelope does
+    not bound directly.  ValueError if a table would hold more than
+    MAX_TABLE_POINTS samples.
     """
     n_per = _cells_per_unit(params)
-    radius = decay_radius(params, EVAL_TAIL_TOL * params.time_amplitude) + 1.0
-    if not radius * n_per <= MAX_TABLE_POINTS // (2 * (CELL_DEGREE + 1)):
-        raise ValueError(
-            f"a table on [-{radius}, {radius}] in cells of width 1/{n_per} needs "
-            f"more than {MAX_TABLE_POINTS} samples")
-    return math.ceil(radius * n_per) / n_per
+    max_cells = MAX_TABLE_POINTS // (2 * (CELL_DEGREE + 1))
+    tol = EVAL_TAIL_TOL * params.time_amplitude
+    if not tol > 0.0:
+        raise ValueError(f"the amplitude of {params} is too small to tabulate")
+
+    def above(j):
+        # The two-sided envelope at j/N - 1, for j >= N.
+        r = j / n_per - 1.0
+        return max(log_envelope(params, r), log_envelope(params, -r)) > math.log(tol)
+
+    # Invariant: not above(hi), and above(lo) unless lo = N - 1.
+    lo, hi = n_per - 1, n_per
+    while above(hi):
+        if hi >= max_cells:
+            raise ValueError(f"a table of {params} in cells of width 1/{n_per} needs "
+                             f"more than {MAX_TABLE_POINTS} samples")
+        lo, hi = hi, min(2 * hi, max_cells)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if above(mid) else (lo, mid)
+    return hi / n_per
 
 
 @dataclass(eq=False)
 class TimeDomainTable:
     """g, or g' with deriv, of one generator as polynomial pieces on cells of width 1/N.
 
-    N = cells_per_unit.  The cells are symmetric about 0; outside them
-    lookups return 0, which log_envelope(params, x) certifies is below
-    EVAL_TAIL_TOL times the amplitude for g.  The coefficients are read-only.
+    N = cells_per_unit.  Row i of pieces holds, highest power first, the
+    polynomial in u = N*x - j on cell j = first_cell + i, [j/N, (j+1)/N).
+    The cells are symmetric about 0; outside them lookups return 0, which
+    log_envelope(params, x) certifies is below EVAL_TAIL_TOL times the
+    amplitude for g.  The pieces are read-only.
     """
 
     params: GeneratorParams
     deriv: bool
     cells_per_unit: int
-    pieces: PPoly
+    pieces: np.ndarray
 
     def __post_init__(self):
-        self.pieces.c.flags.writeable = False
+        self.pieces.flags.writeable = False
+
+    @property
+    def first_cell(self) -> int:
+        return -(self.pieces.shape[0] // 2)
 
     def eval(self, x):
-        return eval_pieces(self.pieces, x)
+        return eval_pieces(self.pieces, self.first_cell, self.cells_per_unit, x)
 
-    def shift_sum(self, first: int, weights) -> PPoly:
-        """The piecewise polynomial sum_k w_k p(. - first - k) of the table pieces p.
+    def shift_sum(self, first: int, weights) -> tuple:
+        """(first cell, pieces) of sum_k w_k p(. - first - k), p the table's pieces.
 
         The shifts are contiguous, first .. first + K - 1 for K weights.  With
-        cells of width 1/N an integer shift moves p's pieces by exactly N, so
-        with p's pieces zero-padded to L blocks of N, block j of the sum is
+        cells of width 1/N an integer shift moves p's rows by exactly N, so
+        with p's rows zero-padded to L blocks of N, block j of the sum is
         sum_l w_{j-l} (block l of p): one product of the (K+L-1) x L Toeplitz
-        matrix of the weights with the blocks.  It agrees with summing shifted
-        table values up to rounding, and BLAS decides the order of each sum.
-        A piece that no weight reaches is a sum of exact 0*x products, so it
-        stays exactly 0, where an FFT convolution would leave rounding noise.
-        A sum of more than MAX_TABLE_POINTS coefficients is refused
-        (ValueError) before allocating.
+        matrix of the weights, a strided view, with the blocks.  It agrees
+        with summing shifted table values up to rounding, and BLAS decides
+        the order of each sum.  A row that no weight reaches is a sum of
+        exact 0*x products, so it stays exactly 0, where an FFT convolution
+        would leave rounding noise.  A sum of more than MAX_TABLE_POINTS
+        coefficients is refused (ValueError) before allocating.
         """
         n_per = self.cells_per_unit
-        order, width = self.pieces.c.shape
+        width, order = self.pieces.shape
         weights = np.asarray(weights, dtype=float)
         n_pieces = (weights.size - 1) * n_per + width
         if not n_pieces * order <= MAX_TABLE_POINTS:
             raise ValueError(f"summing {weights.size} shifts in cells of width 1/{n_per} "
                              f"needs more than {MAX_TABLE_POINTS} samples")
         n_blocks = -(-width // n_per)
-        blocks = np.zeros((order, n_blocks * n_per))
-        blocks[:, :width] = self.pieces.c
-        weight_matrix = toeplitz(np.concatenate([weights, np.zeros(n_blocks - 1)]),
-                                 np.zeros(n_blocks))
-        coef = weight_matrix @ blocks.reshape(order, n_blocks, n_per)
-        coef = np.ascontiguousarray(coef.reshape(order, -1)[:, :n_pieces])
-        start = first * n_per - width // 2
-        breaks = (start + np.arange(n_pieces + 1)) / n_per
-        return PPoly(coef, breaks)
+        blocks = np.zeros((n_blocks * n_per, order))
+        blocks[:width] = self.pieces
+        pad = np.zeros(n_blocks - 1)
+        padded = np.concatenate([pad, weights, pad])
+        # Entry (j, l) is padded[L - 1 + j - l] = w_{j-l}.
+        step = padded.strides[0]
+        weight_matrix = np.lib.stride_tricks.as_strided(
+            padded[n_blocks - 1:], shape=(weights.size + n_blocks - 1, n_blocks),
+            strides=(step, -step), writeable=False)
+        coef = weight_matrix @ blocks.reshape(n_blocks, -1)
+        return first * n_per + self.first_cell, coef.reshape(-1, order)[:n_pieces]
 
 
-def eval_pieces(pieces: PPoly, x) -> np.ndarray:
-    """Evaluate a piecewise polynomial inside its breakpoint range and 0 outside."""
+def eval_pieces(pieces: np.ndarray, first: int, n_per: int, x) -> np.ndarray:
+    """Evaluate pieces on cells first, first + 1, .. of width 1/n_per, and 0 outside them.
+
+    Each point gathers its cell's row and runs Horner in u = n_per*x - j.
+    """
     arr = np.asarray(x, dtype=float)
+    # Only points far outside every table overflow.
+    with np.errstate(over="ignore"):
+        u = arr * n_per - first
+    cell = np.floor(u)
+    inside = (cell >= 0.0) & (cell < pieces.shape[0])  # NaN fails
     out = np.zeros(arr.shape)
-    inside = (arr >= pieces.x[0]) & (arr <= pieces.x[-1])
     if inside.any():
-        out[inside] = pieces(arr[inside])
+        rows = pieces[cell[inside].astype(np.intp)]
+        u = u[inside] - cell[inside]
+        acc = rows[:, 0]
+        for k in range(1, rows.shape[1]):
+            acc = acc * u + rows[:, k]
+        out[inside] = acc
     return out
 
 
@@ -357,8 +392,5 @@ def build_table(params: GeneratorParams, deriv: bool = False) -> TimeDomainTable
     # Two products, not one with their product: the Chebyshev coefficients
     # decay fast, so the large power-basis entries only meet small ones.
     cheb = samples.reshape(cells.size, -1) @ _CHEB_FIT
-    scaled = _POWER_BASIS * float(n_per) ** np.arange(CELL_DEGREE, -1, -1)  # u = N*(x - x_j)
-    coef = np.ascontiguousarray((cheb @ scaled).T)
-    breaks = np.arange(-n_half, n_half + 1) / n_per
     return TimeDomainTable(params=params, deriv=deriv, cells_per_unit=n_per,
-                           pieces=PPoly(coef, breaks))
+                           pieces=cheb @ _POWER_BASIS)

@@ -32,7 +32,7 @@ from math import comb
 import numpy as np
 from scipy.linalg.lapack import dgeqrf, dorgqr
 
-from .errors import RankDeficiencyError, SearchBudgetError
+from .errors import MagnitudeFloorError, RankDeficiencyError, SearchBudgetError
 from .generator import MAX_TABLE_POINTS, GeneratorParams, time_eval
 from .sispace import (MAX_OFFSET, MAX_SCAN_POINTS, CoeffSeq, PointSet, SISFunction,
                       _int_value, eval_f)
@@ -254,13 +254,14 @@ def _fitter(params: GeneratorParams, lam: PointSet, support) -> _PatternFitter:
 
 
 def _peak(mags: np.ndarray) -> float:
-    """The largest magnitude, refused when the search's pruning slack
-    (1e-9 * peak)^2 would leave the normal doubles (peak below about
-    1.5e-145, which includes an all-zero sample)."""
+    """The largest magnitude, refused (MagnitudeFloorError) when the search's
+    pruning slack (1e-9 * peak)^2 would leave the normal doubles (peak below
+    about 1.5e-145, which includes an all-zero sample)."""
     peak = float(np.max(mags, initial=0.0))
     if not (1e-9 * peak) ** 2 >= sys.float_info.min:
-        raise ValueError(f"largest magnitude {peak:.3g} is below "
-                         f"{math.sqrt(sys.float_info.min) / 1e-9:.3g}; nothing to retrieve")
+        raise MagnitudeFloorError(
+            f"largest magnitude {peak:.3g} is below "
+            f"{math.sqrt(sys.float_info.min) / 1e-9:.3g}; nothing to retrieve")
     return peak
 
 
@@ -599,9 +600,10 @@ class ExperimentRow:
     """One density of a threshold sweep.
 
     Every trial is a success or fails for exactly one reason: the design
-    matrix is rank deficient (RankDeficiencyError), no sign pattern reached
-    the acceptance tolerance within the search budget (SearchBudgetError),
-    or the recovered function does not match the truth.  mean_residual
+    matrix is rank deficient (RankDeficiencyError), every magnitude is below
+    the search's floor (MagnitudeFloorError), no sign pattern reached the
+    acceptance tolerance within the search budget (SearchBudgetError), or
+    the recovered function does not match the truth.  mean_residual
     averages the trials that returned a pattern (NaN if none did).
     """
 
@@ -610,6 +612,7 @@ class ExperimentRow:
     successes: int
     mean_residual: float
     rank_deficient: int
+    below_floor: int
     budget_exceeded: int
     wrong_recovery: int
 
@@ -680,6 +683,8 @@ def run_threshold_experiment(config: ExperimentConfig) -> ExperimentReport:
             result = solve_signs(params, sample, config.support, config.max_changes)
         except RankDeficiencyError:
             return "rank_deficient", math.nan
+        except MagnitudeFloorError:
+            return "below_floor", math.nan
         except SearchBudgetError:
             return "budget_exceeded", math.nan
         f_true = g_grid @ c_true
@@ -699,6 +704,7 @@ def run_threshold_experiment(config: ExperimentConfig) -> ExperimentReport:
                                   successes=outcomes.count("success"),
                                   mean_residual=mean_res,
                                   rank_deficient=outcomes.count("rank_deficient"),
+                                  below_floor=outcomes.count("below_floor"),
                                   budget_exceeded=outcomes.count("budget_exceeded"),
                                   wrong_recovery=outcomes.count("wrong_recovery")))
     return ExperimentReport(config=config, rows=tuple(rows))

@@ -5,6 +5,12 @@ desk scale.  The module evaluates f and f', applies the first-order operator
 f -> f + delta*f' that removes the matching factor from the generator, scans
 for real zeros, and checks the zero-interlacing and chord-length inequality
 that relate f to its image under that operator.
+
+f is held as its generator table's cell pieces summed over the shifts: one
+polynomial per cell [j/N, (j+1)/N).  The zero scan samples a grid that
+divides every cell into the same q steps, so its values are one product of
+the pieces with a fixed matrix of local powers, and each sign change lies
+inside one cell, where Newton steps run on that cell's polynomial alone.
 """
 
 from __future__ import annotations
@@ -15,19 +21,20 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import PPoly
 
 from .errors import IdenticallyZeroError
-from .generator import (EVAL_TAIL_TOL, GeneratorParams, TimeDomainTable, build_table,
-                        eval_pieces, reduce, table_half_width)
+from .generator import (CELL_DEGREE, EVAL_TAIL_TOL, GeneratorParams, TimeDomainTable,
+                        build_table, eval_pieces, reduce, table_half_width)
 
-# Scan resolution for sign changes; zeros of the test corpus separate at
-# scale >= 1 so 0.02 leaves a wide margin.
+# Largest scan step for sign changes; zeros of the test corpus separate at
+# scale >= 1 so 0.02 leaves a wide margin.  The scan divides each table cell
+# 1/N into q = ceil(1/(N*SCAN_STEP)) equal steps.
 SCAN_STEP = 0.02
 BISECT_TOL = 1e-10
 # Grid minima of |f| below this times the grid peak are touch candidates.
 TOUCH_TOL = 1e-9
-# Largest zero-scan grid; longer intervals are refused before allocating.
+# Largest zero-scan grid, counted at its step 1/(N*q); longer intervals are
+# refused before allocating.
 MAX_SCAN_POINTS = 2_000_000
 # Largest |offset|: piece indices k*N stay inside int64 for every cell width 1/N.
 MAX_OFFSET = 2**31
@@ -153,8 +160,9 @@ class SISFunction:
     and cells from the generator alone; a passed table must tabulate this
     generator's g, and a passed deriv_table its g' (ValueError otherwise).
     The g' table is built on first use unless passed in.  f and f' are each
-    one piecewise polynomial, summed from all table pieces on first use, so
-    they err by at most 5e-12 * amplitude * sum|c_k| anywhere.
+    one array of cell pieces with its first cell (TimeDomainTable.shift_sum),
+    summed from all table pieces on first use, so they err by at most
+    5e-12 * amplitude * sum|c_k| anywhere.
     """
 
     def __init__(self, params: GeneratorParams, coeffs: CoeffSeq,
@@ -189,19 +197,20 @@ class SISFunction:
         return (float(ks[0] - pad), float(ks[-1] + pad))
 
 
-def _eval_at(pieces, x):
-    vals = eval_pieces(pieces, x)
+def _eval_at(f: SISFunction, pieces: tuple, x):
+    first, coef = pieces
+    vals = eval_pieces(coef, first, f.table.cells_per_unit, x)
     return float(vals) if np.ndim(x) == 0 else vals
 
 
 def eval_f(f: SISFunction, x):
     """Evaluate f(x) = sum_k c_k g(x - k); accepts a scalar or an array."""
-    return _eval_at(f._pieces, x)
+    return _eval_at(f, f._pieces, x)
 
 
 def eval_deriv(f: SISFunction, x):
     """Evaluate f'(x) = sum_k c_k g'(x - k)."""
-    return _eval_at(f._deriv_pieces, x)
+    return _eval_at(f, f._deriv_pieces, x)
 
 
 def apply_rolle_op(f: SISFunction, delta: float) -> SISFunction:
@@ -220,28 +229,35 @@ def apply_rolle_op(f: SISFunction, delta: float) -> SISFunction:
     return SISFunction(reduce(f.params), f.coeffs)
 
 
-def _refine_on_pieces(pieces: PPoly, a: np.ndarray, b: np.ndarray,
-                      sign_a: np.ndarray) -> np.ndarray:
-    """One zero of the piecewise polynomial in each bracket [a, b] where it changes sign.
+def _refine_on_pieces(rows: np.ndarray, cells: np.ndarray, n_per: int, a: np.ndarray,
+                      b: np.ndarray, sign_a: np.ndarray) -> np.ndarray:
+    """One zero in each bracket [a, b] inside cell [j/N, (j+1)/N) where it changes sign.
 
-    All brackets at once, by Newton steps through the pieces and their
-    derivative that fall back to bisection whenever a step would leave the
-    shrinking bracket or fails to halve the previous step.  A bracket is
-    done once a step, taken or only proposed, is below BISECT_TOL/16, the
-    four halvings of headroom that bisection from SCAN_STEP used to take,
-    and all stop after at most as many steps as that bisection.
+    Row i of rows is the polynomial in u = N*x - j on the cell j = cells[i]
+    of bracket i, highest power first, and N = n_per.  All brackets at once,
+    by Newton steps through the polynomial and its derivative that fall
+    back to bisection whenever a step would leave the shrinking bracket or
+    fails to halve the previous step.  A bracket is done once a step, taken
+    or only proposed, is below BISECT_TOL/16, the four halvings of headroom
+    that bisection from SCAN_STEP used to take, and all stop after at most
+    as many steps as that bisection.
     """
+    exponents = np.arange(rows.shape[1] - 1, -1, -1)
+    # The derivative's rows in dP/dx = N dP/du, against the powers u^(n-1) .. u^0.
+    deriv_rows = rows[:, :-1] * (n_per * exponents[:-1])
     lo, hi = a, b
     t = 0.5 * (a + b)
     last_step = b - a
     done = np.zeros(t.shape, dtype=bool)
     for _ in range(int(math.ceil(math.log2(SCAN_STEP / BISECT_TOL))) + 4):
-        p = pieces(t)
+        powers = (t * n_per - cells)[:, None] ** exponents
+        p = np.einsum("ij,ij->i", rows, powers)
+        dp = np.einsum("ij,ij->i", deriv_rows, powers[:, 1:])
         same = np.sign(p) == sign_a
         lo = np.where(same, t, lo)
         hi = np.where(same, hi, t)
         with np.errstate(all="ignore"):
-            step = p / pieces(t, 1)
+            step = p / dp
         newton = t - step
         use_newton = (newton > lo) & (newton < hi) & (2.0 * np.abs(step) < last_step)
         # Within the tolerance of the zero t is often a bracket end, and the
@@ -256,27 +272,58 @@ def _refine_on_pieces(pieces: PPoly, a: np.ndarray, b: np.ndarray,
     return t
 
 
+def _scan(f: SISFunction, lo: float, hi: float) -> tuple:
+    """The scan grid on [lo, hi] and f's values there.
+
+    The grid is lo, the points k/(N*q) strictly between lo and hi, and hi,
+    with N = cells_per_unit and q = ceil(1/(N*SCAN_STEP)), so every cell
+    holds q steps of at most SCAN_STEP.  f is exactly 0 outside its cells,
+    and only the grid points inside them are evaluated, all of them by one
+    product of the cells' pieces with the powers (k/q)^p, k = 0 .. q-1; the
+    ends go through eval_f.  ValueError when the grid would exceed
+    MAX_SCAN_POINTS.
+    """
+    n_per = f.table.cells_per_unit
+    q = math.ceil(1.0 / (n_per * SCAN_STEP))
+    res = n_per * q
+    if not (hi - lo) * res + 3.0 <= MAX_SCAN_POINTS:
+        raise ValueError(f"interval [{lo}, {hi}] at step 1/{res} needs more than "
+                         f"{MAX_SCAN_POINTS} scan points")
+    first, coef = f._pieces
+    # Grid indices inside f's cells and, up to one step of slack, inside (lo, hi).
+    i0 = max(first * q, math.floor(lo * res))
+    i1 = min((first + coef.shape[0]) * q - 1, math.ceil(hi * res))
+    inner = np.zeros(0)
+    vals = np.zeros(0)
+    if i0 <= i1:
+        powers = np.vander(np.arange(q) / q, CELL_DEGREE + 1).T
+        # Point i lies at position i - j0*q of the cells j0 .. j1 flattened.
+        j0, j1 = i0 // q, i1 // q
+        vals = (coef[j0 - first:j1 - first + 1] @ powers).ravel()[i0 - j0 * q:i1 - j0 * q + 1]
+        inner = np.arange(i0, i1 + 1) / res
+        keep = (inner > lo) & (inner < hi)
+        inner, vals = inner[keep], vals[keep]
+    ends = eval_f(f, np.array([lo, hi]))
+    return (np.concatenate([[lo], inner, [hi]]),
+            np.concatenate([ends[:1], vals, ends[1:]]))
+
+
 def find_zeros(f: SISFunction, interval: tuple) -> PointSet:
     """Locate the sign-change zeros of f on an interval.
 
-    Scans at SCAN_STEP, then refines each bracket on f's pieces to absolute
-    tolerance BISECT_TOL.  Zeros are simple sign changes, found from the
-    signs of the scan values and counted without multiplicity; grid local
-    minima of |f| below TOUCH_TOL times the grid peak without an adjacent
-    sign change are flagged as touch candidates instead of resolved.
-    Raises ValueError when the scan grid would exceed MAX_SCAN_POINTS.
+    Scans on a grid aligned with f's cells (_scan), then refines each
+    bracket on its cell's polynomial to absolute tolerance BISECT_TOL.
+    Zeros are simple sign changes, found from the signs of the scan values
+    and counted without multiplicity; grid local minima of |f| below
+    TOUCH_TOL times the grid peak without an adjacent sign change are
+    flagged as touch candidates instead of resolved.  Raises ValueError
+    when the scan grid would exceed MAX_SCAN_POINTS.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"interval must be finite and nondegenerate, got {interval}")
-    steps = (hi - lo) / SCAN_STEP
-    if not steps < MAX_SCAN_POINTS:
-        raise ValueError(
-            f"interval [{lo}, {hi}] at step {SCAN_STEP} needs more than "
-            f"{MAX_SCAN_POINTS} scan points")
-    n = int(math.ceil(steps)) + 1
-    grid = np.linspace(lo, hi, n)
-    vals = eval_f(f, grid)
+    grid, vals = _scan(f, lo, hi)
+    n = grid.size
 
     scale = np.max(np.abs(vals))
     # Below this peak nothing on the grid rises above the tails the
@@ -297,7 +344,13 @@ def find_zeros(f: SISFunction, interval: tuple) -> PointSet:
                                       >= 1e-12 * scale))[0]
     zeros = grid[exact]
     if brackets.size:
-        refined = _refine_on_pieces(f._pieces, grid[brackets], grid[brackets + 1],
+        a, b = grid[brackets], grid[brackets + 1]
+        first, coef = f._pieces
+        n_per = f.table.cells_per_unit
+        # Both ends lie in f's cells; the midpoint names the cell of the bracket.
+        idx = np.clip(np.floor(0.5 * (a + b) * n_per) - first, 0, coef.shape[0] - 1)
+        idx = idx.astype(np.intp)
+        refined = _refine_on_pieces(coef[idx], idx + float(first), n_per, a, b,
                                     sign[brackets])
         zeros = np.sort(np.concatenate([zeros, refined]))
 

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,6 +173,17 @@ class TestReduce:
 DELTAS_BY_M = {0: (), 1: (0.45,), 2: (0.45, -0.3), 3: (0.45, -0.3, 0.2)}
 
 
+def test_import_leaves_out_scipy_interpolate_and_optimize():
+    # Each of them adds about a third to the import time of the package.
+    code = ("import sys, tpshift; "
+            "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize') "
+            "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(tp.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 class TestBuildTable:
     @pytest.mark.parametrize("gamma", [math.pi**2, 1.0])
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
@@ -188,8 +203,8 @@ class TestBuildTable:
         table = tp.build_table(m1_params)
         deriv = tp.build_table(m1_params, deriv=True)
         again = tp.build_table(tp.GeneratorParams(1.0, m1_params.gamma, (0.45,)))
-        assert np.array_equal(again.pieces.x, table.pieces.x)
-        assert np.array_equal(again.pieces.c, table.pieces.c)
+        assert again.first_cell == table.first_cell
+        assert np.array_equal(again.pieces, table.pieces)
         assert not table.deriv and deriv.deriv
         xs = np.linspace(-3.0, 3.0, 13)
         assert np.max(np.abs(deriv.eval(xs) - tp.generator.time_deriv_eval(m1_params, xs))) \
@@ -198,7 +213,7 @@ class TestBuildTable:
     def test_shared_table_is_read_only(self, m1_params):
         table = tp.build_table(m1_params)
         with pytest.raises(ValueError):
-            table.pieces.c[0, 0] = 1.0
+            table.pieces[0, 0] = 1.0
 
     def test_outside_range_is_zero_and_bounded(self, m1_params):
         table = tp.build_table(m1_params)
@@ -210,6 +225,24 @@ class TestBuildTable:
             env = math.exp(tp.log_envelope(m1_params, x))
             assert env <= tp.generator.EVAL_TAIL_TOL * m1_params.time_amplitude
             assert env >= abs(tp.time_eval(m1_params, x))
+
+    @pytest.mark.parametrize("gamma,deltas",
+                             [(gamma, DELTAS_BY_M[m])
+                              for gamma in (math.pi**2, 1.0, 0.1, 100.0) for m in range(4)]
+                             + [(gamma, (-45.0,)) for gamma in (math.pi**2, 1.0, 0.1, 100.0)])
+    def test_half_width_is_the_first_cell_edge_past_the_tolerance(self, gamma, deltas):
+        params = tp.GeneratorParams(1.0, gamma, deltas)
+        n_per = tp.build_table(params).cells_per_unit
+        w = tp.table_half_width(params)
+        assert round(w * n_per) == w * n_per
+
+        def log_env(r):
+            return max(tp.log_envelope(params, r), tp.log_envelope(params, -r))
+
+        log_tol = math.log(tp.generator.EVAL_TAIL_TOL * params.time_amplitude)
+        assert log_env(w - 1.0) <= log_tol
+        assert w - 1.0 - 1.0 / n_per >= 0.0
+        assert log_env(w - 1.0 - 1.0 / n_per) > log_tol
 
     def test_envelope_dominates_g(self, m2_params):
         for x in (-6.0, -3.0, -1.0, 0.0, 1.5, 3.0, 6.0, 9.0):

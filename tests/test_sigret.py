@@ -134,7 +134,7 @@ class TestSolveSigns:
         for mags in ((1e-146, 1e-147, 0.0), (0.0, 0.0, 0.0)):
             sample = tp.MagnitudeSample(lam=lam, magnitudes=mags)
             for solve in (tp.solve_signs, tp.brute_force_signs):
-                with pytest.raises(ValueError, match="nothing to retrieve"):
+                with pytest.raises(tp.MagnitudeFloorError, match="nothing to retrieve"):
                     solve(gauss_params, sample, (0, 1), 2)
 
     def test_undersampling_raises_rank_error(self, gauss_params):
@@ -569,6 +569,20 @@ class TestExperiment:
                     row.wrong_recovery)
         assert counts(1e-12) == counts(1.0) == (3, 0, 0, 0)
 
+    def test_magnitudes_below_the_floor_do_not_end_the_sweep(self):
+        # c0 = 1e-150 puts every magnitude below the search's floor (about
+        # 1.5e-145): each trial counts as below_floor and the sweep goes on.
+        cfg = tp.ExperimentConfig(generator=tp.GeneratorParams(1e-150, math.pi**2),
+                                  densities=(2.5, 0.8), trials=3, seed=1,
+                                  support=(-4, 4), window=(-6.0, 6.0), max_changes=22)
+        report = tp.run_threshold_experiment(cfg)
+        for row in report.rows:
+            assert (row.successes, row.rank_deficient, row.below_floor,
+                    row.budget_exceeded, row.wrong_recovery) == (0, 0, 3, 0, 0)
+            assert math.isnan(row.mean_residual)
+        assert report.csv_text() == ("density,trials,successes,mean_residual\n"
+                                     "2.5,3,0,nan\n0.8,3,0,nan\n")
+
     def test_success_at_good_density(self, gauss_params):
         cfg = tp.ExperimentConfig(generator=gauss_params, densities=(2.5,), trials=6,
                                   seed=42, support=(-6, 6), window=(-8.0, 8.0),
@@ -616,8 +630,8 @@ class TestExperiment:
         for lo, hi in zip(rates, rates[1:]):
             assert lo <= hi + 1.0 / cfg.trials
         for row in report.rows:
-            assert row.successes + row.rank_deficient + row.budget_exceeded \
-                + row.wrong_recovery == row.trials
+            assert row.successes + row.rank_deficient + row.below_floor \
+                + row.budget_exceeded + row.wrong_recovery == row.trials
 
     def test_paired_points_preset(self, gauss_params):
         cfg = tp.ExperimentConfig(generator=gauss_params, densities=(2.5,), trials=4,

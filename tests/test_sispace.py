@@ -1,8 +1,8 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.interpolate import PPoly
 
 import tpshift as tp
 from tpshift.errors import IdenticallyZeroError
@@ -22,24 +22,29 @@ def per_shift_sum(f, x, deriv=False):
 
 
 def slice_add_shift_sum(table, first, weights):
-    """Reference piece sum: weight k times the table pieces shifted by k*N, added."""
+    """Reference piece sum: weight k times the table rows shifted by k*N, added."""
     n_per = table.cells_per_unit
-    pieces = table.pieces.c
-    width = pieces.shape[1]
+    width = table.pieces.shape[0]
     n_pieces = (len(weights) - 1) * n_per + width
-    coef = np.zeros((pieces.shape[0], n_pieces))
+    coef = np.zeros((n_pieces, table.pieces.shape[1]))
     for k, w in enumerate(weights):
         if w != 0.0:
-            coef[:, k * n_per:k * n_per + width] += w * pieces
-    start = first * n_per - width // 2
-    return coef, (start + np.arange(n_pieces + 1)) / n_per
+            coef[k * n_per:k * n_per + width] += w * table.pieces
+    return first * n_per + table.first_cell, coef
+
+
+def scan_grid(f, lo, hi):
+    """Reference scan grid: lo, the multiples of 1/(N*q) strictly inside, and hi."""
+    n_per = f.table.cells_per_unit
+    res = n_per * math.ceil(1.0 / (n_per * tp.sispace.SCAN_STEP))
+    inner = np.arange(math.floor(lo * res), math.ceil(hi * res) + 1) / res
+    return np.concatenate([[lo], inner[(inner > lo) & (inner < hi)], [hi]])
 
 
 def bisection_scan(f, interval):
     """Reference zero scan: the find_zeros grid, each bracket bisected through eval_f."""
-    lo, hi = interval
-    n = int(math.ceil((hi - lo) / tp.sispace.SCAN_STEP)) + 1
-    grid = np.linspace(lo, hi, n)
+    grid = scan_grid(f, *interval)
+    n = grid.size
     vals = tp.eval_f(f, grid)
     sign = np.sign(vals)
     scale = np.max(np.abs(vals))
@@ -140,8 +145,9 @@ class TestSplineOfF:
         c[3] = 0.0
         f = tp.SISFunction(params, tp.CoeffSeq(-5, tuple(c)))
         tol = 1e-12 * np.sum(np.abs(c))
-        lo, hi = f._pieces.x[[0, -1]]
+        first, coef = f._pieces
         step = 1.0 / f.table.cells_per_unit
+        lo, hi = first * step, (first + coef.shape[0]) * step
         inside = np.linspace(-7.0, 8.0, 1501)
         edges = np.array([lo, lo + 0.3 * step, hi - 0.3 * step, hi])
         outside = np.array([lo - 0.3 * step, lo - 1.0, hi + 0.3 * step, hi + 1.0, 1e6])
@@ -181,32 +187,37 @@ class TestSplineOfF:
         cases = [(3, (1.7,)), (-6, tuple(interior)), (-4, (1.0,) + (0.0,) * gap + (-0.5,))]
         tables = [tp.build_table(params), tp.build_table(params, deriv=True),
                   # 6N and 5.5N pieces: a whole number of blocks, and a padded last block
-                  *(tp.TimeDomainTable(params, False, 4, PPoly(rng.standard_normal((10, 2 * h)),
-                                                               np.arange(-h, h + 1) / 4.0))
+                  *(tp.TimeDomainTable(params, False, 4, rng.standard_normal((2 * h, 10)))
                     for h in (12, 11))]
         for table in tables:
-            pieces = table.pieces.c
             for first, weights in cases:
-                got = table.shift_sum(first, weights)
-                coef, breaks = slice_add_shift_sum(table, first, weights)
-                assert np.array_equal(got.x, breaks)
-                assert np.array_equal(got.c == 0.0, coef == 0.0)
-                tol = 1e-14 * np.sum(np.abs(weights)) * np.max(np.abs(pieces))
-                assert np.max(np.abs(got.c - coef)) <= tol
+                got_first, got = table.shift_sum(first, weights)
+                want_first, coef = slice_add_shift_sum(table, first, weights)
+                assert got_first == want_first
+                assert got.shape == coef.shape and got.flags.c_contiguous
+                assert np.array_equal(got == 0.0, coef == 0.0)
+                tol = 1e-14 * np.sum(np.abs(weights)) * np.max(np.abs(table.pieces))
+                assert np.max(np.abs(got - coef)) <= tol
         assert tables[0].cells_per_unit > 4 or gamma == GAUSS_RATE_ONE
 
     def test_sharp_generator_gets_finer_unit_fraction_step(self):
-        f = tp.SISFunction(tp.GeneratorParams(1.0, 1.0), tp.CoeffSeq(0, (1.0,)))
-        assert f.table.cells_per_unit == 4 * math.ceil(math.pi)
-        assert np.allclose(np.diff(f.table.pieces.x), 1.0 / f.table.cells_per_unit)
+        params = tp.GeneratorParams(1.0, 1.0)
+        f = tp.SISFunction(params, tp.CoeffSeq(0, (1.0,)))
+        n_per = f.table.cells_per_unit
+        assert n_per == 4 * math.ceil(math.pi)
+        # The rows are the cells of width 1/N that tile [-w, w].
+        assert f.table.pieces.shape[0] == -2 * f.table.first_cell \
+            == round(2 * tp.table_half_width(params) * n_per)
+        edges = np.arange(f.table.first_cell, -f.table.first_cell) / n_per
+        assert np.allclose(f.table.eval(edges), f.table.pieces[:, -1], rtol=0, atol=1e-15)
 
     def test_table_extent_depends_on_generator_only(self, m1_params):
         small = tp.SISFunction(m1_params, tp.CoeffSeq(-1, (1.0, -0.5, 0.8)))
         large = tp.SISFunction(m1_params, tp.CoeffSeq(-150, (1.0,) * 300))
-        assert small.table.pieces.c.shape == large.table.pieces.c.shape
-        assert small.deriv_table.pieces.c.shape == large.deriv_table.pieces.c.shape
-        half = large.table.pieces.x[-1]
-        assert large.table.pieces.x[0] == -half
+        assert small.table.pieces.shape == large.table.pieces.shape
+        assert small.deriv_table.pieces.shape == large.deriv_table.pieces.shape
+        half = -large.table.first_cell / large.table.cells_per_unit
+        assert large.table.pieces.shape[0] == -2 * large.table.first_cell
         radius = tp.decay_radius(m1_params, tp.generator.EVAL_TAIL_TOL
                                  * m1_params.time_amplitude) + 1.0
         assert radius <= half < radius + 1.0 / large.table.cells_per_unit
@@ -394,19 +405,96 @@ class TestFindZeros:
             assert np.max(np.abs(np.subtract(zeros.points, ref_zeros))) \
                 <= tp.sispace.BISECT_TOL
 
-    def test_piece_refinement_on_breaks_and_across_pieces(self):
-        # P(x) = (x - 2)(x - 4.625)(x - 7.25) on unit pieces, in local
-        # coordinates; P is exactly 0 at the break x = 2, and the bracket
-        # [3.5, 6.5] covers four pieces.
+    def test_piece_refinement_in_one_cell_and_on_its_edge(self):
+        # P(x) = (x - 2)(x - 4.625)(x - 7.25) on unit cells, each in its local
+        # u = x - j; P is exactly 0 at the cell edge x = 2, where the first
+        # bracket ends.
         roots = (2.0, 4.625, 7.25)
         poly = np.poly1d(roots, r=True)
-        breaks = np.arange(10.0)
-        coef = np.array([[poly.deriv(3 - k)(x) / math.factorial(3 - k) for x in breaks[:-1]]
-                         for k in range(4)])
-        pieces = PPoly(coef, breaks)
-        a, b = np.array([1.5, 3.5, 6.9]), np.array([2.5, 6.5, 7.9])
-        got = tp.sispace._refine_on_pieces(pieces, a, b, np.sign(poly(a)))
+        cells = np.array([1.0, 4.0, 7.0])
+        rows = np.array([[poly.deriv(k)(j) / math.factorial(k) for k in range(3, -1, -1)]
+                         for j in cells])
+        a, b = np.array([1.5, 4.5, 7.0]), np.array([2.0, 4.75, 7.5])
+        got = tp.sispace._refine_on_pieces(rows, cells, 1, a, b, np.sign(poly(a)))
         assert np.max(np.abs(got - roots)) <= tp.sispace.BISECT_TOL
+        # Cells of width 1/4, rows in u = 4x - j; two roots on right cell edges.
+        a, b = np.array([1.75, 4.5, 7.0]), np.array([2.0, 4.75, 7.25])
+        cells = 4.0 * a
+        rows = np.array([[poly.deriv(k)(j / 4.0) / math.factorial(k) / 4.0**k
+                          for k in range(3, -1, -1)] for j in cells])
+        got = tp.sispace._refine_on_pieces(rows, cells, 4, a, b, np.sign(poly(a)))
+        assert np.max(np.abs(got - roots)) <= tp.sispace.BISECT_TOL
+
+    @pytest.mark.parametrize("gamma", [GAUSS_RATE_ONE, 1.0, 0.1])
+    def test_scan_grid_is_aligned_with_the_cells(self, gamma):
+        params = tp.GeneratorParams(1.0, gamma, (0.45,))
+        f = tp.SISFunction(params, tp.CoeffSeq(-4, tuple(np.random.default_rng(7)
+                                                         .standard_normal(9))))
+        n_per = f.table.cells_per_unit
+        q = math.ceil(1.0 / (n_per * tp.sispace.SCAN_STEP))
+        lo, hi = f.support_window()
+        grid, vals = tp.sispace._scan(f, lo - 1.37, hi + 0.61)
+        # The whole grid minus the points outside f's cells, where f is 0.
+        first, coef = f._pieces
+        full = scan_grid(f, lo - 1.37, hi + 0.61)
+        keep = (full >= first / n_per) & (full < (first + coef.shape[0]) / n_per)
+        keep[[0, -1]] = True
+        assert np.array_equal(grid, full[keep])
+        assert np.max(np.diff(grid[1:-1])) <= tp.sispace.SCAN_STEP
+        # Every cell edge is a grid point, and there f is the row's constant term.
+        edges = np.flatnonzero(np.isin(grid, np.arange(first, first + coef.shape[0]) / n_per))
+        assert edges.size == coef.shape[0]
+        assert np.array_equal(vals[edges], coef[:, -1])
+        assert np.all(np.diff(edges) == q)
+        scale = np.max(np.abs(vals))
+        assert np.max(np.abs(vals - tp.eval_f(f, grid))) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("interval", [(-3.37, 5.11), (-3.25, 5.0)])
+    def test_scan_ends_off_and_on_the_grid(self, m1_params, fn_factory, interval):
+        f = fn_factory(m1_params, -6, np.random.default_rng(11).standard_normal(13))
+        wide = tp.find_zeros(f, (-10.0, 10.0)).as_array()
+        # Ends between the zeros nearest to the interval's ends and the grid
+        # points outside them: the brackets from lo and to hi hold those zeros.
+        res = 4 * 13
+        z_lo = wide[np.argmin(np.abs(wide - interval[0]))]
+        z_hi = wide[np.argmin(np.abs(wide - interval[1]))]
+        near = (z_lo - 0.3 * (z_lo - math.floor(z_lo * res) / res),
+                z_hi + 0.3 * (math.ceil(z_hi * res) / res - z_hi))
+        for window in (interval, near):
+            zeros = tp.find_zeros(f, window)
+            want = wide[(wide > window[0]) & (wide < window[1])]
+            assert len(zeros) == len(want) >= 2
+            assert np.max(np.abs(zeros.as_array() - want)) <= tp.sispace.BISECT_TOL
+            ref_zeros, ref_touches = bisection_scan(f, window)
+            assert np.max(np.abs(np.subtract(zeros.points, ref_zeros))) \
+                <= tp.sispace.BISECT_TOL
+            assert list(zeros.touch_points) == ref_touches
+        assert zeros.points[0] == pytest.approx(z_lo, abs=tp.sispace.BISECT_TOL)
+        assert zeros.points[-1] == pytest.approx(z_hi, abs=tp.sispace.BISECT_TOL)
+
+    def test_sharp_generator_scans_two_points_per_cell(self, fn_factory):
+        params = tp.GeneratorParams(1.0, 0.1)
+        f = fn_factory(params, -6, np.random.default_rng(5).standard_normal(12))
+        assert f.table.cells_per_unit == 40
+        grid, _ = tp.sispace._scan(f, -7.0, 6.0)
+        assert np.allclose(np.diff(grid), 1.0 / 80.0, rtol=0, atol=1e-14)
+        assert np.max(np.diff(grid)) <= tp.sispace.SCAN_STEP
+        assert grid.size == 13 * 80 + 1
+        zeros = tp.find_zeros(f, (-8.0, 8.0))
+        ref_zeros, ref_touches = bisection_scan(f, (-8.0, 8.0))
+        assert len(zeros) == len(ref_zeros) > 0
+        assert np.max(np.abs(np.subtract(zeros.points, ref_zeros))) <= tp.sispace.BISECT_TOL
+        assert list(zeros.touch_points) == ref_touches
+        # 1.5e6 points at SCAN_STEP but 2.4e6 at the grid's step 1/80: refused,
+        # before the grid is built.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="scan points"):
+                tp.find_zeros(f, (-15000.0, 15000.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_rejects_oversized_scan_before_allocating(self, gauss_params, fn_factory):
         f = fn_factory(gauss_params, 0, (1.0, -1.0))
