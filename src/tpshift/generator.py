@@ -16,13 +16,17 @@ through erfcx (Grushka, Anal. Chem. 44, 1972), so g and g' are evaluated
 directly.  A table keeps g's polynomial interpolant on each cell of width
 1/N as one row of a (cells, CELL_DEGREE + 1) array; an integer shift moves
 whole cells, so a shift combination is again one such array, found by one
-matrix product, with all its breaks at j/N.  A certified exponential-moment
-envelope bounds |g| beyond the tabulated range.
+matrix product, with all its breaks at j/N.  Beyond the tables, |g| is
+bounded by an exponential-moment envelope at its exact optimal tilt.  Along
+the curve of optimal tilts the envelope and its point are explicit, so one
+safeguarded Newton solve per side finds the decay radius that fixes the
+extent of every table.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,6 +44,8 @@ EVAL_TAIL_TOL = 1e-13
 # Degree of g's interpolant on each table cell.  The table keeps it in the
 # power basis, which loses digits as the degree grows (1.5e-4 at degree 16).
 CELL_DEGREE = 9
+# Most evaluations of one safeguarded Newton solve for a tilt.
+_TILT_STEPS = 100
 
 # Chebyshev points of the second kind s_j = cos(pi*j/n), n = CELL_DEGREE, as
 # fractions of a cell; samples there times _CHEB_FIT are the coefficients
@@ -202,6 +208,59 @@ def reduce(params: GeneratorParams) -> GeneratorParams:
     return GeneratorParams(params.c0, params.gamma, params.deltas[:-1])
 
 
+def _tilt_range(params: GeneratorParams) -> tuple:
+    """The open range (lo, hi) of admissible tilts, theta*delta_nu < 1 for every nu."""
+    return (max((1.0 / d for d in params.deltas if d < 0.0), default=-math.inf),
+            min((1.0 / d for d in params.deltas if d > 0.0), default=math.inf))
+
+
+def _tilt_curve(params: GeneratorParams, theta: float) -> tuple:
+    """(x, dx/dtheta, ell) at the admissible tilt theta on the tilt curve.
+
+    theta minimises the tilt bound of log_envelope at
+    x(theta) = theta/(2a) + sum delta/(1 - theta*delta), which increases in
+    theta, and ell(theta) = log amp - theta^2/(4a) - sum (u/(1 - u) + log(1 - u)),
+    u = theta*delta, is the bound there, so dell/dtheta = -theta * dx/dtheta.
+    At or past a pole, x is +-inf and ell is -inf.
+    """
+    a = params.gauss_rate
+    # Divided by a before scaling: 2a and 4a overflow for gamma near 5e-308.
+    x, slope = 0.5 * theta / a, 0.5 / a
+    ell = math.log(params.time_amplitude) - 0.25 * theta * (theta / a)
+    for d in params.deltas:
+        u = theta * d
+        if not u < 1.0:
+            return math.copysign(math.inf, d), math.inf, -math.inf
+        r = 1.0 / (1.0 - u)
+        x += d * r
+        slope += (d * r) * (d * r)
+        ell -= u * r + math.log1p(-u)
+    return x, slope, ell
+
+
+def _solve_tilt(fun, lo: float, hi: float, theta: float) -> float:
+    """A root in (lo, hi) of an increasing function of the tilt, negative at lo.
+
+    fun(theta) returns (value, slope).  Newton steps from theta; a start
+    outside the bracket, a step outside the shrinking bracket or one through
+    an infinite slope is replaced by the bracket's midpoint.  Stops at a
+    Newton step of at most 4 ulps of theta, once the bracket holds no
+    midpoint, or after _TILT_STEPS evaluations.
+    """
+    if not lo <= theta <= hi:
+        theta = 0.5 * lo + 0.5 * hi
+    for _ in range(_TILT_STEPS):
+        value, slope = fun(theta)
+        lo, hi = (lo, theta) if value > 0.0 else (theta, hi)
+        step = value / slope
+        if slope < math.inf and abs(step) <= 4.0 * sys.float_info.epsilon * abs(theta):
+            break
+        theta = theta - step if lo < theta - step < hi else 0.5 * lo + 0.5 * hi
+        if not lo < theta < hi:
+            break
+    return theta
+
+
 def log_envelope(params: GeneratorParams, x: float) -> float:
     """log of an envelope for |g(x)| from exponential-moment bounds.
 
@@ -211,47 +270,71 @@ def log_envelope(params: GeneratorParams, x: float) -> float:
 
         g(x) <= amp * exp(theta**2/(4*a) - theta*x) * prod (1 - theta*delta_nu)**-1,
 
-    and the envelope takes the minimum over a tilt grid.  For m = 0 the
-    optimal tilt 2*a*x recovers the Gaussian itself.
+    a strictly convex bound in theta.  The envelope is its minimum over the
+    admissible tilts of either sign, at the tilt with x(theta) = x on the
+    tilt curve (_tilt_curve), found by one safeguarded Newton solve.  For
+    m = 0 it is the Gaussian itself.
     """
-    side = 1 if x > 0 else -1
-    a = params.gauss_rate
-    # Largest admissible |theta| for arguments of this sign.
-    cap = 0.999 * min((1.0 / (side * d) for d in params.deltas if side * d > 0),
-                      default=math.inf)
-    thetas = side * min(2.0 * a * abs(x), cap) * np.linspace(0.0, 1.0, 65)
-    vals = math.log(params.time_amplitude) + thetas * (thetas / (4.0 * a) - x)
-    for d in params.deltas:
-        vals = vals - np.log1p(-thetas * d)
-    return float(np.min(vals))
+    rate = 0.5 / params.gauss_rate
+    lo, hi = _tilt_range(params)
+    # Against a tilt of one sign, the terms delta/(1 - theta*delta) of the
+    # other sign lie between delta and 0; this brackets x(theta) = x.
+    if x >= sum(params.deltas):
+        lo, hi = 0.0, min(hi, (x - sum(d for d in params.deltas if d < 0.0)) / rate)
+    else:
+        lo, hi = max(lo, (x - sum(d for d in params.deltas if d > 0.0)) / rate), 0.0
+
+    def gap(theta):
+        x_theta, slope, _ = _tilt_curve(params, theta)
+        return x_theta - x, slope
+
+    x_0, slope_0, _ = _tilt_curve(params, 0.0)
+    theta = _solve_tilt(gap, lo, hi, (x - x_0) / slope_0)
+    x_theta, _, ell = _tilt_curve(params, theta)
+    # The bound at this tilt, whether or not it is the optimum to the last bit.
+    return ell - theta * (x - x_theta)
 
 
 def decay_radius(params: GeneratorParams, tol: float) -> float:
     """Smallest radius beyond which g's two-sided envelope stays below tol.
 
-    0 when the envelope's peak, the amplitude, is not above tol.
+    The envelope falls from its peak amp at x(0) = sum delta to both sides,
+    so the radius is the larger |x(theta)| of the two tilts, one of each
+    sign, where ell(theta) = log tol on the tilt curve (_tilt_curve).  Each
+    comes from one safeguarded Newton solve started past the root, and at
+    it for m = 0.  Each |x| then moves out by 64 ulps of the terms that the
+    bound's rounding scales with, over the envelope's slope |theta| in x,
+    so the envelope computed at the radius stays below tol.  0 when amp is
+    not above tol.  ValueError unless tol is finite and positive, and when
+    the radius is not a finite double.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-
-    def above(r):
-        return max(log_envelope(params, r), log_envelope(params, -r)) > math.log(tol)
-
-    if not above(0.0):
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if not params.time_amplitude > tol:
         return 0.0
-    d = 1.0
-    while above(d):
-        d *= 2.0
-        if d > 1e6:
-            raise ValueError(f"envelope never drops below {tol}")
-    # above(0) holds, so the halving stops at some d > 0.
-    while not above(d / 2.0):
-        d /= 2.0
-    lo, hi = d / 2.0, d
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if above(mid) else (lo, mid)
-    return hi
+    log_amp, log_tol = math.log(params.time_amplitude), math.log(tol)
+    # ell <= log amp - theta^2/(4a) and ell <= log amp - phi(theta*delta) for
+    # every delta, phi(u) = u/(1 - u) + log(1 - u), so the Gaussian root is
+    # past the root, and so is the tilt where 1/(1 - theta*delta) = 2L + 2
+    # for the nearest pole 1/delta, as phi >= L there (L = log(amp/tol)).
+    gauss = 2.0 * math.sqrt(params.gauss_rate) * math.sqrt(log_amp - log_tol)
+    near_pole = 1.0 - 0.5 / (log_amp - log_tol + 1.0)
+    lo, hi = _tilt_range(params)
+    reach = []
+    for side, start in ((1.0, min(gauss, near_pole * hi)), (-1.0, max(-gauss, near_pole * lo))):
+        def excess(theta, side=side):
+            _, slope, ell = _tilt_curve(params, theta)
+            return side * (log_tol - ell), side * theta * slope
+
+        theta = _solve_tilt(excess, min(start, 0.0), max(start, 0.0), start)
+        x, slope, _ = _tilt_curve(params, theta)
+        # Near a pole 1 - theta*delta loses digits, and theta^2 * slope grows with them.
+        slack = 64.0 * sys.float_info.epsilon * (abs(log_amp) + abs(log_tol)
+                                                 + theta * slope * theta)
+        reach.append(side * x + slack / abs(theta))
+    if not max(reach) < math.inf:
+        raise ValueError(f"the decay radius of {params} for {tol:g} is not a finite double")
+    return max(reach)
 
 
 def _cells_per_unit(params: GeneratorParams) -> int:
@@ -263,34 +346,21 @@ def _cells_per_unit(params: GeneratorParams) -> int:
 def table_half_width(params: GeneratorParams) -> float:
     """Half-width w of every table of the generator: where its outermost cells end.
 
-    w = j/N is the first point of the cell grid 1/N with w - 1 beyond the
-    decay radius for EVAL_TAIL_TOL times the amplitude, found by doubling
-    and bisecting over j; the extra unit covers g', which g's envelope does
-    not bound directly.  ValueError if a table would hold more than
-    MAX_TABLE_POINTS samples.
+    w = j/N with j = ceil((R + 1) N), the first point of the cell grid 1/N
+    with w - 1 beyond the decay radius R for EVAL_TAIL_TOL times the
+    amplitude; the extra unit covers g', which g's envelope does not bound
+    directly.  ValueError if a table would hold more than MAX_TABLE_POINTS
+    samples.
     """
     n_per = _cells_per_unit(params)
-    max_cells = MAX_TABLE_POINTS // (2 * (CELL_DEGREE + 1))
     tol = EVAL_TAIL_TOL * params.time_amplitude
     if not tol > 0.0:
         raise ValueError(f"the amplitude of {params} is too small to tabulate")
-
-    def above(j):
-        # The two-sided envelope at j/N - 1, for j >= N.
-        r = j / n_per - 1.0
-        return max(log_envelope(params, r), log_envelope(params, -r)) > math.log(tol)
-
-    # Invariant: not above(hi), and above(lo) unless lo = N - 1.
-    lo, hi = n_per - 1, n_per
-    while above(hi):
-        if hi >= max_cells:
-            raise ValueError(f"a table of {params} in cells of width 1/{n_per} needs "
-                             f"more than {MAX_TABLE_POINTS} samples")
-        lo, hi = hi, min(2 * hi, max_cells)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if above(mid) else (lo, mid)
-    return hi / n_per
+    cells = (decay_radius(params, tol) + 1.0) * n_per
+    if not cells <= MAX_TABLE_POINTS // (2 * (CELL_DEGREE + 1)):
+        raise ValueError(f"a table of {params} in cells of width 1/{n_per} needs "
+                         f"more than {MAX_TABLE_POINTS} samples")
+    return math.ceil(cells) / n_per
 
 
 @dataclass(eq=False)

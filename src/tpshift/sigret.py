@@ -547,6 +547,8 @@ class ExperimentConfig:
             raise ValueError("densities must be positive with a finite spacing 1/d")
         if self.trials < 0:
             raise ValueError("trials must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if not self.trials * len(dens) <= MAX_TOTAL_TRIALS:
             raise ValueError(f"trials x densities must be at most {MAX_TOTAL_TRIALS}")
         if self.max_changes < 0:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import IdenticallyZeroError
 from .generator import (CELL_DEGREE, EVAL_TAIL_TOL, GeneratorParams, TimeDomainTable,
-                        build_table, eval_pieces, reduce, table_half_width)
+                        build_table, eval_pieces, reduce)
 
 # Largest scan step for sign changes; zeros of the test corpus separate at
 # scale >= 1 so 0.02 leaves a wide margin.  The scan divides each table cell
@@ -193,7 +193,7 @@ class SISFunction:
     def support_window(self) -> tuple:
         """The coefficient support padded by the table half-width; f is 0 outside it."""
         ks = self.coeffs.support_indices()
-        pad = table_half_width(self.params)
+        pad = -self.table.first_cell / self.table.cells_per_unit
         return (float(ks[0] - pad), float(ks[-1] + pad))
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import tpshift.cli as cli
 from tpshift.errors import ChainViolationError, QuadratureError
+from tpshift.generator import GeneratorParams, log_envelope
 
 
 def write_config(tmp_path, name, payload):
@@ -201,6 +202,17 @@ class TestCommands:
             warnings.simplefilter("error")
             assert run(["gen", "--config", path, "--out", str(out), "--quiet"]) == 0
         assert "NaN" not in out.read_text() and "Infinity" not in out.read_text()
+
+    def test_gen_reports_a_radius_past_a_million(self, tmp_path):
+        generator = {"c0": 1.0, "gamma": 1.0, "deltas": [3e4]}
+        path = write_config(tmp_path, "gen.json", {"generator": generator})
+        out = tmp_path / "gen.out.json"
+        assert run(["gen", "--config", path, "--out", str(out), "--quiet"]) == 0
+        radius = json.loads(out.read_text())["result"]["decay_radius_1e-12"]
+        assert math.isfinite(radius) and radius > 1e5
+        params = GeneratorParams.from_json_dict(generator)
+        assert max(log_envelope(params, radius), log_envelope(params, -radius)) \
+            <= math.log(1e-12)
 
     def test_density_csv(self, tmp_path):
         pts = list(np.arange(-200.0, 201.0))

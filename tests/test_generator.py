@@ -171,6 +171,10 @@ class TestReduce:
 
 
 DELTAS_BY_M = {0: (), 1: (0.45,), 2: (0.45, -0.3), 3: (0.45, -0.3, 0.2)}
+# Four Gaussian widths, each with m = 0..3 and with the one far shift -45.
+TABLE_GENERATORS = ([(gamma, DELTAS_BY_M[m])
+                     for gamma in (math.pi**2, 1.0, 0.1, 100.0) for m in range(4)]
+                    + [(gamma, (-45.0,)) for gamma in (math.pi**2, 1.0, 0.1, 100.0)])
 
 
 def test_import_leaves_out_scipy_interpolate_and_optimize():
@@ -226,10 +230,7 @@ class TestBuildTable:
             assert env <= tp.generator.EVAL_TAIL_TOL * m1_params.time_amplitude
             assert env >= abs(tp.time_eval(m1_params, x))
 
-    @pytest.mark.parametrize("gamma,deltas",
-                             [(gamma, DELTAS_BY_M[m])
-                              for gamma in (math.pi**2, 1.0, 0.1, 100.0) for m in range(4)]
-                             + [(gamma, (-45.0,)) for gamma in (math.pi**2, 1.0, 0.1, 100.0)])
+    @pytest.mark.parametrize("gamma,deltas", TABLE_GENERATORS)
     def test_half_width_is_the_first_cell_edge_past_the_tolerance(self, gamma, deltas):
         params = tp.GeneratorParams(1.0, gamma, deltas)
         n_per = tp.build_table(params).cells_per_unit
@@ -244,10 +245,23 @@ class TestBuildTable:
         assert w - 1.0 - 1.0 / n_per >= 0.0
         assert log_env(w - 1.0 - 1.0 / n_per) > log_tol
 
-    def test_envelope_dominates_g(self, m2_params):
-        for x in (-6.0, -3.0, -1.0, 0.0, 1.5, 3.0, 6.0, 9.0):
-            env = math.exp(tp.log_envelope(m2_params, x))
-            assert env >= abs(tp.time_eval(m2_params, x)) * (1 - 1e-12)
+    @pytest.mark.parametrize("deltas", [DELTAS_BY_M[1], DELTAS_BY_M[2], DELTAS_BY_M[3],
+                                        (-45.0,)])
+    def test_envelope_dominates_g(self, deltas):
+        params = tp.GeneratorParams(1.0, math.pi**2, deltas)
+        a, amp = params.gauss_rate, params.time_amplitude
+        lo = max((1.0 / d for d in deltas if d < 0), default=-50.0)
+        hi = min((1.0 / d for d in deltas if d > 0), default=50.0)
+        # Between 0 and sum(delta) the optimal tilt has the sign opposite to x.
+        inside = [f * sum(deltas) for f in (0.2, 0.5, 0.8)]
+        for x in [-6.0, -3.0, -1.0, 0.0, 1.5, 3.0, 6.0, 9.0] + inside:
+            log_env = tp.log_envelope(params, x)
+            assert math.exp(log_env) >= abs(tp.time_eval(params, x)) * (1 - 1e-12)
+            # No admissible tilt of either sign gives a smaller bound.
+            for theta in np.linspace(lo, hi, 203)[1:-1]:
+                bound = math.log(amp) + theta * (theta / (4.0 * a) - x) \
+                    - sum(math.log1p(-theta * d) for d in deltas)
+                assert log_env <= bound + 1e-12 * (1.0 + abs(bound))
 
     def test_decay_radius_certifies_tolerance(self, m2_params):
         def env(x):
@@ -265,16 +279,22 @@ class TestBuildTable:
         assert want < 0.5
         assert tp.decay_radius(params, 1e-12) == pytest.approx(want, rel=1e-13)
 
-    def test_factored_decay_radius_below_one_half_is_tight(self):
-        params = tp.GeneratorParams(1.0, 0.01, (0.001, -0.002))
+    @pytest.mark.parametrize("gamma,deltas", [(0.01, (0.001, -0.002))] + TABLE_GENERATORS)
+    def test_factored_decay_radius_below_one_half_is_tight(self, gamma, deltas):
+        params = tp.GeneratorParams(1.0, gamma, deltas)
 
         def env(x):
             return max(tp.log_envelope(params, x), tp.log_envelope(params, -x))
 
         radius = tp.decay_radius(params, 1e-12)
-        assert radius < 0.5
+        assert radius < 0.5 or deltas != (0.001, -0.002)
         assert env(radius) <= math.log(1e-12) < env(radius * (1 - 1e-9))
 
     def test_decay_radius_is_zero_when_tol_is_not_below_the_amplitude(self):
         params = tp.GeneratorParams(1e-20, 1.0)
         assert tp.decay_radius(params, 1e-12) == 0.0
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-12])
+    def test_decay_radius_refuses_tolerance_that_is_not_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            tp.decay_radius(tp.GeneratorParams(1.0, 1.0), tol)

@@ -515,6 +515,12 @@ class TestExperiment:
                                     max_changes=5)
         with pytest.raises(ValueError):
             tp.ExperimentConfig.from_json_dict({"generator": {"c0": 1, "gamma": 1}})
+        # A negative seed is refused here, not by numpy inside the first trial.
+        for trials in (0, 1):
+            with pytest.raises(ValueError, match="seed"):
+                tp.ExperimentConfig(generator=gauss_params, densities=(2.5,), trials=trials,
+                                    seed=-5, support=(-2, 2), window=(-4.0, 4.0),
+                                    max_changes=5)
 
     @pytest.mark.parametrize("support", [(2**31 + 1, 2**31 + 1), (-2**40, 0), (3, 2)])
     def test_support_range_is_nonempty_within_offset_range(self, gauss_params, support):
