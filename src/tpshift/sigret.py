@@ -25,12 +25,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import product
 from math import comb
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dorgqr
 
 from .errors import MagnitudeFloorError, RankDeficiencyError, SearchBudgetError
 from .generator import MAX_TABLE_POINTS, GeneratorParams, time_eval
@@ -155,15 +154,35 @@ def design_matrix(params: GeneratorParams, points: np.ndarray, support) -> np.nd
     """
     k_lo, n_coeffs = _support_size(support)
     pts = np.asarray(points, dtype=float)
-    if not len(pts) * n_coeffs <= MAX_TABLE_POINTS:
-        raise ValueError(f"a design matrix of {len(pts)} points and {n_coeffs} "
+    _refuse_oversized(len(pts), n_coeffs)
+    return _drop_roundoff(time_eval(params, pts[:, None] - (k_lo + np.arange(n_coeffs))))
+
+
+def _refuse_oversized(n_points: int, n_coeffs: int):
+    if not n_points * n_coeffs <= MAX_TABLE_POINTS:
+        raise ValueError(f"a design matrix of {n_points} points and {n_coeffs} "
                          f"coefficients needs more than {MAX_TABLE_POINTS} samples")
-    a = time_eval(params, pts[:, None] - (k_lo + np.arange(n_coeffs)))
-    # Entries below roundoff of the largest carry no information, but the sign
-    # search prunes far less when they are kept: unclipped, the m = 0 and m = 1
-    # searches over the sign_retrieval benchmark pool visit 1,284,115 and
-    # 1,297,119 nodes instead of 54,258 and 55,084.
+
+
+def _drop_roundoff(a: np.ndarray) -> np.ndarray:
+    """a with its entries below roundoff of the largest set to 0.
+
+    They carry no information, but the sign search prunes far less when they
+    are kept: unclipped, the m = 0 and m = 1 searches over the sign_retrieval
+    benchmark pool visit 1,284,115 and 1,297,119 nodes instead of 54,258 and
+    55,084.
+    """
     a[np.abs(a) < 1e-15 * np.max(np.abs(a), initial=0.0)] = 0.0
+    return a
+
+
+# One entry: a threshold trial samples f with its design matrix, and the sign
+# search of that trial fits with the same one.
+@lru_cache(maxsize=1)
+def _design(params: GeneratorParams, points: tuple, k_lo: int, n_coeffs: int) -> np.ndarray:
+    """The read-only design matrix of points over coefficients k_lo .. k_lo + n_coeffs - 1."""
+    a = design_matrix(params, np.asarray(points), (k_lo, k_lo + n_coeffs - 1))
+    a.flags.writeable = False
     return a
 
 
@@ -203,19 +222,12 @@ class _PatternFitter:
 
     @cached_property
     def level_updates(self) -> list:
-        # LAPACK in place in one Fortran buffer per level: dgeqrf leaves R
-        # above the diagonal and the reflectors below, dorgqr expands them
-        # into the complete Q.
-        m = self.m
-        r = np.zeros((m, m))
+        # LAPACK's dgeqrf and dorgqr, through numpy.
+        r = np.zeros((self.m, self.m))
         updates = []
         for lo, hi in zip(self.bounds, self.bounds[1:]):
-            buf = np.zeros((m + hi - lo, m + hi - lo), order="F")
-            buf[:m, :m] = r
-            buf[m:, :m] = self.a[lo:hi]
-            _, tau, _, _ = dgeqrf(buf[:, :m], overwrite_a=1)
-            r = np.triu(buf[:m, :m])
-            q, _, _ = dorgqr(buf, tau, overwrite_a=1)
+            q, r = np.linalg.qr(np.vstack([r, self.a[lo:hi]]), mode="complete")
+            r = r[:self.m]
             updates.append(q.T)
         return updates
 
@@ -244,7 +256,7 @@ def _fitter(params: GeneratorParams, lam: PointSet, support) -> _PatternFitter:
     """The fitter of a sampling set, refusing one too sparse for the support:
     fewer samples than coefficients, or condition number above COND_LIMIT."""
     _n_coeffs(lam, support)
-    fitter = _PatternFitter(design_matrix(params, lam.as_array(), support))
+    fitter = _PatternFitter(_design(params, lam.points, *_support_size(support)))
     cond = fitter.s[0] / fitter.s[-1] if fitter.s[-1] > 0 else math.inf
     if cond > COND_LIMIT:
         raise RankDeficiencyError(
@@ -666,17 +678,25 @@ def run_threshold_experiment(config: ExperimentConfig) -> ExperimentReport:
         return ExperimentReport(config=config, rows=())
     params = config.generator
     lo, hi = config.window
-    grid = np.arange(lo, hi + 1e-9, CHECK_STEP)
-    g_grid = design_matrix(params, grid, config.support)
+    k_lo, n_coeffs = _support_size(config.support)
+    n_grid = np.arange(lo, hi + 1e-9, CHECK_STEP).size
+    # Check point i minus shift k_lo + j is point i - per*j of the lattice
+    # lo - k_lo + CHECK_STEP*Z, so g is evaluated once on the lattice's span,
+    # which, like the matrix, holds at most max(n_grid, per) * n_coeffs points.
+    per = round(1.0 / CHECK_STEP)
+    _refuse_oversized(max(n_grid, per), n_coeffs)
+    first = -per * (n_coeffs - 1)
+    g_lattice = time_eval(params, lo - k_lo + CHECK_STEP * np.arange(first, n_grid))
+    g_grid = _drop_roundoff(
+        g_lattice[np.arange(n_grid)[:, None] - per * np.arange(n_coeffs) - first])
 
     def run_trial(di: int, ti: int):
         ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(di, ti))
         rng = np.random.Generator(np.random.PCG64(ss))
         lam = _draw_sampling_set(rng, config.densities[di], config.window,
                                  config.pair_offset)
-        c_true = rng.standard_normal(g_grid.shape[1])
-        a_tr = design_matrix(params, lam.as_array(), config.support)
-        vals = a_tr @ c_true
+        c_true = rng.standard_normal(n_coeffs)
+        vals = _design(params, lam.points, k_lo, n_coeffs) @ c_true
         if config.noise > 0:
             vals = vals + config.noise * float(np.max(np.abs(vals))) \
                 * rng.standard_normal(len(vals))

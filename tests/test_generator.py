@@ -76,6 +76,8 @@ class TestParamsValidation:
         # gauss_rate, time_amplitude or a 1/delta past the largest double.
         (1.0, 5e-324, ()), (1e300, 1e-300, ()), (1.0, 1.0, (5e-324,)),
         (1.0, 1.0, (0.45, -5e-324)),
+        # time_amplitude underflowing to 0.
+        (1e-300, 1e300, ()),
     ])
     def test_rejects_bad_params(self, c0, gamma, deltas):
         with pytest.raises(ValueError):
@@ -177,15 +179,62 @@ TABLE_GENERATORS = ([(gamma, DELTAS_BY_M[m])
                     + [(gamma, (-45.0,)) for gamma in (math.pi**2, 1.0, 0.1, 100.0)])
 
 
-def test_import_leaves_out_scipy_interpolate_and_optimize():
-    # Each of them adds about a third to the import time of the package.
-    code = ("import sys, tpshift; "
-            "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize') "
-            "if m in sys.modules))")
+def _run_python(code: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(Path(tp.__file__).resolve().parents[1]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_import_loads_no_scipy():
+    # scipy.special and scipy.linalg took most of the package's import time.
+    out = _run_python("import sys, tpshift; "
+                      "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert out.strip() == "[]"
+
+
+def test_runs_without_scipy():
+    # With scipy unimportable, an m = 2 table and a small threshold sweep
+    # (closed-form g, design matrices and the sign search's QR) still work.
+    out = _run_python(
+        "import sys; sys.modules['scipy'] = None; import math, tpshift as tp; "
+        "p = tp.GeneratorParams(1.0, math.pi**2, (0.45, -0.3)); "
+        "t = tp.build_table(p); "
+        "r = tp.run_threshold_experiment(tp.ExperimentConfig(p, (2.5,), 2, 1, (-4, 4), "
+        "(-6.0, 6.0), 12)); "
+        "print(t.pieces.shape[0] > 0, r.rows[0].successes)")
+    assert out.split() == ["True", "2"]
+
+
+class TestErfcx:
+    # Points x >= 0: 0, tiny, 6 (where erfc(-x) rounds to 2), 26-28 (where
+    # exp(-x^2) underflows) and the top of the range.
+    POINTS = np.concatenate([[0.0, 1e-8, 6.0, 26.0, 27.0, 28.0, 1e300],
+                             np.linspace(0.0, 30.0, 3001), np.linspace(26.0, 28.0, 201),
+                             np.logspace(-12.0, 300.0, 313)])
+
+    def test_matches_scipy_erfcx(self):
+        special = pytest.importorskip("scipy.special")
+        x = self.POINTS
+        assert np.max(np.abs(tp.generator._erfcx(x) / special.erfcx(x) - 1.0)) <= 2e-15
+
+    def test_closed_form_matches_scipy_erfc(self):
+        # g of (1, pi^2, (delta,)) is E alone (a = 1); z = 1/(2 delta) - x runs
+        # over both branches, the -6 edge and the underflow of exp(-x^2).
+        special = pytest.importorskip("scipy.special")
+        delta = 0.45
+        params = tp.GeneratorParams(1.0, math.pi**2, (delta,))
+        a, amp = params.gauss_rate, params.time_amplitude
+        u = 1.0 / (2.0 * a * delta)
+        x = u - np.concatenate([self.POINTS[self.POINTS <= 30.0],
+                                -self.POINTS[self.POINTS <= 8.0],
+                                [-6.0 + 1e-12, -6.0 - 1e-12]])
+        z = math.sqrt(a) * (u - x)
+        with np.errstate(under="ignore"):
+            exact = np.where(z >= 0.0, amp * np.exp(-a * x * x) * special.erfcx(z),
+                             amp * np.exp(u / (2.0 * delta) - x / delta) * special.erfc(z))
+        exact *= math.sqrt(math.pi / a) / (2.0 * delta)
+        got = tp.time_eval(params, x)
+        assert np.all(np.abs(got - exact) <= 2e-15 * exact)
 
 
 class TestBuildTable:

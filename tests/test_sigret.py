@@ -564,6 +564,29 @@ class TestExperiment:
         assert r1.csv_text() == r2.csv_text()
         assert r1.to_json_dict() == r2.to_json_dict()
 
+    def test_each_trial_builds_its_design_matrix_once(self, gauss_params, monkeypatch):
+        # The trial samples f with its design matrix and the sign search fits
+        # with the same one; the check grid takes g on its lattice instead.
+        calls = []
+        build = sigret.design_matrix
+        monkeypatch.setattr(sigret, "design_matrix", lambda *args: calls.append(1) or build(*args))
+        sigret._design.cache_clear()
+        cfg = tp.ExperimentConfig(generator=gauss_params, densities=(2.5, 0.8), trials=3,
+                                  seed=5, support=(-4, 4), window=(-6.0, 6.0),
+                                  max_changes=14)
+        report = tp.run_threshold_experiment(cfg)
+        assert len(calls) == 6
+        assert [row.successes for row in report.rows] == [3, 0]
+
+    def test_check_grid_lattice_is_refused_before_allocating(self, gauss_params):
+        # A window narrower than a unit still spans 20 lattice steps per
+        # coefficient: 20 x 100,001 values exceed MAX_TABLE_POINTS.
+        cfg = tp.ExperimentConfig(generator=gauss_params, densities=(2.5,), trials=1,
+                                  seed=5, support=(-50_000, 50_000), window=(0.0, 0.5),
+                                  max_changes=1)
+        with pytest.raises(ValueError, match="samples"):
+            tp.run_threshold_experiment(cfg)
+
     def test_counts_do_not_depend_on_the_amplitude(self):
         # c0 = 1e-12 puts every magnitude near 1e-13; the counts match c0 = 1.
         def counts(c0):
