@@ -134,6 +134,13 @@ class GeneratorParams:
         if not all(math.isfinite(v) for v in scales) or not self.time_amplitude > 0.0:
             raise ValueError(f"gauss_rate, time_amplitude or a 1/delta of {self} "
                              "is not a finite double, or time_amplitude is 0")
+        # _evaluate shifts erfcx by u = 1/(2 a |delta|); where u is inf the
+        # closed form gives E = 0 although E tends to the Gaussian.
+        two_ab = [2.0 * self.gauss_rate * abs(d) for d in self.deltas]
+        if not all(v > 0.0 and math.isfinite(1.0 / v) for v in two_ab):
+            raise ValueError(f"deltas {self.deltas} are too small for gauss_rate "
+                             f"{self.gauss_rate:.3g}: 1/(2 gauss_rate |delta|) is not "
+                             "a finite double")
         weight_sum = sum(abs(w) for w in _partial_fraction_weights(self.deltas))
         if not weight_sum <= MAX_WEIGHT_SUM:
             raise ValueError(
@@ -218,21 +225,27 @@ def _evaluate(params: GeneratorParams, x: np.ndarray, deriv: bool = False) -> np
         gauss = amp * np.exp(-a * x * x)
     if params.m == 0:
         return -2.0 * a * x * gauss if deriv else gauss
-    # Row nu of the (m, points) arrays belongs to delta_nu.  Its constants
-    # overflow quietly to inf where a*b is tiny, as Python floats do.
+    # Row nu of the (m, points) arrays belongs to delta_nu.  u is finite
+    # (GeneratorParams checks it); scale overflows quietly to inf where b is
+    # tiny, as Python floats do.  z and sx/b overflow only for |x| so large
+    # that exp(-a x^2) is 0: z = -inf takes the far branch, whose exponent
+    # tilt - sx/b is then -inf too, and z = +inf gives erfcx(z) = 0, so the
+    # value, 0, is right.  tilt is capped at the largest double: where
+    # u/(2b) overflows, every far x has sx/b > u/b = inf, and its exponent
+    # is -inf rather than inf - inf.
     d = np.array(params.deltas)
     b = np.abs(d)
-    with np.errstate(over="ignore", divide="ignore"):
-        u = 1.0 / (2.0 * a * b)
-        tilt = u / (2.0 * b)
-        scale = math.sqrt(math.pi / a) / (2.0 * b)
     sx = np.sign(d)[:, None] * x
-    z = math.sqrt(a) * (u[:, None] - sx)
-    near = z >= 0.0
-    far = ~near
-    e = np.where(near, gauss, 0.0)
-    nu = np.nonzero(far)[0]
-    e[far] = amp * np.exp(tilt[nu] - sx[far] / b[nu])
+    with np.errstate(over="ignore"):
+        u = 1.0 / (2.0 * a * b)
+        tilt = np.minimum(u / (2.0 * b), sys.float_info.max)
+        scale = math.sqrt(math.pi / a) / (2.0 * b)
+        z = math.sqrt(a) * (u[:, None] - sx)
+        near = z >= 0.0
+        far = ~near
+        e = np.where(near, gauss, 0.0)
+        nu = np.nonzero(far)[0]
+        e[far] = amp * np.exp(tilt[nu] - sx[far] / b[nu])
     # Times erfcx(z) where z >= 0 and erfc(z) where z < 0; z*z overflows
     # only where exp(-z^2) is 0 anyway.
     ex = _erfcx(np.abs(z))

@@ -53,12 +53,6 @@ MAX_ORDER = 6
 CIRCLE_CLEARANCE = 1e-6
 # safe_radius searches [r, r + SAFE_SPAN] for a radius clear of the moduli.
 SAFE_SPAN = 0.25
-# Largest (terms x points) block _stable_terms builds at once: 128 KiB of
-# doubles.  Its Horner loop makes two array calls per term and block, so
-# smaller blocks pay more interpreter overhead per entry.  2^15 was faster
-# still, but its arrays pass glibc's 128 KiB mmap threshold, and its
-# jensen_chain benchmark peak RSS was 0.3 MB higher.
-MAX_TERM_BLOCK = 1 << 14
 
 
 def _require_gaussian(f: SISFunction):
@@ -67,14 +61,48 @@ def _require_gaussian(f: SISFunction):
             "entire-extension machinery requires a pure Gaussian generator (m = 0)")
 
 
-def _unit_power(u, n):
-    """u**n per entry by repeated squaring, for integer arrays n >= 0."""
-    out = np.ones_like(u)
-    while n.any():
-        out = np.where(n & 1, out * u, out)
-        u = u * u
-        n = n >> 1
-    return out
+def _largest_terms(ks, log_cs, a: float):
+    """(hull, breaks): the term of largest magnitude at x is ks[hull[searchsorted(breaks, x)]].
+
+    The term of c_k has log-magnitude log_cs_k - a(x - k)^2 + a y^2, so
+    the largest is the top of the upper envelope of those parabolas in x.
+    Consecutive terms k < l cross at x = (k + l)/2 + (log_cs_k - log_cs_l)/(2a(l - k)).
+    A term whose crossing with its left neighbour is not before the one
+    with its right neighbour is nowhere strictly largest; dropping all such
+    terms at once leaves the envelope as it was, and on what remains the
+    crossings increase.
+    """
+    keep = np.arange(ks.size)
+    while True:
+        k, lc = ks[keep], log_cs[keep]
+        breaks = 0.5 * (k[:-1] + k[1:]) + (lc[:-1] - lc[1:]) / (2.0 * a * (k[1:] - k[:-1]))
+        drop = np.flatnonzero(breaks[:-1] >= breaks[1:]) + 1
+        if drop.size == 0:
+            return keep, breaks
+        keep = np.delete(keep, drop)
+
+
+def _term_blocks(ks, log_cs, a: float):
+    """(first, last) positions in ks of the blocks _stable_terms sums by Horner's rule.
+
+    About its centre k_b a block's terms carry |c_k| exp(-a(k - k_b)^2),
+    whose logs spread over at most the spread of log|c_k| plus a h^2, h
+    the half-span.  Blocks are halved until that bound is at most 600, so
+    every Horner coefficient, taken relative to an end term, lies within
+    exp(+-600) and the partial sums, at most a block's term count times
+    exp(600), stay inside the range of doubles (exp(+-709)).  The blocks
+    depend on f alone.
+    """
+    first = np.zeros(1, dtype=int)
+    while True:
+        last = np.append(first[1:], ks.size) - 1
+        half = 0.5 * (ks[last] - ks[first])
+        spread = (np.maximum.reduceat(log_cs, first) - np.minimum.reduceat(log_cs, first)
+                  + a * half * half)
+        split = (spread > 600.0) & (last > first)
+        if not split.any():
+            return first, last
+        first = np.union1d(first, (first[split] + last[split] + 1) // 2)
 
 
 def _stable_terms(f: SISFunction, z):
@@ -83,56 +111,85 @@ def _stable_terms(f: SISFunction, z):
     inner is an order-one complex number unless the terms cancel; its
     magnitude is the size of f relative to the local term scale.  At
     z = x + iy the term of c_k has log-magnitude log|amp c_k| - a((x-k)^2 - y^2)
-    and phase -2a(x-k)y, affine in k.  With n the position of the largest
-    term, b_d = sign(c_d) exp(log-magnitude_d - scale) at position
-    d = k - offset (0 for a zero coefficient) and rho = exp(2iay),
+    and phase -2a(x-k)y; the largest term is read off the envelope of
+    _largest_terms.  Over a block of _term_blocks with ends k_lo, k_hi and
+    centre k_b, f's part is the module doc's P in v = exp(2a(z - k_b)):
 
-        inner = exp(-2ia(x - k_n)y) * rho^-n * sum_d b_d rho^d,
+        sum_k c_k amp exp(-a(z - k)^2)
+            = term_lo(z) * sum_j u_j v^j = term_hi(z) * sum_j d_j v^-j,
 
-    the sum by Horner's rule in rho and rho^-n by repeated squaring of the
-    same rho: two complex exponentials per point instead of one per term.
-    The rounding of rho's angle reaches a term's phase in proportion to its
-    distance from the largest term, as in a per-term phase.  The
-    (terms x points) array of b is built in column blocks of at most
-    MAX_TERM_BLOCK entries; each point reduces its own column, so the block
-    size does not change any value.  A zero f gives scale -inf and inner 0.
+    j = k - k_lo resp. k_hi - k, with u_j = (c_k/c_lo) exp(-a j(j - 2h)) and
+    d_j likewise from the high end, h the half-span.  A point left of k_b
+    runs Horner's rule in v (|v| < 1) from the high end, one right of it in
+    1/v, so every power has modulus at most 1 and no partial sum
+    overflows; there are no (terms x points) arrays.  The end term's
+    log-magnitude relative to the largest term k* is formed as
+    (log_cs_e - log_cs_*) + a(k_e - k*)((x - k*) + (x - k_e)), free of the
+    cancelling a y^2.  Its phase is -(x - k_e) times the very angle 2ay of v,
+    so the rounding of that angle cancels to first order at the largest
+    term.  Each point's value depends on f and that point alone: points are
+    sorted by x only to make the two sides of k_b contiguous.  A zero f
+    gives scale -inf and inner 0.
     """
     zz = np.asarray(z, dtype=complex)
     if f.coeffs.is_zero:
         return np.full(zz.shape, -np.inf), np.zeros(zz.shape, dtype=complex)
-    ks = f.coeffs.support_indices()[:, None]
     cs = np.asarray(f.coeffs.coeffs)
+    at = np.flatnonzero(cs)
+    cs, ks = cs[at], (f.coeffs.offset + at).astype(float)
+    signs = np.sign(cs)
+    log_cs = math.log(f.params.time_amplitude) + np.log(np.abs(cs))
     a = f.params.gauss_rate
-    log_cs = np.full(cs.shape, -np.inf)
-    nonzero = cs != 0.0
-    log_cs[nonzero] = math.log(f.params.time_amplitude) + np.log(np.abs(cs[nonzero]))
-    log_cs, signs = log_cs[:, None], np.sign(cs)[:, None]
+    hull, breaks = _largest_terms(ks, log_cs, a)
+
     flat = zz.reshape(-1)
-    scale = np.empty(flat.shape)
-    inner = np.empty(flat.shape, dtype=complex)
-    cols = max(1, MAX_TERM_BLOCK // cs.size)
-    for lo in range(0, flat.size, cols):
-        x, y = flat[lo:lo + cols].real, flat[lo:lo + cols].imag
-        # b holds the log-magnitudes log_cs - a((x - k)^2 - y^2) first.
-        b = x - ks
-        b *= b
-        b -= y * y
-        b *= -a
-        b += log_cs
-        block_scale = np.max(b, axis=0)
-        top = np.argmax(b == block_scale, axis=0)
-        b -= block_scale
-        np.exp(b, out=b)
-        b *= signs
-        rho = np.exp(2j * a * y)
-        acc = np.zeros(x.size, dtype=complex)
-        for b_d in b[::-1]:
-            acc *= rho
-            acc += b_d
-        phase = -2.0 * a * (x - ks[top, 0]) * y
-        scale[lo:lo + cols] = block_scale
-        inner[lo:lo + cols] = np.exp(1j * phase) * _unit_power(rho.conj(), top) * acc
-    return scale.reshape(zz.shape), inner.reshape(zz.shape)
+    order = np.argsort(flat.real)
+    x, y = flat.real[order], flat.imag[order]
+    top = hull[np.searchsorted(breaks, x)]
+    k_top, log_top = ks[top], log_cs[top]
+    dx_top = x - k_top
+    scale = log_top - a * (dx_top * dx_top - y * y)
+    angle = 2.0 * a * y
+    rho = np.exp(1j * angle)
+    inner = np.zeros(x.shape, dtype=complex)
+    for lo, hi in zip(*_term_blocks(ks, log_cs, a)):
+        centre, half = 0.5 * (ks[lo] + ks[hi]), 0.5 * (ks[hi] - ks[lo])
+        span = int(ks[hi] - ks[lo])
+        split = int(np.searchsorted(x, centre))
+        up, down = np.zeros((2, span + 1))
+        for coeffs, end in ((up, lo), (down, hi)):
+            j = np.abs(ks[lo:hi + 1] - ks[end]).astype(int)
+            coeffs[j] = signs[lo:hi + 1] * np.exp(
+                log_cs[lo:hi + 1] - log_cs[end] - a * j * (j - 2.0 * half))
+        v = np.exp(-2.0 * a * np.abs(x - centre)) * rho
+        np.negative(v.imag[split:], out=v.imag[split:])
+        # Horner's steps alternate between two buffers: numpy multiplies a
+        # one-entry complex array in place without FMA, so an in-place
+        # product would give a single point other bits than a long array.
+        bufs = [(b, b[:split], b[split:]) for b in np.empty((2,) + x.shape, dtype=complex)]
+        bufs[0][1][...], bufs[0][2][...] = up[span], down[span]
+        for u_j, d_j in zip(up[:span][::-1].tolist(), down[:span][::-1].tolist()):
+            (acc, _, _), (step, left, right) = bufs
+            np.multiply(acc, v, step)
+            left += u_j
+            right += d_j
+            bufs.reverse()
+        (acc, _, _), (spare, _, _) = bufs
+        # The end term of each side relative to the largest term.
+        k_end = np.full(x.shape, ks[hi])
+        k_end[:split] = ks[lo]
+        log_end = np.full(x.shape, log_cs[hi])
+        log_end[:split] = log_cs[lo]
+        dx_end = x - k_end
+        end = np.empty(x.shape, dtype=complex)
+        end.real = (log_end - log_top) + a * (k_end - k_top) * (dx_top + dx_end)
+        end.imag = -(dx_end * angle)
+        inner += np.multiply(acc, np.exp(end, out=end), spare)
+    scale_out = np.empty(flat.shape)
+    scale_out[order] = scale
+    inner_out = np.empty(flat.shape, dtype=complex)
+    inner_out[order] = inner
+    return scale_out.reshape(zz.shape), inner_out.reshape(zz.shape)
 
 
 def _log_abs(scale, inner):
@@ -312,13 +369,15 @@ def _winding_number(ctx: JensenContext, t: float) -> int:
     up to a constant; increments are accumulated from stabilized values of f
     and the grid, from 512 up to 2^17 points, is doubled until every
     increment is below pi/2 and two consecutive refinements agree on the
-    integer winding.
+    integer winding.  So the 512- and 1024-point grids are always read, and
+    one evaluation of the finer serves both.
     """
     a = ctx.gauss_rate
     n = ctx.order
     n_max = 1 << 17
     nt = 512
     prev = None
+    ctx.contour.grid(t, 2 * nt)
     while nt <= n_max:
         theta = np.linspace(0.0, 2.0 * math.pi, nt + 1)
         _, inner = ctx.contour.grid(t, nt)

@@ -203,6 +203,19 @@ class TestCommands:
             assert run(["gen", "--config", path, "--out", str(out), "--quiet"]) == 0
         assert "NaN" not in out.read_text() and "Infinity" not in out.read_text()
 
+    @pytest.mark.parametrize("generator", [{"c0": 1.0, "gamma": 1e-300, "deltas": [1e10]},
+                                           {"c0": 1.0, "gamma": math.pi**2, "deltas": [1e-300]}])
+    def test_gen_far_point_runs_without_warning(self, tmp_path, capsys, generator):
+        # sqrt(a)*(1/(2ab) - x) overflows at x = 1e300 for the first
+        # generator, exp(-a x^2) being 0 there; the second has an inf tilt.
+        path = write_config(tmp_path, "gen.json", {"generator": generator, "x": [1e300]})
+        out = tmp_path / "gen.out.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["gen", "--config", path, "--out", str(out), "--quiet"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert json.loads(out.read_text())["result"]["time_values"] == [0.0]
+
     def test_gen_reports_a_radius_past_a_million(self, tmp_path):
         generator = {"c0": 1.0, "gamma": 1.0, "deltas": [3e4]}
         path = write_config(tmp_path, "gen.json", {"generator": generator})
@@ -356,6 +369,16 @@ class TestCommands:
     def test_coincident_deltas_exit_2(self, tmp_path, capsys, deltas):
         path = write_config(tmp_path, "gen.json",
                             {"generator": {"c0": 1.0, "gamma": math.pi**2, "deltas": deltas},
+                             "x": [0.0]})
+        assert run(["gen", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "deltas" in err
+
+    def test_delta_too_small_for_the_gaussian_rate_exits_2(self, tmp_path, capsys):
+        # 1/(2a|delta|) overflows at gamma = 1e300 (a = 9.9e-300), delta = 1e-10.
+        path = write_config(tmp_path, "gen.json",
+                            {"generator": {"c0": 1.0, "gamma": 1e300, "deltas": [1e-10]},
                              "x": [0.0]})
         assert run(["gen", "--config", path]) == 2
         err = capsys.readouterr().err

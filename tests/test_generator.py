@@ -83,6 +83,14 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             tp.GeneratorParams(c0, gamma, deltas)
 
+    def test_rejects_delta_whose_erfcx_shift_overflows(self):
+        # 1/(2a|delta|) is inf at a = 9.9e-300, delta = 1e-10, where the
+        # closed form gave g = 0 at x = 0 although g is about 1.77e-150.
+        with pytest.raises(ValueError, match="deltas"):
+            tp.GeneratorParams(1.0, 1e300, (1e-10,))
+        with pytest.raises(ValueError, match="deltas"):
+            tp.GeneratorParams(1.0, 1e300, (0.45, -1e-300))
+
     def test_accepts_opposite_sign_and_separated_deltas(self):
         for deltas in [(0.45, -0.45), (1.0, -2.0, 0.1), (0.45, -0.3, 0.2),
                        (0.6, 0.25, -0.15), (0.45, 0.4499)]:

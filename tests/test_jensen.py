@@ -99,17 +99,28 @@ def coefficient_cases():
 class TestStableTerms:
     @pytest.mark.parametrize("offset,coeffs", coefficient_cases())
     @pytest.mark.parametrize("r", [0.5, 2.0, 8.0, 60.0])
-    def test_matches_per_term_evaluation(self, gauss_params, fn_factory, offset, coeffs, r):
-        # Contours around the support's centre; inner is in units of the
-        # largest term, so the tolerance is relative to it.
-        f = fn_factory(gauss_params, offset, coeffs)
+    def test_matches_per_term_evaluation(self, fn_factory, offset, coeffs, r):
+        # Contours around the support's centre and points 1e3 beyond its
+        # ends, at the rates a = 1, 0.01 and 200; inner is in units of the
+        # largest term, so the tolerance is relative to it.  The reference
+        # rounds each term's log-magnitude, near a y^2, and its phase
+        # 2a(x - k)y to their last bits, so a contour enters only where
+        # a r^2 <= 3600, as at a = 1, r = 60, and the far points keep
+        # 2a|x - k||y| near 1e3.
         centre = offset + (len(coeffs) - 1) / 2.0
-        zs = centre + r * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False))
-        zs = np.append(zs, [centre + 0.3j, centre - 1.7 + 0.9j])
-        scale, inner = _stable_terms(f, zs)
-        want_scale, want_inner = per_term_stable_terms(f, zs)
-        assert np.max(np.abs(scale - want_scale)) <= 1e-12
-        assert np.max(np.abs(inner - want_inner)) <= 1e-12
+        reach = (len(coeffs) - 1) / 2.0 + 1e3
+        for a in (1.0, 0.01, 200.0):
+            f = fn_factory(tp.GeneratorParams(1.0, math.pi**2 / a), offset, coeffs)
+            zs = centre + np.array([-reach - 7.3, -reach, reach, reach + 0.5]) \
+                + 1j / a * np.array([0.5, -0.5, 0.0, 0.2])
+            if a * r * r <= 3600.0:
+                theta = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
+                zs = np.concatenate([zs, centre + r * np.exp(1j * theta),
+                                     [centre + 0.3j, centre - 1.7 + 0.9j]])
+            scale, inner = _stable_terms(f, zs)
+            want_scale, want_inner = per_term_stable_terms(f, zs)
+            assert np.max(np.abs(scale - want_scale)) <= 1e-12
+            assert np.max(np.abs(inner - want_inner)) <= 1e-12
 
 
 class TestBuildContext:
@@ -358,18 +369,20 @@ class TestContourSampler:
             assert same_bits(sampler.grid(r, n), self.fresh(f, r, n))
             assert sampler.n == top
 
-    def test_term_blocks_do_not_change_values(self, gauss_params, fn_factory, monkeypatch):
+    @pytest.mark.parametrize("n_shifts,r", [(40, 3.7), (300, 60.0)])
+    def test_values_depend_on_the_point_alone(self, gauss_params, fn_factory, n_shifts, r):
+        # A point's bits do not depend on the other points of the call, their
+        # order or the array's shape; 300 shifts span several term blocks.
         rng = np.random.default_rng(41)
-        f = alternating_function(fn_factory, gauss_params, rng, 40)
-        zs = 3.7 * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 1001))
+        f = alternating_function(fn_factory, gauss_params, rng, n_shifts)
+        zs = r * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 1001))
         whole = _stable_terms(f, zs)
+        perm = rng.permutation(zs.size)
+        assert same_bits(_stable_terms(f, zs[perm]), [v[perm] for v in whole])
         grid = _stable_terms(f, zs[:1000].reshape(8, 125))
-        point = _stable_terms(f, zs[17])
-        monkeypatch.setattr(jensen, "MAX_TERM_BLOCK", 7 * 40 + 3)
-        assert same_bits(_stable_terms(f, zs), whole)
-        assert same_bits(_stable_terms(f, zs[:1000].reshape(8, 125)), grid)
-        assert same_bits(_stable_terms(f, zs[17]), point)
         assert same_bits(grid, [v[:1000].reshape(8, 125) for v in whole])
+        for i in (0, 17, 500, 1000):
+            assert same_bits(_stable_terms(f, zs[i]), [v[i] for v in whole])
 
     def test_each_contour_point_evaluated_once(self, gauss_params, fn_factory, monkeypatch):
         rng = np.random.default_rng(43)
@@ -388,6 +401,21 @@ class TestContourSampler:
             row = tp.verify_base_case(ctx, [r]).rows[0]
             assert row.samples >= 1024
             assert sum(points) == row.samples
+
+    def test_winding_count_evaluates_its_first_two_grids_at_once(self, gauss_params,
+                                                                 fn_factory, monkeypatch):
+        rng = np.random.default_rng(43)
+        ctx = tp.build_context(alternating_function(fn_factory, gauss_params, rng, 40))
+        sizes = []
+        stable_terms = jensen._stable_terms
+
+        def counting(f, z):
+            sizes.append(np.size(z))
+            return stable_terms(f, z)
+
+        monkeypatch.setattr(jensen, "_stable_terms", counting)
+        tp.count_zeros_disk(ctx, tp.safe_radius(ctx, 4.0))
+        assert sizes[0] == 1024 and sum(sizes) == ctx.contour.n
 
     def test_standalone_calls_match_fresh_evaluation(self, gauss_params, fn_factory):
         rng = np.random.default_rng(47)
