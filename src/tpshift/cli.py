@@ -162,6 +162,7 @@ def _run_jensen(data: dict, seed: int):
     report = verify_base_case(ctx, radii)
     result = report.to_json_dict()
     result["order_at_zero"] = ctx.order
+    result["zero_set_complete"] = ctx.zero_set_complete
     result["real_zero_count"] = len(ctx.real_zeros)
     rows = [("r", "lhs", "rhs", "circ_scaled", "bound", "extra_zeros", "samples")]
     rows += [(w.r, w.lhs, w.rhs, w.circ_scaled, w.bound, w.extra_zeros, w.samples)

@@ -89,12 +89,12 @@ def _weideman_series(n: int) -> tuple:
 _ERFCX_SCALE, _ERFCX_COEFFS = _weideman_series(40)
 
 
-def _erfcx(x: np.ndarray) -> np.ndarray:
-    """erfcx(x) = exp(x^2) erfc(x) at an array of x >= 0 by Weideman's series.
+def _weideman(x: np.ndarray) -> tuple:
+    """(y, p(Z)) of Weideman's series for erfcx at an array of x >= 0.
 
-    With y = 1/(L + x) the series reads y (2 p(Z) y + 1/sqrt(pi)), and
-    Z = 2 L y - 1 lies in [-1, 1] (-1 at x = inf, where erfcx is 0); p is
-    evaluated by Horner, point by point.
+    With y = 1/(L + x) the series reads erfcx(x) = y (2 p(Z) y + 1/sqrt(pi)),
+    and Z = 2 L y - 1 lies in [-1, 1] (-1 at x = inf, where erfcx is 0); p
+    is evaluated by Horner, point by point.
     """
     y = 1.0 / (_ERFCX_SCALE + x)
     z = 2.0 * _ERFCX_SCALE * y - 1.0
@@ -102,7 +102,24 @@ def _erfcx(x: np.ndarray) -> np.ndarray:
     for c in _ERFCX_COEFFS[1:]:
         p *= z
         p += c
+    return y, p
+
+
+def _erfcx(x: np.ndarray) -> np.ndarray:
+    """erfcx(x) = exp(x^2) erfc(x) at an array of x >= 0 by Weideman's series."""
+    y, p = _weideman(x)
     return y * (2.0 * p * y + 1.0 / math.sqrt(math.pi))
+
+
+def _erfcx_gap(x: np.ndarray) -> np.ndarray:
+    """1 - sqrt(pi) x erfcx(x) at an array of x >= 0, without the subtraction.
+
+    As x y = 1 - L y in _weideman's terms, it is y (L - 2 sqrt(pi) p(Z) (1 - L y)).
+    It falls like 1/(2x^2); formed so, it errs by O(eps/x) rather than eps,
+    and is 0 at x = inf.
+    """
+    y, p = _weideman(x)
+    return y * (_ERFCX_SCALE - 2.0 * math.sqrt(math.pi) * p * (1.0 - _ERFCX_SCALE * y))
 
 
 @dataclass(frozen=True)
@@ -213,7 +230,16 @@ def _evaluate(params: GeneratorParams, x: np.ndarray, deriv: bool = False) -> np
     negative there, is taken as one exponent times
     erfc(z) = 2 - exp(-z^2) erfcx(-z), which rounds to 2 for z <= -6.  Then
     g = sum_nu A_nu E_nu and, since (1 + delta D) E = G,
-    g' = sum_nu A_nu (G - E_nu)/delta_nu.
+    g' = sum_nu A_nu E'_nu with E' = (G - E)/delta.  That difference
+    cancels for small b (E -> G).  From E = G sqrt(pi) z0 erfcx(z),
+    z0 = z + s sqrt(a) x, E' also reads
+    G (H(z)/delta - sqrt(pi a) x erfcx(z)/b), H(z) = 1 - sqrt(pi) z erfcx(z)
+    from _erfcx_gap.  Each form rounds by about eps/b times the size of its
+    terms, at least G for the difference; where z >= 0 and the terms
+    G (H + sqrt(pi a)|x| erfcx(z)) of the second are below G/2, it is
+    taken.  Elsewhere the difference keeps its rounding errors correlated
+    across the nu, which the partial-fraction weights need when shifts of
+    one sign nearly coincide.
     """
     if x.size > _EVAL_CHUNK:
         return np.concatenate([_evaluate(params, x[i:i + _EVAL_CHUNK], deriv)
@@ -252,9 +278,15 @@ def _evaluate(params: GeneratorParams, x: np.ndarray, deriv: bool = False) -> np
     with np.errstate(over="ignore"):
         e *= np.where(near, ex, 2.0 - np.exp(-z * z) * ex)
     e *= scale[:, None]
+    if deriv:
+        gap = _erfcx_gap(np.abs(z))
+        slope = math.sqrt(math.pi * a) * x * ex
+        split = near & (gap + np.abs(slope) < 0.5)
+        e = np.where(split, gauss * (gap / d[:, None] - slope / b[:, None]),
+                     (gauss - e) / d[:, None])
     out = np.zeros(x.shape)
-    for d_nu, w, e_nu in zip(params.deltas, _partial_fraction_weights(params.deltas), e):
-        out += w * ((gauss - e_nu) / d_nu if deriv else e_nu)
+    for w, e_nu in zip(_partial_fraction_weights(params.deltas), e):
+        out += w * e_nu
     return out
 
 

@@ -29,11 +29,20 @@ i*pi*k/a, k != 0, each of order n, to a contour average bounded by
 (log(C) - n log(r))/r^2 + a/2 after dividing by r^2.  All magnitude work
 happens in log space: exp((a/2) r^2) overflows doubles near r = 27 for
 a = 1.
+
+Every zero of F lies over a root w = exp(2az) of P, so the known zeros are
+all of them when f's real zeros and the origin's order account for every
+root of P (JensenContext.zero_set_complete).  Then the disk counts are the
+lattice counts, and Rubel & Taylor's bound on the Fourier coefficients of
+log|F| fixes each radius's trapezoid grid in advance with a proven error
+(_trapezoid_error).  Otherwise a winding number counts the zeros and the
+contour average doubles its grid until two values agree.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -53,6 +62,11 @@ MAX_ORDER = 6
 CIRCLE_CLEARANCE = 1e-6
 # safe_radius searches [r, r + SAFE_SPAN] for a radius clear of the moduli.
 SAFE_SPAN = 0.25
+# Contour-average grids run from MIN_GRID to MAX_GRID points; a proven grid
+# keeps the error of jensen_rhs below RHS_TOL.
+MIN_GRID = 64
+MAX_GRID = 1 << 18
+RHS_TOL = 1e-9
 
 
 def _require_gaussian(f: SISFunction):
@@ -259,8 +273,23 @@ class JensenContext:
         return self.log_c1 + math.log(scale)
 
     @cached_property
+    def zero_set_complete(self) -> bool:
+        """Whether F's known zeros (_known_moduli) are all of its zeros.
+
+        With k_first and k_last the first and last nonzero coefficients,
+        Q(w) = w^-k_first P(w) has degree k_last - k_first, and Q(0) != 0.
+        Each zero of F lies over a root of Q (module doc).  Each real zero
+        found is a sign change, so a distinct positive root, and the origin
+        is the root w = 1 of multiplicity n.  If they add up to the degree,
+        Q has no other roots, and no found root is a multiple one.
+        """
+        at = np.flatnonzero(self.f.coeffs.coeffs)
+        return (not self.real_zeros.touch_points
+                and len(self.real_zeros) + self.order == int(at[-1] - at[0]))
+
+    @cached_property
     def contour(self) -> "ContourSampler":
-        """The sampler shared by the winding count and the contour average."""
+        """The sampler the winding count and the fallback contour average share."""
         return ContourSampler(self.f)
 
 
@@ -424,10 +453,10 @@ def _known_moduli(ctx: JensenContext, r_max: float) -> np.ndarray:
 def count_zeros_disk(ctx: JensenContext, t: float) -> DiskZeroCount:
     """Count zeros of F with |z| <= t.
 
-    F's known zeros (_known_moduli) are enumerated exactly; the winding
-    number of F over the circle counts all zeros, and the excess over the
-    known count is reported separately (the zero set contains the known
-    zeros but equality is not promised).
+    F's known zeros (_known_moduli) are enumerated exactly.  When they are
+    all of F's zeros (JensenContext.zero_set_complete) that is the count;
+    otherwise the winding number of F over the circle counts all zeros, and
+    the excess over the known count is reported separately.
     """
     t = _radius(t, "t")
     mods = _known_moduli(ctx, t + 2.0 * CIRCLE_CLEARANCE)
@@ -444,7 +473,8 @@ def _count_zeros_disk(ctx: JensenContext, mods: np.ndarray, t: float) -> DiskZer
         raise ValueError(
             f"a lattice zero lies within {CIRCLE_CLEARANCE} of |z|={t}; perturb t")
     lattice = int(np.searchsorted(mods, t, side="right"))
-    count = DiskZeroCount(total=_winding_number(ctx, t), lattice=lattice)
+    total = lattice if ctx.zero_set_complete else _winding_number(ctx, t)
+    count = DiskZeroCount(total=total, lattice=lattice)
     if count.extra < 0:
         raise PhaseTrackingError(
             f"winding count {count.total} below lattice count {lattice} at |z|={t}")
@@ -477,20 +507,103 @@ def _contour_log_abs_F(ctx: JensenContext, r: float, nt: int) -> np.ndarray:
             + 0.5 * ctx.gauss_rate * r * r * np.cos(2.0 * theta))
 
 
+def _trapezoid_error(ctx: JensenContext, mods: np.ndarray, r: float, n: int) -> float:
+    """Bound on the error of the n-point trapezoid mean of log|F(r e^{i theta})|.
+
+    It holds when the sorted moduli mods, up to at least 3r, are all of F's
+    zeros (JensenContext.zero_set_complete).  F(0) = 1 and F has order 2, so
+    for k >= 3 the k-th Fourier coefficient of log|F| on the circle is at
+    most (1/2k) sum_j rho_j^k, rho_j = min(r/|z_j|, |z_j|/r) (Rubel & Taylor,
+    Bull. SMF 96, 1968).  The rule's error is the sum of the coefficients
+    of index +-mn, m >= 1, so for n >= 3 it is at most
+    (1/n) sum_j rho_j^n/(1 - rho_j^n).  The zeros up to 3r are summed.
+    Beyond, each column x + i k pi/a of the len(real_zeros) + n columns
+    (the origin's counted n times) has its zeros at modulus at least
+    max(3r, |k| pi/a); with q = 3^-n and K = floor(3r a/pi) a column adds at
+    most q (2K + 3 + 2(K + 1)/(n - 1))/(1 - q).
+    """
+    rho = mods[:np.searchsorted(mods, 3.0 * r, side="right")] / r
+    rho = np.minimum(rho, 1.0 / rho)
+    with np.errstate(divide="ignore"):
+        power = rho ** n
+        inner = float(np.sum(power / (1.0 - power)))
+    q = 3.0 ** -n
+    k = math.floor(3.0 * r / ctx.lattice_step)
+    columns = len(ctx.real_zeros) + ctx.order
+    tail = columns * q * (2 * k + 3 + 2 * (k + 1) / (n - 1)) / (1.0 - q)
+    return (inner + tail) / n
+
+
+def _proven_grid(ctx: JensenContext, mods: np.ndarray, r: float) -> int:
+    """The smallest power-of-two grid from MIN_GRID whose _trapezoid_error is
+    at most RHS_TOL r^2, so the contour average over r^2 errs by at most RHS_TOL."""
+    n = MIN_GRID
+    while n <= MAX_GRID:
+        if _trapezoid_error(ctx, mods, r, n) <= RHS_TOL * r * r:
+            return n
+        n *= 2
+    raise QuadratureError(
+        f"contour average at |z|={r} needs more than {MAX_GRID} samples for a "
+        f"proven error below {RHS_TOL} (zero near the contour?)")
+
+
+def _contour_averages(ctx: JensenContext, grids) -> list:
+    """jensen_rhs at each (r, n) of grids by the n-point trapezoid rule.
+
+    The c_k are real, so F(conj z) = conj F(z) and log|F| is even in theta:
+    the rule reads theta_j = 2 pi j/n for j = 0..n/2 only, with weights
+    1, 2, ..., 2, 1.  All points go to _stable_terms together, at most
+    MAX_GRID per call; a point's bits do not depend on the batch, so each
+    value is the one a call for its radius alone gives.  The values of
+    log|F| sum terms up to |log C1| + n|log r| + max|log|f|| + a r^2/2,
+    which round by about eps times that; where this exceeds RHS_TOL r^2,
+    as for supports thousands of units from the origin at a = 1, the
+    average is refused.
+    """
+    thetas = [np.linspace(0.0, math.pi, n // 2 + 1) for _, n in grids]
+    z = np.concatenate([r * np.exp(1j * theta) for (r, _), theta in zip(grids, thetas)])
+    parts = [_stable_terms(ctx.f, z[i:i + MAX_GRID]) for i in range(0, z.size, MAX_GRID)]
+    log_f = _log_abs(*(np.concatenate(p) for p in zip(*parts)))
+    out = []
+    start = 0
+    for (r, n), theta in zip(grids, thetas):
+        log_f_r = log_f[start:start + theta.size]
+        vals = (ctx.log_c1 - ctx.order * math.log(r) + log_f_r
+                + 0.5 * ctx.gauss_rate * r * r * np.cos(2.0 * theta))
+        start += theta.size
+        if not np.all(np.isfinite(vals)):
+            raise QuadratureError(f"contour |z|={r} hits a zero of F")
+        size = (abs(ctx.log_c1) + ctx.order * abs(math.log(r)) + float(np.max(np.abs(log_f_r)))
+                + 0.5 * ctx.gauss_rate * r * r)
+        if sys.float_info.epsilon * size > RHS_TOL * r * r:
+            raise QuadratureError(
+                f"contour average at |z|={r} sums log-magnitudes up to {size:.3g}, "
+                f"whose rounding exceeds {RHS_TOL} r^2")
+        weights = np.full(theta.size, 2.0)
+        weights[[0, -1]] = 1.0
+        out.append(float(np.sum(weights * vals)) / n / (r * r))
+    return out
+
+
 def jensen_rhs(ctx: JensenContext, r: float) -> float:
     """(1/(2 pi r^2)) contour average of log|F(r e^{i theta})| by trapezoid.
 
-    The grid, from 64 up to 2^18 points, is doubled until successive values
-    differ by less than 1e-7 (with a zero at clearance d the refinement
-    error decays like exp(-n d / r), so the successive difference
-    understates the true error and needs headroom).  Non-convergence
-    signals a zero on or near the contour and the caller is expected to
-    perturb r.
+    With a complete zero set (JensenContext.zero_set_complete) the grid is
+    _proven_grid, chosen before any sample so that the value errs by at
+    most RHS_TOL.  Otherwise the grid, from MIN_GRID up to MAX_GRID points,
+    is doubled until successive values differ by less than 1e-7 (with a
+    zero at clearance d the refinement error decays like exp(-n d / r), so
+    the successive difference understates the true error and needs
+    headroom).  Non-convergence signals a zero on or near the contour and
+    the caller is expected to perturb r.
     """
     r = _radius(r, "r")
+    if ctx.zero_set_complete:
+        n = _proven_grid(ctx, _known_moduli(ctx, 3.0 * r + 1.0), r)
+        return _contour_averages(ctx, [(r, n)])[0]
     prev = None
-    nt = 64
-    while nt <= (1 << 18):
+    nt = MIN_GRID
+    while nt <= MAX_GRID:
         vals = _contour_log_abs_F(ctx, r, nt)
         if not np.all(np.isfinite(vals)):
             raise QuadratureError(f"contour |z|={r} hits a zero of F")
@@ -555,7 +668,7 @@ class BaseCaseRow:
     circ_scaled: float
     bound: float
     extra_zeros: int
-    samples: int  # finest contour grid evaluated at r
+    samples: int  # the proven contour grid at r, or the finest one evaluated
 
 
 @dataclass(frozen=True)
@@ -579,12 +692,14 @@ def verify_base_case(ctx: JensenContext, radii) -> BaseCaseReport:
     Each nominal radius is nudged off the zero moduli, then the chain
         (a/2) * chord-density(real zeros) <= lhs ~ rhs <= (log C - n log r)/r^2 + a/2
     is checked with slack 20/r on the left link, 2e-6 between lhs and rhs
-    (when the winding count confirms all zeros are enumerated), 1e-6 on the
+    (when the zero count confirms all zeros are enumerated), 1e-6 on the
     right link; the chord density of the full zero set must stay below
     1 + 40/r.  C is the certified constant JensenContext.log_c, fixed before
     any sample is taken, so the right link can fail.  Violations raise with
-    diagnostic values.  Each row records the finest contour grid evaluated
-    at its radius (samples).
+    diagnostic values.  With a complete zero set every radius and its
+    proven grid are fixed first and all contour points are evaluated at
+    once; each row records that grid (samples).  Otherwise each row records
+    the finest grid the winding count and the contour average evaluated.
     """
     rs = [_radius(r, "radii") for r in radii]
     if not rs:
@@ -597,18 +712,32 @@ def verify_base_case(ctx: JensenContext, radii) -> BaseCaseReport:
         full_pts = tuple(sorted(full_pts + (0.0,)))
     full = PointSet(points=full_pts, window=ctx.real_zeros.window)
 
-    rows = []
-    circ_values = []
+    complete = ctx.zero_set_complete
+    steps, rhss = [], []
     for r0 in rs:
-        # One enumeration serves the radius search, the count and the zero
-        # sum: each reads only the moduli it needs from the sorted array.
-        mods = _known_moduli(ctx, r0 + SAFE_SPAN + 1.0)
-        r = _safe_radius(mods, r0)
+        # One enumeration serves the radius search, the count, the zero sum
+        # and, with a complete zero set, the grid's error bound up to 3r.
+        # The radius search reads only the moduli within its reach: farther
+        # ones could move r.
+        reach = r0 + SAFE_SPAN + 1.0
+        mods = _known_moduli(ctx, 3.0 * (r0 + SAFE_SPAN) + 1.0 if complete else reach)
+        r = _safe_radius(mods[:np.searchsorted(mods, reach, side="right")], r0)
         count = _count_zeros_disk(ctx, mods, r)
         lhs = _jensen_lhs(mods, r)
-        rhs = jensen_rhs(ctx, r)
+        if complete:
+            steps.append((r, count, lhs, _proven_grid(ctx, mods, r)))
+        else:
+            rhss.append(jensen_rhs(ctx, r))
+            steps.append((r, count, lhs, ctx.contour.n))
+    if complete:
+        rhss = _contour_averages(ctx, [(r, n) for r, _, _, n in steps])
+
+    rows = []
+    circ_values = []
+    for (r, count, lhs, samples), rhs in zip(steps, rhss):
         circ = circ_density_direct(lam, [r]).values[0] if len(lam) else 0.0
-        circ_full = circ_density_direct(full, [r]).values[0] if len(full) else 0.0
+        # At order 0 the full zero set's real points are the real zeros.
+        circ_full = circ_density_direct(full, [r]).values[0] if ctx.order else circ
         bound = (log_c - ctx.order * math.log(r)) / (r * r) + 0.5 * a
         if count.extra == 0 and abs(lhs - rhs) > 2e-6:
             raise ChainViolationError(
@@ -626,7 +755,7 @@ def verify_base_case(ctx: JensenContext, radii) -> BaseCaseReport:
                 f"zero-set chord density {circ_full} exceeds 1 + 40/r at r={r}")
         rows.append(BaseCaseRow(r=r, lhs=lhs, rhs=rhs, circ_scaled=0.5 * a * circ,
                                 bound=bound, extra_zeros=count.extra,
-                                samples=ctx.contour.n))
+                                samples=samples))
         circ_values.append(circ_full)
     return BaseCaseReport(rows=tuple(rows), log_c=log_c,
                           circ_values=tuple(circ_values))

@@ -196,6 +196,7 @@ def test_criterion_05_contour_chain():
         rng = _seeded_rng(5, i)
         f = _alternating(params, rng, 40)
         ctx = tp.build_context(f)
+        assert ctx.zero_set_complete
         report = tp.verify_base_case(ctx, [2.0, 4.0, 8.0])
         for row in report.rows:
             assert row.extra_zeros == 0

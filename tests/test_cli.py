@@ -309,16 +309,35 @@ class TestCommands:
                              "radii": [2.0, 4.0]})
         out = tmp_path / "jensen.json"
         assert run(["jensen", "--config", path, "--out", str(out), "--quiet"]) == 0
-        rows = json.loads(out.read_text())["result"]["rows"]
+        result = json.loads(out.read_text())["result"]
+        assert result["order_at_zero"] == 0 and result["zero_set_complete"] is True
+        rows = result["rows"]
         assert len(rows) == 2
         for row in rows:
             assert abs(row["lhs"] - row["rhs"]) < 2e-6
             assert row["extra_zeros"] == 0
-            assert row["samples"] >= 1024
+            # The proven grid: a power of two from 64.
+            assert row["samples"] >= 64 and row["samples"] & (row["samples"] - 1) == 0
 
-    @pytest.mark.parametrize("c0,offset", [(1e-12, -6), (1.0, 10)])
+    def test_jensen_positive_coefficients_take_the_winding_count(self, tmp_path):
+        # No real zeros against a degree of 39: the zero set is not certified,
+        # and the winding count finds the zeros off the real lattice.
+        rng = np.random.default_rng(61)
+        path = write_config(tmp_path, "j.json",
+                            {"generator": GAUSS,
+                             "coeffs": {"offset": -20,
+                                        "coeffs": rng.uniform(0.9, 1.1, 40).tolist()},
+                             "radii": [2.0, 4.0, 8.0]})
+        out = tmp_path / "jensen.json"
+        assert run(["jensen", "--config", path, "--out", str(out), "--quiet"]) == 0
+        result = json.loads(out.read_text())["result"]
+        assert result["zero_set_complete"] is False and result["real_zero_count"] == 0
+        assert [row["extra_zeros"] for row in result["rows"]][:2] == [4, 16]
+        assert all(row["samples"] >= 1024 for row in result["rows"])
+
+    @pytest.mark.parametrize("c0,offset", [(1e-12, -6), (1.0, 10), (1.0, 1000)])
     def test_jensen_small_or_shifted_function_exits_0(self, tmp_path, c0, offset):
-        # f(0) is far below 1e-8 in both; the order test is relative.
+        # f(0) is far below 1e-8 in all; the order test is relative.
         rng = np.random.default_rng(1)
         c = (rng.uniform(0.9, 1.1, 12) * (-1.0) ** np.arange(12)).tolist()
         path = write_config(tmp_path, "j.json",
@@ -330,16 +349,31 @@ class TestCommands:
         for row in json.loads(out.read_text())["result"]["rows"]:
             assert row["extra_zeros"] == 0 and abs(row["lhs"] - row["rhs"]) < 2e-6
 
+    def test_jensen_far_support_is_a_numerical_failure(self, tmp_path, capsys):
+        # At offset 4000 log|F| sums terms near 1.6e7 that cancel: their
+        # rounding exceeds the proven grid's 1e-9 r^2, which is exit 3 and
+        # not a violated relation (exit 4).
+        rng = np.random.default_rng(1)
+        c = (rng.uniform(0.9, 1.1, 12) * (-1.0) ** np.arange(12)).tolist()
+        path = write_config(tmp_path, "j.json",
+                            {"generator": GAUSS,
+                             "coeffs": {"offset": 4000, "coeffs": c},
+                             "radii": [2.0, 4.0]})
+        assert run(["jensen", "--config", path, "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "rounding" in err and "Traceback" not in err
+
     def test_jensen_many_coefficients_in_bounded_memory(self, tmp_path):
-        # 300 coefficients at r = 60 need 65536 contour samples: one
-        # (samples x coefficients) complex array would be 300 MiB, more than
-        # this address-space limit leaves after the imports.
+        # 300 coefficients: the proven grids at r = 60 and 150 hold 16384 and
+        # 65536 contour samples, 8193 and 32769 of them evaluated at once
+        # with those of r = 60; one (samples x coefficients) complex array
+        # would take 188 MiB.
         rng = np.random.default_rng(3)
         c = (rng.uniform(0.9, 1.1, 300) * (-1.0) ** np.arange(300)).tolist()
         path = write_config(tmp_path, "big.json",
                             {"generator": GAUSS,
                              "coeffs": {"offset": -150, "coeffs": c},
-                             "radii": [60.0]})
+                             "radii": [60.0, 150.0]})
         proc = run_in_768_mib("jensen", path)
         assert proc.returncode in (0, 3), proc.stderr
         assert "Traceback" not in proc.stderr

@@ -165,6 +165,19 @@ class TestTimeEval:
             got = tp.generator.time_deriv_eval(m1_params, x)
             assert got == pytest.approx(fd, abs=1e-8)
 
+    @pytest.mark.parametrize("gamma", [math.pi**2, 0.1, 50.0])
+    @pytest.mark.parametrize("delta", [1e-10, -1e-10])
+    def test_derivative_at_tiny_delta(self, gamma, delta):
+        # g is the Gaussian shifted by delta up to O(delta^2 a): its
+        # derivative is -2a(x - delta) G(x - delta) to about 1e-18 times the
+        # amplitude, so the 5e-12 contract is checked against that.
+        params = tp.GeneratorParams(1.0, gamma, (delta,))
+        a, amp = params.gauss_rate, params.time_amplitude
+        x = np.concatenate([[0.0, 1e-5, -1e-5], np.linspace(-5.0, 5.0, 401) / math.sqrt(a)])
+        want = -2.0 * a * (x - delta) * amp * np.exp(-a * (x - delta) ** 2)
+        got = tp.generator.time_deriv_eval(params, x)
+        assert np.max(np.abs(got - want)) <= 5e-12 * amp
+
 
 class TestReduce:
     def test_drops_last_delta(self):
@@ -224,6 +237,22 @@ class TestErfcx:
         special = pytest.importorskip("scipy.special")
         x = self.POINTS
         assert np.max(np.abs(tp.generator._erfcx(x) / special.erfcx(x) - 1.0)) <= 2e-15
+
+    def test_complement_of_the_leading_term(self):
+        # 1 - sqrt(pi) x erfcx(x): directly where it is large (both forms
+        # round, so to a few eps), and for x >= 1e3, where the direct form
+        # has lost its digits, against the asymptotic series
+        # 1/(2x^2) - 3/(4x^4) + 15/(8x^6), whose next term is below 1e-23.
+        special = pytest.importorskip("scipy.special")
+        small = np.linspace(0.0, 6.0, 601)
+        direct = 1.0 - math.sqrt(math.pi) * small * special.erfcx(small)
+        assert np.max(np.abs(tp.generator._erfcx_gap(small) - direct)) <= 4e-15
+        large = np.logspace(3.0, 150.0, 148)
+        inv = 1.0 / (large * large)
+        series = inv * (0.5 - inv * (0.75 - 1.875 * inv))
+        # An error of O(eps/x) against a value of 1/(2x^2).
+        assert np.all(np.abs(tp.generator._erfcx_gap(large) - series) <= 4e-15 / large)
+        assert tp.generator._erfcx_gap(np.array([math.inf]))[0] == 0.0
 
     def test_closed_form_matches_scipy_erfc(self):
         # g of (1, pi^2, (delta,)) is E alone (a = 1); z = 1/(2 delta) - x runs

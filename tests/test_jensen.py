@@ -17,6 +17,14 @@ def alternating_function(fn_factory, params, rng, n_shifts=40):
     return fn_factory(params, -n_shifts // 2, c)
 
 
+def uncertified_function(fn_factory):
+    # At gamma = 20 the 40 alternating unit coefficients give 35 real zeros
+    # against a degree of 39, so the zero set is not certified complete and
+    # the winding count and the doubling contour average run.  The other four
+    # roots lie beyond |z| = 8, so the counts there have no extra zeros.
+    return fn_factory(tp.GeneratorParams(1.0, 20.0), -20, (-1.0) ** np.arange(40))
+
+
 class TestLogAbs:
     def test_single_gaussian_on_imaginary_axis(self, gauss_params, fn_factory):
         f = fn_factory(gauss_params, 0, (1.0,))
@@ -236,6 +244,7 @@ class TestCountZeros:
         f = fn_factory(gauss_params, -1, (4.0 * math.e, -5.0, math.e))
         ctx = tp.build_context(f)
         assert ctx.order == 1
+        assert ctx.zero_set_complete
         assert ctx.real_zeros.points == pytest.approx((math.log(2.0),), abs=1e-9)
         count = tp.count_zeros_disk(ctx, 7.0)
         assert (count.total, count.lattice) == (9, 9)
@@ -384,10 +393,8 @@ class TestContourSampler:
         for i in (0, 17, 500, 1000):
             assert same_bits(_stable_terms(f, zs[i]), [v[i] for v in whole])
 
-    def test_each_contour_point_evaluated_once(self, gauss_params, fn_factory, monkeypatch):
-        rng = np.random.default_rng(43)
-        f = alternating_function(fn_factory, gauss_params, rng, 40)
-        ctx = tp.build_context(f)
+    def test_each_contour_point_evaluated_once(self, fn_factory, monkeypatch):
+        ctx = tp.build_context(uncertified_function(fn_factory))
         points = []
         stable_terms = jensen._stable_terms
 
@@ -402,10 +409,9 @@ class TestContourSampler:
             assert row.samples >= 1024
             assert sum(points) == row.samples
 
-    def test_winding_count_evaluates_its_first_two_grids_at_once(self, gauss_params,
-                                                                 fn_factory, monkeypatch):
-        rng = np.random.default_rng(43)
-        ctx = tp.build_context(alternating_function(fn_factory, gauss_params, rng, 40))
+    def test_winding_count_evaluates_its_first_two_grids_at_once(self, fn_factory,
+                                                                 monkeypatch):
+        ctx = tp.build_context(uncertified_function(fn_factory))
         sizes = []
         stable_terms = jensen._stable_terms
 
@@ -417,9 +423,8 @@ class TestContourSampler:
         tp.count_zeros_disk(ctx, tp.safe_radius(ctx, 4.0))
         assert sizes[0] == 1024 and sum(sizes) == ctx.contour.n
 
-    def test_standalone_calls_match_fresh_evaluation(self, gauss_params, fn_factory):
-        rng = np.random.default_rng(47)
-        f = alternating_function(fn_factory, gauss_params, rng, 40)
+    def test_standalone_calls_match_fresh_evaluation(self, fn_factory):
+        f = uncertified_function(fn_factory)
         for r0 in (2.0, 4.0, 8.0):
             r = tp.safe_radius(tp.build_context(f), r0)
             want = fresh_contour_average(tp.build_context(f), r)
@@ -431,6 +436,101 @@ class TestContourSampler:
             assert tp.jensen_rhs(count_first, r) == want
             assert count == count_after
             assert count.extra == 0 and count.total == count.lattice
+
+
+class TestZeroSetCertificate:
+    def test_refuses_odd_coefficients(self, gauss_params, fn_factory):
+        # P(w) = (1 - w^2)/e: the root w = -1 has no real zero over it.
+        ctx = tp.build_context(fn_factory(gauss_params, -1, (1.0, 0.0, -1.0)))
+        assert ctx.order == 1 and not ctx.zero_set_complete
+        report = tp.verify_base_case(ctx, [2.0, 4.0, 8.0])
+        assert [row.extra_zeros for row in report.rows] == [2, 2, 6]
+
+    def test_refuses_positive_coefficients(self, gauss_params, fn_factory):
+        rng = np.random.default_rng(61)
+        ctx = tp.build_context(fn_factory(gauss_params, -20, rng.uniform(0.9, 1.1, 40)))
+        assert len(ctx.real_zeros) == 0 and not ctx.zero_set_complete
+        report = tp.verify_base_case(ctx, [2.0, 4.0, 8.0])
+        extra = [row.extra_zeros for row in report.rows]
+        assert extra[:2] == [4, 16] and extra[2] > 16
+        assert all(row.samples >= 1024 for row in report.rows)
+
+    def test_refuses_missing_real_zeros(self, fn_factory):
+        ctx = tp.build_context(uncertified_function(fn_factory))
+        assert (len(ctx.real_zeros), ctx.order) == (35, 0)
+        assert not ctx.zero_set_complete
+        for row in tp.verify_base_case(ctx, [2.0, 4.0, 8.0]).rows:
+            assert row.extra_zeros == 0 and row.samples >= 1024
+            assert abs(row.lhs - row.rhs) < 2e-6
+
+    def test_certified_count_skips_the_winding_number(self, gauss_params, fn_factory,
+                                                      monkeypatch):
+        rng = np.random.default_rng(43)
+        ctx = tp.build_context(alternating_function(fn_factory, gauss_params, rng, 40))
+        assert ctx.zero_set_complete
+        want = {t: tp.count_zeros_disk(ctx, tp.safe_radius(ctx, t)) for t in (2.0, 4.0, 8.0)}
+
+        def refuse(ctx, t):
+            raise AssertionError("winding count ran")
+
+        monkeypatch.setattr(jensen, "_winding_number", refuse)
+        for t, count in want.items():
+            assert count.extra == 0
+            assert tp.count_zeros_disk(ctx, tp.safe_radius(ctx, t)) == count
+
+
+def order_one_function(fn_factory, params):
+    return fn_factory(params, -1, (4.0 * math.e, -5.0, math.e))
+
+
+class TestProvenGrid:
+    @pytest.mark.parametrize("kind", ["alternating", "order-one"])
+    @pytest.mark.parametrize("r", [2.0, 4.25, 8.0])
+    def test_error_bound_holds_on_every_grid(self, gauss_params, fn_factory, kind, r):
+        # The bound against a 2^16-point reference, on every grid the search
+        # passes; its rounding, about 1e-14 r^2, gets a slack of 1e-13 r^2.
+        if kind == "alternating":
+            f = alternating_function(fn_factory, gauss_params, np.random.default_rng(23))
+        else:
+            f = order_one_function(fn_factory, gauss_params)
+        ctx = tp.build_context(f)
+        assert ctx.zero_set_complete
+        mods = jensen._known_moduli(ctx, 3.0 * r + 1.0)
+        top = jensen._proven_grid(ctx, mods, r)
+        ns = [64 << j for j in range(top.bit_length() - 6)]
+        assert ns[-1] == top
+        ref, *vals = jensen._contour_averages(ctx, [(r, 1 << 16)] + [(r, n) for n in ns])
+        for n, val in zip(ns, vals):
+            bound = jensen._trapezoid_error(ctx, mods, r, n) \
+                + jensen._trapezoid_error(ctx, mods, r, 1 << 16)
+            assert abs(val - ref) * r * r <= bound + 1e-13 * r * r
+        assert jensen._trapezoid_error(ctx, mods, r, top) <= jensen.RHS_TOL * r * r
+
+    @pytest.mark.parametrize("kind", ["alternating", "order-one"])
+    def test_standalone_rhs_matches_the_report(self, gauss_params, fn_factory, kind):
+        if kind == "alternating":
+            f = alternating_function(fn_factory, gauss_params, np.random.default_rng(47))
+        else:
+            f = order_one_function(fn_factory, gauss_params)
+        report = tp.verify_base_case(tp.build_context(f), [2.0, 4.0, 8.0])
+        for row in report.rows:
+            assert tp.jensen_rhs(tp.build_context(f), row.r) == row.rhs
+
+    def test_all_radii_evaluated_at_once(self, gauss_params, fn_factory, monkeypatch):
+        # Half of each proven grid plus its end point, in one evaluation.
+        ctx = tp.build_context(
+            alternating_function(fn_factory, gauss_params, np.random.default_rng(43)))
+        sizes = []
+        stable_terms = jensen._stable_terms
+
+        def counting(f, z):
+            sizes.append(np.size(z))
+            return stable_terms(f, z)
+
+        monkeypatch.setattr(jensen, "_stable_terms", counting)
+        report = tp.verify_base_case(ctx, [2.0, 4.0, 8.0])
+        assert sizes == [sum(row.samples // 2 + 1 for row in report.rows)]
+        assert ctx.contour.n == 0
 
 
 class TestLatticeInvariance:
@@ -488,7 +588,8 @@ class TestGrowthFitAndBaseCase:
         assert report.log_c == pytest.approx(log_c)
         for row in report.rows:
             assert row.extra_zeros == 0
-            assert row.samples >= 1024
+            mods = jensen._known_moduli(ctx, 3.0 * row.r + 1.0)
+            assert row.samples == jensen._proven_grid(ctx, mods, row.r)
             assert abs(row.lhs - row.rhs) < 2e-6
             assert row.lhs <= row.bound + 1e-6
             assert row.rhs <= row.bound + 1e-6
