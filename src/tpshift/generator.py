@@ -105,21 +105,20 @@ def _weideman(x: np.ndarray) -> tuple:
     return y, p
 
 
-def _erfcx(x: np.ndarray) -> np.ndarray:
-    """erfcx(x) = exp(x^2) erfc(x) at an array of x >= 0 by Weideman's series."""
-    y, p = _weideman(x)
-    return y * (2.0 * p * y + 1.0 / math.sqrt(math.pi))
+def _erfcx(x: np.ndarray, gap: bool = False):
+    """erfcx(x) = exp(x^2) erfc(x) at an array of x >= 0 by Weideman's series.
 
-
-def _erfcx_gap(x: np.ndarray) -> np.ndarray:
-    """1 - sqrt(pi) x erfcx(x) at an array of x >= 0, without the subtraction.
-
-    As x y = 1 - L y in _weideman's terms, it is y (L - 2 sqrt(pi) p(Z) (1 - L y)).
+    With gap, the pair (erfcx(x), 1 - sqrt(pi) x erfcx(x)) from one
+    evaluation of the series.  As x y = 1 - L y in _weideman's terms, the
+    second is y (L - 2 sqrt(pi) p(Z) (1 - L y)), without the subtraction.
     It falls like 1/(2x^2); formed so, it errs by O(eps/x) rather than eps,
     and is 0 at x = inf.
     """
     y, p = _weideman(x)
-    return y * (_ERFCX_SCALE - 2.0 * math.sqrt(math.pi) * p * (1.0 - _ERFCX_SCALE * y))
+    ex = y * (2.0 * p * y + 1.0 / math.sqrt(math.pi))
+    if not gap:
+        return ex
+    return ex, y * (_ERFCX_SCALE - 2.0 * math.sqrt(math.pi) * p * (1.0 - _ERFCX_SCALE * y))
 
 
 @dataclass(frozen=True)
@@ -233,13 +232,13 @@ def _evaluate(params: GeneratorParams, x: np.ndarray, deriv: bool = False) -> np
     g' = sum_nu A_nu E'_nu with E' = (G - E)/delta.  That difference
     cancels for small b (E -> G).  From E = G sqrt(pi) z0 erfcx(z),
     z0 = z + s sqrt(a) x, E' also reads
-    G (H(z)/delta - sqrt(pi a) x erfcx(z)/b), H(z) = 1 - sqrt(pi) z erfcx(z)
-    from _erfcx_gap.  Each form rounds by about eps/b times the size of its
-    terms, at least G for the difference; where z >= 0 and the terms
-    G (H + sqrt(pi a)|x| erfcx(z)) of the second are below G/2, it is
-    taken.  Elsewhere the difference keeps its rounding errors correlated
-    across the nu, which the partial-fraction weights need when shifts of
-    one sign nearly coincide.
+    G (H(z)/delta - sqrt(pi a) x erfcx(z)/b), H(z) = 1 - sqrt(pi) z erfcx(z),
+    which _erfcx forms from the series that gives erfcx(z).  Each form
+    rounds by about eps/b times the size of its terms, at least G for the
+    difference; where z >= 0 and the terms G (H + sqrt(pi a)|x| erfcx(z))
+    of the second are below G/2, it is taken.  Elsewhere the difference
+    keeps its rounding errors correlated across the nu, which the
+    partial-fraction weights need when shifts of one sign nearly coincide.
     """
     if x.size > _EVAL_CHUNK:
         return np.concatenate([_evaluate(params, x[i:i + _EVAL_CHUNK], deriv)
@@ -274,12 +273,14 @@ def _evaluate(params: GeneratorParams, x: np.ndarray, deriv: bool = False) -> np
         e[far] = amp * np.exp(tilt[nu] - sx[far] / b[nu])
     # Times erfcx(z) where z >= 0 and erfc(z) where z < 0; z*z overflows
     # only where exp(-z^2) is 0 anyway.
-    ex = _erfcx(np.abs(z))
+    if deriv:
+        ex, gap = _erfcx(np.abs(z), gap=True)
+    else:
+        ex = _erfcx(np.abs(z))
     with np.errstate(over="ignore"):
         e *= np.where(near, ex, 2.0 - np.exp(-z * z) * ex)
     e *= scale[:, None]
     if deriv:
-        gap = _erfcx_gap(np.abs(z))
         slope = math.sqrt(math.pi * a) * x * ex
         split = near & (gap + np.abs(slope) < 0.5)
         e = np.where(split, gauss * (gap / d[:, None] - slope / b[:, None]),

@@ -36,7 +36,8 @@ root of P (JensenContext.zero_set_complete).  Then the disk counts are the
 lattice counts, and Rubel & Taylor's bound on the Fourier coefficients of
 log|F| fixes each radius's trapezoid grid in advance with a proven error
 (_trapezoid_error).  Otherwise a winding number counts the zeros and the
-contour average doubles its grid until two values agree.
+contour average doubles its grid until two values agree; both read one set
+of nested grids on the half circle (_uncertified_circle).
 """
 
 from __future__ import annotations
@@ -287,57 +288,6 @@ class JensenContext:
         return (not self.real_zeros.touch_points
                 and len(self.real_zeros) + self.order == int(at[-1] - at[0]))
 
-    @cached_property
-    def contour(self) -> "ContourSampler":
-        """The sampler the winding count and the fallback contour average share."""
-        return ContourSampler(self.f)
-
-
-class ContourSampler:
-    """Stabilized terms of f on nested trapezoid grids of one circle |z| = r.
-
-    Holds (scale, inner) at theta_j = 2 pi j/n, j < n, for the finest n
-    reached at the most recent radius; the contour is periodic, so no grid
-    needs a closing point.  A grid n/2^k is a strided view, and each
-    doubling evaluates only the new odd-index points:
-    linspace(0, 2 pi, 2n + 1)[::2] equals linspace(0, 2 pi, n + 1) bit for
-    bit, so every grid holds the values a fresh evaluation at its points
-    gives.  Another radius, or a grid not a power-of-two multiple or divisor
-    of n, starts over.  The state is replaced in one assignment, so a failed
-    evaluation leaves the previous grid intact.
-    """
-
-    def __init__(self, f: SISFunction):
-        self.f = f
-        self._state = (None, 0, None, None)  # r, n, scale, inner
-
-    @property
-    def n(self) -> int:
-        """Points in the finest grid held (0 before the first call)."""
-        return self._state[1]
-
-    def _eval(self, r: float, theta):
-        return _stable_terms(self.f, r * np.exp(1j * theta))
-
-    def grid(self, r: float, n: int):
-        """(scale, inner) at r e^{2 pi i j/n} for j = 0..n-1."""
-        r_held, top, scale, inner = self._state
-        lo, hi = sorted((n, top))
-        if r != r_held or hi % lo or (hi // lo) & (hi // lo - 1):
-            top = n
-            scale, inner = self._eval(r, np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
-        while top < n:
-            new_scale, new_inner = self._eval(
-                r, np.linspace(0.0, 2.0 * math.pi, 2 * top + 1)[1::2])
-            scale = np.stack([scale, new_scale], axis=-1).ravel()
-            inner = np.stack([inner, new_inner], axis=-1).ravel()
-            top *= 2
-        self._state = (r, top, scale, inner)
-        step = top // n
-        # Contiguous copies: callers may write to them, and their ufuncs run
-        # the loops they run on a freshly evaluated array.
-        return scale[::step].copy(), inner[::step].copy()
-
 
 def build_context(f: SISFunction) -> JensenContext:
     """Detect the order at the origin, normalize, and collect real zeros.
@@ -391,45 +341,6 @@ class DiskZeroCount:
         return self.total
 
 
-def _winding_number(ctx: JensenContext, t: float) -> int:
-    """Winding number of F around |z| = t by adaptive phase tracking.
-
-    The phase of F along the contour is arg(f) - n*theta + (a/2) t^2 sin(2 theta)
-    up to a constant; increments are accumulated from stabilized values of f
-    and the grid, from 512 up to 2^17 points, is doubled until every
-    increment is below pi/2 and two consecutive refinements agree on the
-    integer winding.  So the 512- and 1024-point grids are always read, and
-    one evaluation of the finer serves both.
-    """
-    a = ctx.gauss_rate
-    n = ctx.order
-    n_max = 1 << 17
-    nt = 512
-    prev = None
-    ctx.contour.grid(t, 2 * nt)
-    while nt <= n_max:
-        theta = np.linspace(0.0, 2.0 * math.pi, nt + 1)
-        _, inner = ctx.contour.grid(t, nt)
-        if np.any(np.abs(inner) == 0.0):
-            raise PhaseTrackingError(f"contour |z|={t} passes through a zero")
-        inner = np.append(inner, inner[:1])
-        dphi = np.angle(inner[1:] * np.conj(inner[:-1]))
-        incr = dphi - n * np.diff(theta) + 0.5 * a * t * t * np.diff(np.sin(2.0 * theta))
-        if np.max(np.abs(dphi)) < 0.5 * math.pi and np.max(np.abs(incr)) < 0.5 * math.pi:
-            w = float(np.sum(incr) / (2.0 * math.pi))
-            k = int(round(w))
-            if abs(w - k) < 0.01:
-                if prev is not None and prev == k:
-                    return k
-                prev = k
-            else:
-                prev = None
-        nt *= 2
-    raise PhaseTrackingError(
-        f"phase tracking did not stabilize at |z|={t} within {n_max} samples "
-        "(zero near the contour?)")
-
-
 def _known_moduli(ctx: JensenContext, r_max: float) -> np.ndarray:
     """Sorted moduli up to r_max of F's known zeros, with multiplicity.
 
@@ -459,12 +370,14 @@ def count_zeros_disk(ctx: JensenContext, t: float) -> DiskZeroCount:
     the excess over the known count is reported separately.
     """
     t = _radius(t, "t")
-    mods = _known_moduli(ctx, t + 2.0 * CIRCLE_CLEARANCE)
-    return _count_zeros_disk(ctx, mods, t)
+    lattice = _lattice_count(_known_moduli(ctx, t + 2.0 * CIRCLE_CLEARANCE), t)
+    total = (lattice if ctx.zero_set_complete
+             else _uncertified_circle(ctx, t, lattice, average=False)[0])
+    return DiskZeroCount(total=total, lattice=lattice)
 
 
-def _count_zeros_disk(ctx: JensenContext, mods: np.ndarray, t: float) -> DiskZeroCount:
-    """count_zeros_disk from the sorted moduli up to at least t + 2*CIRCLE_CLEARANCE.
+def _lattice_count(mods: np.ndarray, t: float) -> int:
+    """Known zeros in |z| <= t from the sorted moduli up to at least t + 2*CIRCLE_CLEARANCE.
 
     Moduli beyond that change nothing: they lie outside the disk and too far
     from the circle to be too close.
@@ -472,13 +385,7 @@ def _count_zeros_disk(ctx: JensenContext, mods: np.ndarray, t: float) -> DiskZer
     if mods.size and np.min(np.abs(mods - t)) < CIRCLE_CLEARANCE:
         raise ValueError(
             f"a lattice zero lies within {CIRCLE_CLEARANCE} of |z|={t}; perturb t")
-    lattice = int(np.searchsorted(mods, t, side="right"))
-    total = lattice if ctx.zero_set_complete else _winding_number(ctx, t)
-    count = DiskZeroCount(total=total, lattice=lattice)
-    if count.extra < 0:
-        raise PhaseTrackingError(
-            f"winding count {count.total} below lattice count {lattice} at |z|={t}")
-    return count
+    return int(np.searchsorted(mods, t, side="right"))
 
 
 def jensen_lhs(ctx: JensenContext, r: float) -> float:
@@ -498,13 +405,6 @@ def _jensen_lhs(mods: np.ndarray, r: float) -> float:
     if mods.size == 0:
         return 0.0
     return float(np.sum(np.log(r / mods))) / (r * r)
-
-
-def _contour_log_abs_F(ctx: JensenContext, r: float, nt: int) -> np.ndarray:
-    theta = np.linspace(0.0, 2.0 * math.pi, nt, endpoint=False)
-    log_f = _log_abs(*ctx.contour.grid(r, nt))
-    return (ctx.log_c1 - ctx.order * math.log(r) + log_f
-            + 0.5 * ctx.gauss_rate * r * r * np.cos(2.0 * theta))
 
 
 def _trapezoid_error(ctx: JensenContext, mods: np.ndarray, r: float, n: int) -> float:
@@ -547,42 +447,138 @@ def _proven_grid(ctx: JensenContext, mods: np.ndarray, r: float) -> int:
         f"proven error below {RHS_TOL} (zero near the contour?)")
 
 
-def _contour_averages(ctx: JensenContext, grids) -> list:
-    """jensen_rhs at each (r, n) of grids by the n-point trapezoid rule.
+def _trapezoid(ctx: JensenContext, r: float, theta: np.ndarray, log_f: np.ndarray) -> float:
+    """jensen_rhs at r by the n-point trapezoid rule from log|f| at r e^{i theta}.
 
     The c_k are real, so F(conj z) = conj F(z) and log|F| is even in theta:
-    the rule reads theta_j = 2 pi j/n for j = 0..n/2 only, with weights
-    1, 2, ..., 2, 1.  All points go to _stable_terms together, at most
-    MAX_GRID per call; a point's bits do not depend on the batch, so each
-    value is the one a call for its radius alone gives.  The values of
-    log|F| sum terms up to |log C1| + n|log r| + max|log|f|| + a r^2/2,
-    which round by about eps times that; where this exceeds RHS_TOL r^2,
-    as for supports thousands of units from the origin at a = 1, the
-    average is refused.
+    the rule reads theta = linspace(0, pi, n/2 + 1), the points 2 pi j/n for
+    j = 0..n/2, with weights 1, 2, ..., 2, 1.  The values of log|F| sum
+    terms up to |log C1| + n|log r| + max|log|f|| + a r^2/2, which round by
+    about eps times that; where this exceeds RHS_TOL r^2, as for supports
+    thousands of units from the origin at a = 1, the average is refused.
+    """
+    vals = (ctx.log_c1 - ctx.order * math.log(r) + log_f
+            + 0.5 * ctx.gauss_rate * r * r * np.cos(2.0 * theta))
+    if not np.all(np.isfinite(vals)):
+        raise QuadratureError(f"contour |z|={r} hits a zero of F")
+    size = (abs(ctx.log_c1) + ctx.order * abs(math.log(r)) + float(np.max(np.abs(log_f)))
+            + 0.5 * ctx.gauss_rate * r * r)
+    if sys.float_info.epsilon * size > RHS_TOL * r * r:
+        raise QuadratureError(
+            f"contour average at |z|={r} sums log-magnitudes up to {size:.3g}, "
+            f"whose rounding exceeds {RHS_TOL} r^2")
+    weights = np.full(theta.size, 2.0)
+    weights[[0, -1]] = 1.0
+    return float(np.sum(weights * vals)) / (2 * (theta.size - 1)) / (r * r)
+
+
+def _contour_averages(ctx: JensenContext, grids) -> list:
+    """jensen_rhs at each (r, n) of grids by the n-point _trapezoid rule.
+
+    All points go to _stable_terms together, at most MAX_GRID per call; a
+    point's bits do not depend on the batch, so each value is the one a call
+    for its radius alone gives.
     """
     thetas = [np.linspace(0.0, math.pi, n // 2 + 1) for _, n in grids]
     z = np.concatenate([r * np.exp(1j * theta) for (r, _), theta in zip(grids, thetas)])
     parts = [_stable_terms(ctx.f, z[i:i + MAX_GRID]) for i in range(0, z.size, MAX_GRID)]
     log_f = _log_abs(*(np.concatenate(p) for p in zip(*parts)))
-    out = []
-    start = 0
-    for (r, n), theta in zip(grids, thetas):
-        log_f_r = log_f[start:start + theta.size]
-        vals = (ctx.log_c1 - ctx.order * math.log(r) + log_f_r
-                + 0.5 * ctx.gauss_rate * r * r * np.cos(2.0 * theta))
-        start += theta.size
-        if not np.all(np.isfinite(vals)):
-            raise QuadratureError(f"contour |z|={r} hits a zero of F")
-        size = (abs(ctx.log_c1) + ctx.order * abs(math.log(r)) + float(np.max(np.abs(log_f_r)))
-                + 0.5 * ctx.gauss_rate * r * r)
-        if sys.float_info.epsilon * size > RHS_TOL * r * r:
-            raise QuadratureError(
-                f"contour average at |z|={r} sums log-magnitudes up to {size:.3g}, "
-                f"whose rounding exceeds {RHS_TOL} r^2")
-        weights = np.full(theta.size, 2.0)
-        weights[[0, -1]] = 1.0
-        out.append(float(np.sum(weights * vals)) / n / (r * r))
-    return out
+    log_fs = np.split(log_f, np.cumsum([theta.size for theta in thetas])[:-1])
+    return [_trapezoid(ctx, r, theta, log_f_r)
+            for (r, _), theta, log_f_r in zip(grids, thetas, log_fs)]
+
+
+def _half_winding(ctx: JensenContext, r: float, theta: np.ndarray, inner: np.ndarray):
+    """F's winding number around |z| = r from one half-circle grid, or None.
+
+    inner is _stable_terms's at r e^{i theta}, theta = linspace(0, pi, n/2 + 1).
+    The phase of F along the contour is arg(f) - n theta + (a/2) r^2 sin(2 theta)
+    up to a constant, and F(conj z) = conj F(z), so it gains as much over
+    [pi, 2 pi] as over [0, pi]: the winding number is the phase gained over
+    the half circle divided by pi.  None unless every step of arg(f) and of
+    the phase is below pi/2 and that quotient is within 0.01 of an integer.
+    """
+    if np.any(np.abs(inner) == 0.0):
+        raise PhaseTrackingError(f"contour |z|={r} passes through a zero")
+    dphi = np.angle(inner[1:] * np.conj(inner[:-1]))
+    incr = (dphi - ctx.order * np.diff(theta)
+            + 0.5 * ctx.gauss_rate * r * r * np.diff(np.sin(2.0 * theta)))
+    if np.max(np.abs(dphi)) >= 0.5 * math.pi or np.max(np.abs(incr)) >= 0.5 * math.pi:
+        return None
+    w = float(np.sum(incr)) / math.pi
+    k = round(w)
+    return k if abs(w - k) < 0.01 else None
+
+
+def _uncertified_circle(ctx: JensenContext, r: float, lattice, average: bool) -> tuple:
+    """(winding, rhs, samples) at |z| = r where the zero set is not certified complete.
+
+    The count runs unless lattice, the known-zero count it must reach, is
+    None; the contour average runs with average.  Both read the trapezoid
+    grids of n points on the half circle (_trapezoid) from one evaluation of
+    1024 points, and each doubling evaluates only the new odd-index points:
+    linspace(0, pi, n + 1)[::2] equals linspace(0, pi, n/2 + 1) bit for bit
+    and a point's value depends on f and that point alone, so a coarser
+    grid, a strided view, holds what a fresh evaluation at its points gives.
+    The count reads the grids from 512 to 2^17 points (_half_winding) until
+    two consecutive ones give the same integer.  The average reads those
+    from MIN_GRID to MAX_GRID until successive values differ by less than
+    1e-7 (with a zero at clearance d the refinement error decays like
+    exp(-n d / r), so the successive difference understates the true error
+    and needs headroom).  samples is the finest n evaluated.  The count
+    raises as soon as it fails; the average only once the count has
+    settled, so a caller that asks for both gets the count's error first.
+    Non-convergence signals a zero on or near the contour and the caller is
+    expected to perturb r.
+    """
+    wind_n = 0 if lattice is None else 512  # next grid each part reads; 0 once settled
+    avg_n = MIN_GRID if average else 0
+    winding = rhs = failed = None
+    n = 1024
+    theta = np.linspace(0.0, math.pi, n // 2 + 1)
+    scale, inner = _stable_terms(ctx.f, r * np.exp(1j * theta))
+    while True:
+        while 0 < wind_n <= n:
+            # Contiguous copies: ufuncs may round a strided view otherwise.
+            k = _half_winding(ctx, r, theta[::n // wind_n].copy(),
+                              inner[::n // wind_n].copy())
+            if k is not None and k == winding:
+                if k < lattice:
+                    raise PhaseTrackingError(
+                        f"winding count {k} below lattice count {lattice} at |z|={r}")
+                wind_n = 0
+            elif wind_n == 1 << 17:
+                raise PhaseTrackingError(
+                    f"phase tracking did not stabilize at |z|={r} within {wind_n} "
+                    "samples (zero near the contour?)")
+            else:
+                winding, wind_n = k, 2 * wind_n
+        while 0 < avg_n <= n:
+            step = n // avg_n
+            try:
+                cur = _trapezoid(ctx, r, theta[::step].copy(),
+                                 _log_abs(scale[::step].copy(), inner[::step].copy()))
+            except QuadratureError as exc:
+                failed, avg_n = exc, 0
+                break
+            if rhs is not None and abs(cur - rhs) < 1e-7:
+                avg_n = 0
+            elif avg_n == MAX_GRID:
+                failed, avg_n = QuadratureError(
+                    f"contour average at |z|={r} did not converge (zero near the contour?)"), 0
+            else:
+                avg_n *= 2
+            rhs = cur
+        if failed is not None and not wind_n:
+            raise failed
+        if not wind_n and not avg_n:
+            return winding, rhs, n
+        n *= 2
+        theta = np.linspace(0.0, math.pi, n // 2 + 1)
+        coarse = scale, inner
+        scale, inner = np.empty(theta.shape), np.empty(theta.shape, dtype=complex)
+        scale[::2], inner[::2] = coarse
+        scale[1::2], inner[1::2] = _stable_terms(ctx.f, r * np.exp(1j * theta[1::2]))
 
 
 def jensen_rhs(ctx: JensenContext, r: float) -> float:
@@ -590,30 +586,14 @@ def jensen_rhs(ctx: JensenContext, r: float) -> float:
 
     With a complete zero set (JensenContext.zero_set_complete) the grid is
     _proven_grid, chosen before any sample so that the value errs by at
-    most RHS_TOL.  Otherwise the grid, from MIN_GRID up to MAX_GRID points,
-    is doubled until successive values differ by less than 1e-7 (with a
-    zero at clearance d the refinement error decays like exp(-n d / r), so
-    the successive difference understates the true error and needs
-    headroom).  Non-convergence signals a zero on or near the contour and
-    the caller is expected to perturb r.
+    most RHS_TOL.  Otherwise the grid is doubled until two values agree
+    (_uncertified_circle).  Either way the rule is _trapezoid's.
     """
     r = _radius(r, "r")
     if ctx.zero_set_complete:
         n = _proven_grid(ctx, _known_moduli(ctx, 3.0 * r + 1.0), r)
         return _contour_averages(ctx, [(r, n)])[0]
-    prev = None
-    nt = MIN_GRID
-    while nt <= MAX_GRID:
-        vals = _contour_log_abs_F(ctx, r, nt)
-        if not np.all(np.isfinite(vals)):
-            raise QuadratureError(f"contour |z|={r} hits a zero of F")
-        cur = float(np.mean(vals)) / (r * r)
-        if prev is not None and abs(cur - prev) < 1e-7:
-            return cur
-        prev = cur
-        nt *= 2
-    raise QuadratureError(
-        f"contour average at |z|={r} did not converge (zero near the contour?)")
+    return _uncertified_circle(ctx, r, None, average=True)[1]
 
 
 def fit_growth_constant(ctx: JensenContext, radius: float, grid_step: float = 0.1) -> float:
@@ -698,8 +678,10 @@ def verify_base_case(ctx: JensenContext, radii) -> BaseCaseReport:
     any sample is taken, so the right link can fail.  Violations raise with
     diagnostic values.  With a complete zero set every radius and its
     proven grid are fixed first and all contour points are evaluated at
-    once; each row records that grid (samples).  Otherwise each row records
-    the finest grid the winding count and the contour average evaluated.
+    once; each row records that grid (samples).  Otherwise one pass of
+    _uncertified_circle per radius gives the winding count, the contour
+    average and the finest grid they evaluated (samples), and a failing
+    count raises before a failing average.
     """
     rs = [_radius(r, "radii") for r in radii]
     if not rs:
@@ -722,24 +704,25 @@ def verify_base_case(ctx: JensenContext, radii) -> BaseCaseReport:
         reach = r0 + SAFE_SPAN + 1.0
         mods = _known_moduli(ctx, 3.0 * (r0 + SAFE_SPAN) + 1.0 if complete else reach)
         r = _safe_radius(mods[:np.searchsorted(mods, reach, side="right")], r0)
-        count = _count_zeros_disk(ctx, mods, r)
+        lattice = _lattice_count(mods, r)
         lhs = _jensen_lhs(mods, r)
         if complete:
-            steps.append((r, count, lhs, _proven_grid(ctx, mods, r)))
+            steps.append((r, 0, lhs, _proven_grid(ctx, mods, r)))
         else:
-            rhss.append(jensen_rhs(ctx, r))
-            steps.append((r, count, lhs, ctx.contour.n))
+            total, rhs, samples = _uncertified_circle(ctx, r, lattice, average=True)
+            rhss.append(rhs)
+            steps.append((r, total - lattice, lhs, samples))
     if complete:
         rhss = _contour_averages(ctx, [(r, n) for r, _, _, n in steps])
 
     rows = []
     circ_values = []
-    for (r, count, lhs, samples), rhs in zip(steps, rhss):
+    for (r, extra, lhs, samples), rhs in zip(steps, rhss):
         circ = circ_density_direct(lam, [r]).values[0] if len(lam) else 0.0
         # At order 0 the full zero set's real points are the real zeros.
         circ_full = circ_density_direct(full, [r]).values[0] if ctx.order else circ
         bound = (log_c - ctx.order * math.log(r)) / (r * r) + 0.5 * a
-        if count.extra == 0 and abs(lhs - rhs) > 2e-6:
+        if extra == 0 and abs(lhs - rhs) > 2e-6:
             raise ChainViolationError(
                 f"zero-sum {lhs} and contour average {rhs} disagree at r={r} "
                 f"with all zeros enumerated")
@@ -754,7 +737,7 @@ def verify_base_case(ctx: JensenContext, radii) -> BaseCaseReport:
             raise ChainViolationError(
                 f"zero-set chord density {circ_full} exceeds 1 + 40/r at r={r}")
         rows.append(BaseCaseRow(r=r, lhs=lhs, rhs=rhs, circ_scaled=0.5 * a * circ,
-                                bound=bound, extra_zeros=count.extra,
+                                bound=bound, extra_zeros=extra,
                                 samples=samples))
         circ_values.append(circ_full)
     return BaseCaseReport(rows=tuple(rows), log_c=log_c,

@@ -5,8 +5,8 @@ import pytest
 
 import tpshift as tp
 import tpshift.jensen as jensen
-from tpshift.errors import OrderDetectionError
-from tpshift.jensen import ContourSampler, _stable_terms
+from tpshift.errors import OrderDetectionError, PhaseTrackingError, QuadratureError
+from tpshift.jensen import _stable_terms
 
 
 def alternating_function(fn_factory, params, rng, n_shifts=40):
@@ -23,6 +23,19 @@ def uncertified_function(fn_factory):
     # the winding count and the doubling contour average run.  The other four
     # roots lie beyond |z| = 8, so the counts there have no extra zeros.
     return fn_factory(tp.GeneratorParams(1.0, 20.0), -20, (-1.0) ** np.arange(40))
+
+
+def uncertified_family(fn_factory, params, kind):
+    # The three kinds of f whose zero set is not certified complete, as in
+    # TestZeroSetCertificate.
+    if kind == "odd":
+        return fn_factory(params, -1, (1.0, 0.0, -1.0))
+    if kind == "positive":
+        return fn_factory(params, -20, np.random.default_rng(61).uniform(0.9, 1.1, 40))
+    return uncertified_function(fn_factory)
+
+
+UNCERTIFIED = ["odd", "positive", "gamma20"]
 
 
 class TestLogAbs:
@@ -344,39 +357,80 @@ def same_bits(got, want):
     return all(g.shape == w.shape and g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
-def fresh_contour_average(ctx, r, nt=64, tol=1e-7):
-    # jensen_rhs with every grid evaluated from scratch.
+def fresh_contour_average(ctx, r, n=64, tol=1e-7):
+    # The uncertified jensen_rhs with every half-circle grid evaluated afresh.
     prev = None
     while True:
-        theta = np.linspace(0.0, 2.0 * math.pi, nt, endpoint=False)
-        vals = (ctx.log_c1 - ctx.order * math.log(r)
-                + tp.log_abs_f_complex(ctx.f, r * np.exp(1j * theta))
-                + 0.5 * ctx.gauss_rate * r * r * np.cos(2.0 * theta))
-        cur = float(np.mean(vals)) / (r * r)
+        cur, = jensen._contour_averages(ctx, [(r, n)])
         if prev is not None and abs(cur - prev) < tol:
             return cur
-        prev, nt = cur, 2 * nt
+        prev, n = cur, 2 * n
 
 
-class TestContourSampler:
-    @staticmethod
-    def fresh(f, r, n):
-        theta = np.linspace(0.0, 2.0 * math.pi, n + 1)[:-1]
-        return _stable_terms(f, r * np.exp(1j * theta))
+def full_circle_winding(ctx, t):
+    # Reference for the half-circle winding count: phase tracking around the
+    # whole circle on fresh grids of 512 up to 2^17 points, until two
+    # consecutive grids give the same integer.
+    a, order = ctx.gauss_rate, ctx.order
+    prev = None
+    for nt in (512 << j for j in range(9)):
+        theta = np.linspace(0.0, 2.0 * math.pi, nt + 1)
+        _, inner = _stable_terms(ctx.f, t * np.exp(1j * theta[:-1]))
+        inner = np.append(inner, inner[:1])
+        dphi = np.angle(inner[1:] * np.conj(inner[:-1]))
+        incr = dphi - order * np.diff(theta) + 0.5 * a * t * t * np.diff(np.sin(2.0 * theta))
+        k = None
+        if np.max(np.abs(dphi)) < 0.5 * math.pi and np.max(np.abs(incr)) < 0.5 * math.pi:
+            w = float(np.sum(incr)) / (2.0 * math.pi)
+            k = round(w) if abs(w - round(w)) < 0.01 else None
+        if k is not None and k == prev:
+            return k
+        prev = k
+    raise AssertionError(f"full-circle phase tracking did not settle at |z|={t}")
 
-    def test_nested_grids_match_fresh_evaluation(self, gauss_params, fn_factory):
-        rng = np.random.default_rng(37)
-        f = alternating_function(fn_factory, gauss_params, rng, 40)
-        sampler = ContourSampler(f)
-        # The contour average's coarse grids first, then the winding count's
-        # grids, coarser views, one more doubling, a grid that is not
-        # nested, and another radius.
-        steps = [(4.05, 64), (4.05, 128), (4.05, 512), (4.05, 1024), (4.05, 256),
-                 (4.05, 64), (4.05, 2048), (4.05, 96), (4.05, 384), (2.3, 512), (2.3, 64)]
-        finest = [64, 128, 512, 1024, 1024, 1024, 2048, 96, 384, 512, 512]
-        for (r, n), top in zip(steps, finest):
-            assert same_bits(sampler.grid(r, n), self.fresh(f, r, n))
-            assert sampler.n == top
+
+def recording_stable_terms(monkeypatch):
+    # Every _stable_terms call of jensen as (z, (scale, inner)).
+    calls = []
+
+    def recording(f, z):
+        out = _stable_terms(f, z)
+        calls.append((z, out))
+        return out
+
+    monkeypatch.setattr(jensen, "_stable_terms", recording)
+    return calls
+
+
+class TestHalfCircleGrids:
+    def test_strided_grid_matches_fresh_evaluation(self, gauss_params, fn_factory,
+                                                   monkeypatch):
+        # A row evaluates the 513 points of the 1024-point grid, then each
+        # doubling's new odd-index points: every point of its finest grid
+        # once.  Each coarser power-of-two grid is a strided view of the
+        # finest one with the bits of a fresh evaluation at its points.
+        ctx = tp.build_context(uncertified_family(fn_factory, gauss_params, "positive"))
+        calls = recording_stable_terms(monkeypatch)
+        row = tp.verify_base_case(ctx, [8.0]).rows[0]
+        top = row.samples
+        assert top == 1 << 15 and len(calls) == 6
+        # Positions in the finest grid: all of the 1024-point grid's, then
+        # the odd ones of each finer grid.
+        pos = [np.arange(0, top // 2 + 1, top // 1024)]
+        pos += [np.arange(top // n, top // 2 + 1, 2 * top // n) for n in (2048, 4096, 8192,
+                                                                          16384, top)]
+        theta = np.linspace(0.0, math.pi, top // 2 + 1)
+        for (z, _), at in zip(calls, pos):
+            assert z.tobytes() == (row.r * np.exp(1j * theta[at])).tobytes()
+        pos = np.concatenate(pos)
+        assert np.array_equal(np.sort(pos), np.arange(top // 2 + 1))
+        finest = [np.empty(top // 2 + 1), np.empty(top // 2 + 1, dtype=complex)]
+        for part, values in zip(finest, zip(*(out for _, out in calls))):
+            part[pos] = np.concatenate(values)
+        for n in (64, 512, 1024, 8192, top):
+            fresh = _stable_terms(
+                ctx.f, row.r * np.exp(1j * np.linspace(0.0, math.pi, n // 2 + 1)))
+            assert same_bits([v[::top // n] for v in finest], fresh)
 
     @pytest.mark.parametrize("n_shifts,r", [(40, 3.7), (300, 60.0)])
     def test_values_depend_on_the_point_alone(self, gauss_params, fn_factory, n_shifts, r):
@@ -393,49 +447,45 @@ class TestContourSampler:
         for i in (0, 17, 500, 1000):
             assert same_bits(_stable_terms(f, zs[i]), [v[i] for v in whole])
 
-    def test_each_contour_point_evaluated_once(self, fn_factory, monkeypatch):
-        ctx = tp.build_context(uncertified_function(fn_factory))
-        points = []
-        stable_terms = jensen._stable_terms
-
-        def counting(f, z):
-            points.append(np.size(z))
-            return stable_terms(f, z)
-
-        monkeypatch.setattr(jensen, "_stable_terms", counting)
-        for r in (2.0, 8.0):
-            points.clear()
+    @pytest.mark.parametrize("kind", UNCERTIFIED)
+    def test_points_and_calls_per_row(self, gauss_params, fn_factory, monkeypatch, kind):
+        # One evaluation of 513 points, then one per doubling of the grid:
+        # the half circle of the finest grid, each point once.
+        ctx = tp.build_context(uncertified_family(fn_factory, gauss_params, kind))
+        calls = recording_stable_terms(monkeypatch)
+        for r in (2.0, 4.0, 8.0):
+            calls.clear()
             row = tp.verify_base_case(ctx, [r]).rows[0]
-            assert row.samples >= 1024
-            assert sum(points) == row.samples
+            assert sum(z.size for z, _ in calls) == row.samples // 2 + 1
+            assert row.samples == 1024 << (len(calls) - 1)
 
-    def test_winding_count_evaluates_its_first_two_grids_at_once(self, fn_factory,
-                                                                 monkeypatch):
-        ctx = tp.build_context(uncertified_function(fn_factory))
-        sizes = []
-        stable_terms = jensen._stable_terms
+    @pytest.mark.parametrize("kind", UNCERTIFIED)
+    def test_standalone_calls_match_fresh_evaluation(self, gauss_params, fn_factory, kind):
+        f = uncertified_family(fn_factory, gauss_params, kind)
+        report = tp.verify_base_case(tp.build_context(f), [2.0, 4.0, 8.0])
+        for row in report.rows:
+            ctx = tp.build_context(f)
+            assert tp.jensen_rhs(ctx, row.r) == fresh_contour_average(ctx, row.r) == row.rhs
+            assert tp.count_zeros_disk(ctx, row.r).extra == row.extra_zeros
 
-        def counting(f, z):
-            sizes.append(np.size(z))
-            return stable_terms(f, z)
-
-        monkeypatch.setattr(jensen, "_stable_terms", counting)
-        tp.count_zeros_disk(ctx, tp.safe_radius(ctx, 4.0))
-        assert sizes[0] == 1024 and sum(sizes) == ctx.contour.n
-
-    def test_standalone_calls_match_fresh_evaluation(self, fn_factory):
-        f = uncertified_function(fn_factory)
+    @pytest.mark.parametrize("kind", UNCERTIFIED)
+    def test_half_circle_count_matches_full_circle(self, gauss_params, fn_factory, kind):
+        ctx = tp.build_context(uncertified_family(fn_factory, gauss_params, kind))
         for r0 in (2.0, 4.0, 8.0):
-            r = tp.safe_radius(tp.build_context(f), r0)
-            want = fresh_contour_average(tp.build_context(f), r)
-            rhs_first = tp.build_context(f)
-            assert tp.jensen_rhs(rhs_first, r) == want
-            count_after = tp.count_zeros_disk(rhs_first, r)
-            count_first = tp.build_context(f)
-            count = tp.count_zeros_disk(count_first, r)
-            assert tp.jensen_rhs(count_first, r) == want
-            assert count == count_after
-            assert count.extra == 0 and count.total == count.lattice
+            r = tp.safe_radius(ctx, r0)
+            assert tp.count_zeros_disk(ctx, r).total == full_circle_winding(ctx, r)
+
+    def test_each_part_raises_its_own_error(self, gauss_params, fn_factory):
+        # |z| = pi/2 passes through z = i pi/2, a zero over the root w = -1 of
+        # P off the real lattice, so both the count and the average fail.
+        ctx = tp.build_context(uncertified_family(fn_factory, gauss_params, "odd"))
+        with pytest.raises(QuadratureError):
+            tp.jensen_rhs(ctx, math.pi / 2)
+        with pytest.raises(PhaseTrackingError):
+            tp.count_zeros_disk(ctx, math.pi / 2)
+        # The chain checks the count first.
+        with pytest.raises(PhaseTrackingError):
+            tp.verify_base_case(ctx, [math.pi / 2])
 
 
 class TestZeroSetCertificate:
@@ -470,10 +520,10 @@ class TestZeroSetCertificate:
         assert ctx.zero_set_complete
         want = {t: tp.count_zeros_disk(ctx, tp.safe_radius(ctx, t)) for t in (2.0, 4.0, 8.0)}
 
-        def refuse(ctx, t):
+        def refuse(*args, **kwargs):
             raise AssertionError("winding count ran")
 
-        monkeypatch.setattr(jensen, "_winding_number", refuse)
+        monkeypatch.setattr(jensen, "_uncertified_circle", refuse)
         for t, count in want.items():
             assert count.extra == 0
             assert tp.count_zeros_disk(ctx, tp.safe_radius(ctx, t)) == count
@@ -520,17 +570,9 @@ class TestProvenGrid:
         # Half of each proven grid plus its end point, in one evaluation.
         ctx = tp.build_context(
             alternating_function(fn_factory, gauss_params, np.random.default_rng(43)))
-        sizes = []
-        stable_terms = jensen._stable_terms
-
-        def counting(f, z):
-            sizes.append(np.size(z))
-            return stable_terms(f, z)
-
-        monkeypatch.setattr(jensen, "_stable_terms", counting)
+        calls = recording_stable_terms(monkeypatch)
         report = tp.verify_base_case(ctx, [2.0, 4.0, 8.0])
-        assert sizes == [sum(row.samples // 2 + 1 for row in report.rows)]
-        assert ctx.contour.n == 0
+        assert [z.size for z, _ in calls] == [sum(row.samples // 2 + 1 for row in report.rows)]
 
 
 class TestLatticeInvariance:
