@@ -19,6 +19,7 @@ values with the largest radius as the working estimate.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,7 @@ class DensityProfile:
     def __post_init__(self):
         if self.kind not in PROFILE_KINDS:
             raise ValueError(f"kind must be one of {PROFILE_KINDS}, got {self.kind!r}")
-        radii = tuple(_validate_radii(self.radii).tolist())
+        radii = _validate_radii(self.radii)
         values = tuple(float(v) for v in self.values)
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "values", values)
@@ -63,11 +64,11 @@ class DensityProfile:
         return [(self.kind, r, v) for r, v in zip(self.radii, self.values)]
 
 
-def _validate_radii(radii) -> np.ndarray:
-    arr = np.array([_radius(r, "radii") for r in radii])
-    if arr.size == 0 or np.any(np.diff(arr) <= 0):
+def _validate_radii(radii) -> tuple:
+    rs = tuple(_radius(r, "radii") for r in radii)
+    if not rs or not all(map(operator.lt, rs, rs[1:])):
         raise ValueError("radii must be a nonempty, strictly increasing list")
-    return arr
+    return rs
 
 
 def beurling_lower_profile(points: PointSet, radii) -> DensityProfile:
@@ -95,7 +96,7 @@ def beurling_lower_profile(points: PointSet, radii) -> DensityProfile:
         counts = (np.searchsorted(pts, cands + r, side="right")
                   - np.searchsorted(pts, cands - r, side="left"))
         values.append(float(counts.min()) / (2.0 * r))
-    return DensityProfile("beurling_lower", tuple(rs), tuple(values))
+    return DensityProfile("beurling_lower", rs, tuple(values))
 
 
 def circ_inner_integral(lambda_abs: float, r: float) -> float:
@@ -109,15 +110,13 @@ def circ_inner_integral(lambda_abs: float, r: float) -> float:
     if not lam >= 0:
         raise ValueError("lambda_abs must be nonnegative")
     r = _radius(r, "r")
-    return float(_inner_vec(np.array([lam]), r)[0])
+    return _inner_sum(np.array([lam]), r)
 
 
-def _inner_vec(lam_abs: np.ndarray, r: float) -> np.ndarray:
-    out = np.zeros_like(lam_abs)
-    inside = lam_abs < r
-    x = lam_abs[inside]
-    out[inside] = np.sqrt(r * r - x * x) - x * np.arccos(np.minimum(x / r, 1.0))
-    return out
+def _inner_sum(lam_abs: np.ndarray, r: float) -> float:
+    """Sum of the inner integral over the points lam_abs; x < r keeps x/r <= 1."""
+    x = lam_abs[lam_abs < r]
+    return float(np.sum(np.sqrt(r * r - x * x) - x * np.arccos(x / r)))
 
 
 def circ_density_direct(points: PointSet, radii) -> DensityProfile:
@@ -128,11 +127,8 @@ def circ_density_direct(points: PointSet, radii) -> DensityProfile:
     """
     rs = _validate_radii(radii)
     lam = np.abs(points.as_array())
-    values = []
-    for r in rs:
-        total = float(np.sum(_inner_vec(lam, r)))
-        values.append(4.0 / (math.pi * r * r) * total)
-    return DensityProfile("circ_direct", tuple(rs), tuple(values))
+    return DensityProfile("circ_direct", rs,
+                          tuple(4.0 / (math.pi * r * r) * _inner_sum(lam, r) for r in rs))
 
 
 def pair_moduli(points: PointSet, alpha: float, r_max: float) -> np.ndarray:
@@ -179,12 +175,12 @@ def circ_density_lattice(points: PointSet, alpha: float, radii) -> DensityProfil
     prefix = np.concatenate([[0.0], np.cumsum(np.log(mods))]) if mods.size else np.zeros(1)
     values = []
     # In Python floats, where an overflow gives inf, which DensityProfile refuses.
-    for r in rs.tolist():
+    for r in rs:
         j = int(np.searchsorted(mods, r, side="left"))
         # No modulus below r: 0, where j * log(r) would be -0.0 for r < 1.
         integral = j * math.log(r) - float(prefix[j]) if j else 0.0
         values.append(2.0 * alpha / (math.pi * r * r) * integral)
-    return DensityProfile("circ_lattice", tuple(rs), tuple(values))
+    return DensityProfile("circ_lattice", rs, tuple(values))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ all of them when f's real zeros and the origin's order account for every
 root of P (JensenContext.zero_set_complete).  Then the disk counts are the
 lattice counts, and Rubel & Taylor's bound on the Fourier coefficients of
 log|F| fixes each radius's trapezoid grid in advance with a proven error
-(_trapezoid_error).  Otherwise a winding number counts the zeros and the
+(_trapezoid_errors).  Otherwise a winding number counts the zeros and the
 contour average doubles its grid until two values agree; both read one set
 of nested grids on the half circle (_uncertified_circle).
 """
@@ -407,8 +407,9 @@ def _jensen_lhs(mods: np.ndarray, r: float) -> float:
     return float(np.sum(np.log(r / mods))) / (r * r)
 
 
-def _trapezoid_error(ctx: JensenContext, mods: np.ndarray, r: float, n: int) -> float:
-    """Bound on the error of the n-point trapezoid mean of log|F(r e^{i theta})|.
+def _trapezoid_errors(ctx: JensenContext, mods: np.ndarray, r: float):
+    """(n, bound) for n = MIN_GRID, 2 MIN_GRID, .. MAX_GRID, the bound on the
+    error of the n-point trapezoid mean of log|F(r e^{i theta})|.
 
     It holds when the sorted moduli mods, up to at least 3r, are all of F's
     zeros (JensenContext.zero_set_complete).  F(0) = 1 and F has order 2, so
@@ -420,28 +421,30 @@ def _trapezoid_error(ctx: JensenContext, mods: np.ndarray, r: float, n: int) -> 
     Beyond, each column x + i k pi/a of the len(real_zeros) + n columns
     (the origin's counted n times) has its zeros at modulus at least
     max(3r, |k| pi/a); with q = 3^-n and K = floor(3r a/pi) a column adds at
-    most q (2K + 3 + 2(K + 1)/(n - 1))/(1 - q).
+    most q (2K + 3 + 2(K + 1)/(n - 1))/(1 - q).  The rho_j are formed once
+    per radius; each n takes its powers.
     """
     rho = mods[:np.searchsorted(mods, 3.0 * r, side="right")] / r
     rho = np.minimum(rho, 1.0 / rho)
-    with np.errstate(divide="ignore"):
-        power = rho ** n
-        inner = float(np.sum(power / (1.0 - power)))
-    q = 3.0 ** -n
     k = math.floor(3.0 * r / ctx.lattice_step)
     columns = len(ctx.real_zeros) + ctx.order
-    tail = columns * q * (2 * k + 3 + 2 * (k + 1) / (n - 1)) / (1.0 - q)
-    return (inner + tail) / n
+    n = MIN_GRID
+    while n <= MAX_GRID:
+        with np.errstate(divide="ignore"):
+            power = rho ** n
+            inner = float(np.sum(power / (1.0 - power)))
+        q = 3.0 ** -n
+        tail = columns * q * (2 * k + 3 + 2 * (k + 1) / (n - 1)) / (1.0 - q)
+        yield n, (inner + tail) / n
+        n *= 2
 
 
 def _proven_grid(ctx: JensenContext, mods: np.ndarray, r: float) -> int:
-    """The smallest power-of-two grid from MIN_GRID whose _trapezoid_error is
-    at most RHS_TOL r^2, so the contour average over r^2 errs by at most RHS_TOL."""
-    n = MIN_GRID
-    while n <= MAX_GRID:
-        if _trapezoid_error(ctx, mods, r, n) <= RHS_TOL * r * r:
+    """The smallest power-of-two grid from MIN_GRID whose _trapezoid_errors bound
+    is at most RHS_TOL r^2, so the contour average over r^2 errs by at most RHS_TOL."""
+    for n, error in _trapezoid_errors(ctx, mods, r):
+        if error <= RHS_TOL * r * r:
             return n
-        n *= 2
     raise QuadratureError(
         f"contour average at |z|={r} needs more than {MAX_GRID} samples for a "
         f"proven error below {RHS_TOL} (zero near the contour?)")

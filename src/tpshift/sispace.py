@@ -10,15 +10,19 @@ f is held as its generator table's cell pieces summed over the shifts: one
 polynomial per cell [j/N, (j+1)/N).  The zero scan samples a grid that
 divides every cell into the same q steps, so its values are one product of
 the pieces with a fixed matrix of local powers, and each sign change lies
-inside one cell, where Newton steps run on that cell's polynomial alone.
+inside one cell, where Newton steps from the secant point run on that
+cell's polynomial alone.  A few passes over the scan values give the
+indices of the sign changes and of the small values; the remaining tests,
+and the grid coordinates, are formed for those indices only.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -72,14 +76,13 @@ class CoeffSeq:
 
     def __post_init__(self):
         object.__setattr__(self, "offset", int(self.offset))
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(float, self.coeffs)))
         if not abs(self.offset) <= MAX_OFFSET:
             raise ValueError(f"|offset| must be at most {MAX_OFFSET}, got {self.offset}")
         if len(self.coeffs) == 0:
             raise ValueError("coefficient sequence must not be empty")
-        for c in self.coeffs:
-            if not math.isfinite(c):
-                raise ValueError("coefficients must be finite")
+        if not all(map(math.isfinite, self.coeffs)):
+            raise ValueError("coefficients must be finite")
 
     def support_indices(self) -> np.ndarray:
         return self.offset + np.arange(len(self.coeffs))
@@ -116,21 +119,20 @@ class PointSet:
     touch_points: tuple = ()
 
     def __post_init__(self):
-        pts = tuple(float(p) for p in self.points)
-        window = tuple(float(w) for w in self.window)
+        pts = tuple(map(float, self.points))
+        window = tuple(map(float, self.window))
         if len(window) != 2:
             raise ValueError(f"window must be [lo, hi], got {self.window}")
-        if not all(math.isfinite(v) for v in pts + window):
+        if not all(map(math.isfinite, pts + window)):
             raise ValueError("points and window must be finite")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "window", window)
-        object.__setattr__(self, "touch_points", tuple(float(p) for p in self.touch_points))
+        object.__setattr__(self, "touch_points", tuple(map(float, self.touch_points)))
         lo, hi = window
         if not lo < hi:
             raise ValueError(f"window must be nondegenerate, got {self.window}")
-        for p, q in zip(pts, pts[1:]):
-            if not p < q:
-                raise ValueError("points must be strictly increasing")
+        if not all(map(operator.lt, pts, pts[1:])):
+            raise ValueError("points must be strictly increasing")
         if pts and (pts[0] < lo or pts[-1] > hi):
             raise ValueError("window must contain all points")
 
@@ -190,6 +192,19 @@ class SISFunction:
     def _deriv_pieces(self):
         return self.deriv_table.shift_sum(self.coeffs.offset, self.coeffs.coeffs)
 
+    @cached_property
+    def _tail_floor(self) -> float:
+        """amp * sum|c_k| * EVAL_TAIL_TOL, the tails the evaluation may drop.
+
+        The sum runs over |c_k|/max|c_k|, so it stays finite where sum|c_k|
+        would overflow; 0 for all-zero coefficients.
+        """
+        mags = np.abs(self.coeffs.coeffs)
+        top = float(mags.max())
+        if top == 0.0:
+            return 0.0
+        return float((mags / top).sum()) * self.params.time_amplitude * EVAL_TAIL_TOL * top
+
     def support_window(self) -> tuple:
         """The coefficient support padded by the table half-width; f is 0 outside it."""
         ks = self.coeffs.support_indices()
@@ -230,54 +245,68 @@ def apply_rolle_op(f: SISFunction, delta: float) -> SISFunction:
 
 
 def _refine_on_pieces(rows: np.ndarray, cells: np.ndarray, n_per: int, a: np.ndarray,
-                      b: np.ndarray, sign_a: np.ndarray) -> np.ndarray:
-    """One zero in each bracket [a, b] inside cell [j/N, (j+1)/N) where it changes sign.
+                      b: np.ndarray, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """One zero in each bracket [a, b] inside cell [j/N, (j+1)/N) where f changes sign.
 
     Row i of rows is the polynomial in u = N*x - j on the cell j = cells[i]
-    of bracket i, highest power first, and N = n_per.  All brackets at once,
-    by Newton steps through the polynomial and its derivative that fall
-    back to bisection whenever a step would leave the shrinking bracket or
-    fails to halve the previous step.  A bracket is done once a step, taken
-    or only proposed, is below BISECT_TOL/16, the four halvings of headroom
-    that bisection from SCAN_STEP used to take, and all stop after at most
-    as many steps as that bisection.
+    of bracket i, highest power first, and N = n_per; fa and fb are f's
+    values of opposite signs at the ends.  All brackets at once, by Newton
+    steps through the polynomial and its derivative from the secant point
+    of (a, fa) and (b, fb), or the midpoint where that is not strictly
+    inside.  A step falls back to bisection whenever it would leave the
+    shrinking bracket or fails to halve the previous step.  A bracket is
+    done once a step, taken or only proposed, is below BISECT_TOL/16, the
+    four halvings of headroom that bisection from SCAN_STEP used to take,
+    and all stop after at most as many steps as that bisection.
     """
     exponents = np.arange(rows.shape[1] - 1, -1, -1)
     # The derivative's rows in dP/dx = N dP/du, against the powers u^(n-1) .. u^0.
     deriv_rows = rows[:, :-1] * (n_per * exponents[:-1])
+    sign_a = np.sign(fa)
     lo, hi = a, b
-    t = 0.5 * (a + b)
     last_step = b - a
-    done = np.zeros(t.shape, dtype=bool)
-    for _ in range(int(math.ceil(math.log2(SCAN_STEP / BISECT_TOL))) + 4):
-        powers = (t * n_per - cells)[:, None] ** exponents
-        p = np.einsum("ij,ij->i", rows, powers)
-        dp = np.einsum("ij,ij->i", deriv_rows, powers[:, 1:])
-        same = np.sign(p) == sign_a
-        lo = np.where(same, t, lo)
-        hi = np.where(same, hi, t)
-        with np.errstate(all="ignore"):
+    done = np.zeros(a.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        t = a + last_step * (fa / (fa - fb))
+        t = np.where((t > a) & (t < b), t, 0.5 * (a + b))
+        for _ in range(int(math.ceil(math.log2(SCAN_STEP / BISECT_TOL))) + 4):
+            powers = (t * n_per - cells)[:, None] ** exponents
+            p = np.einsum("ij,ij->i", rows, powers)
+            dp = np.einsum("ij,ij->i", deriv_rows, powers[:, 1:])
+            same = np.sign(p) == sign_a
+            lo = np.where(same, t, lo)
+            hi = np.where(same, hi, t)
             step = p / dp
-        newton = t - step
-        use_newton = (newton > lo) & (newton < hi) & (2.0 * np.abs(step) < last_step)
-        # Within the tolerance of the zero t is often a bracket end, and the
-        # proposed step then points out of the bracket: its size alone ends it.
-        done |= (p == 0.0) | (np.abs(step) < BISECT_TOL / 16.0)
-        t_next = np.where(done, t, np.where(use_newton, newton, 0.5 * (lo + hi)))
-        last_step = np.abs(t_next - t)
-        done |= last_step < BISECT_TOL / 16.0
-        t = t_next
-        if done.all():
-            break
+            newton = t - step
+            size = np.abs(step)
+            use_newton = (newton > lo) & (newton < hi) & (2.0 * size < last_step)
+            # Within the tolerance of the zero t is often a bracket end, and the
+            # proposed step then points out of the bracket: its size alone ends it.
+            done |= (p == 0.0) | (size < BISECT_TOL / 16.0)
+            t_next = np.where(done, t, np.where(use_newton, newton, 0.5 * (lo + hi)))
+            last_step = np.abs(t_next - t)
+            done |= last_step < BISECT_TOL / 16.0
+            t = t_next
+            if done.all():
+                break
     return t
 
 
-def _scan(f: SISFunction, lo: float, hi: float) -> tuple:
-    """The scan grid on [lo, hi] and f's values there.
+@lru_cache(maxsize=None)
+def _local_powers(q: int) -> np.ndarray:
+    """The (CELL_DEGREE + 1) x q matrix of (k/q)^p, highest power first."""
+    powers = np.vander(np.arange(q) / q, CELL_DEGREE + 1).T
+    powers.flags.writeable = False
+    return powers
 
-    The grid is lo, the points k/(N*q) strictly between lo and hi, and hi,
-    with N = cells_per_unit and q = ceil(1/(N*SCAN_STEP)), so every cell
-    holds q steps of at most SCAN_STEP.  f is exactly 0 outside its cells,
+
+def _scan(f: SISFunction, lo: float, hi: float) -> tuple:
+    """f's values on the scan grid of [lo, hi], and the grid's (start, res).
+
+    The grid is lo, the points k/res strictly between lo and hi, and hi,
+    with res = N*q, N = cells_per_unit and q = ceil(1/(N*SCAN_STEP)), so
+    every cell holds q steps of at most SCAN_STEP; point i other than the
+    two ends lies at (start + i)/res.  f is exactly 0 outside its cells,
     and only the grid points inside them are evaluated, all of them by one
     product of the cells' pieces with the powers (k/q)^p, k = 0 .. q-1; the
     ends go through eval_f.  ValueError when the grid would exceed
@@ -290,79 +319,90 @@ def _scan(f: SISFunction, lo: float, hi: float) -> tuple:
         raise ValueError(f"interval [{lo}, {hi}] at step 1/{res} needs more than "
                          f"{MAX_SCAN_POINTS} scan points")
     first, coef = f._pieces
-    # Grid indices inside f's cells and, up to one step of slack, inside (lo, hi).
+    # The grid indices strictly inside (lo, hi) and inside f's cells.  The
+    # loops only undo the rounding of lo*res and hi*res, and run only where
+    # those indices meet the cells, so they take a step or two.
     i0 = max(first * q, math.floor(lo * res))
     i1 = min((first + coef.shape[0]) * q - 1, math.ceil(hi * res))
-    inner = np.zeros(0)
-    vals = np.zeros(0)
+    while i0 <= i1 and i0 / res <= lo:
+        i0 += 1
+    while i0 <= i1 and i1 / res >= hi:
+        i1 -= 1
+    vals = np.empty(max(i1 - i0 + 1, 0) + 2)
+    vals[[0, -1]] = eval_f(f, np.array([lo, hi]))
     if i0 <= i1:
-        powers = np.vander(np.arange(q) / q, CELL_DEGREE + 1).T
         # Point i lies at position i - j0*q of the cells j0 .. j1 flattened.
         j0, j1 = i0 // q, i1 // q
-        vals = (coef[j0 - first:j1 - first + 1] @ powers).ravel()[i0 - j0 * q:i1 - j0 * q + 1]
-        inner = np.arange(i0, i1 + 1) / res
-        keep = (inner > lo) & (inner < hi)
-        inner, vals = inner[keep], vals[keep]
-    ends = eval_f(f, np.array([lo, hi]))
-    return (np.concatenate([[lo], inner, [hi]]),
-            np.concatenate([ends[:1], vals, ends[1:]]))
+        inner = coef[j0 - first:j1 - first + 1] @ _local_powers(q)
+        vals[1:-1] = inner.ravel()[i0 - j0 * q:i1 - j0 * q + 1]
+    return vals, i0 - 1, res
 
 
 def find_zeros(f: SISFunction, interval: tuple) -> PointSet:
     """Locate the sign-change zeros of f on an interval.
 
     Scans on a grid aligned with f's cells (_scan), then refines each
-    bracket on its cell's polynomial to absolute tolerance BISECT_TOL.
-    Zeros are simple sign changes, found from the signs of the scan values
-    and counted without multiplicity; grid local minima of |f| below
-    TOUCH_TOL times the grid peak without an adjacent sign change are
-    flagged as touch candidates instead of resolved.  Raises ValueError
-    when the scan grid would exceed MAX_SCAN_POINTS.
+    bracket on its cell's polynomial to absolute tolerance BISECT_TOL,
+    starting from the secant point of its two grid values.  Zeros are
+    simple sign changes, found from the signs of the scan values and
+    counted without multiplicity; grid local minima of |f| below TOUCH_TOL
+    times the grid peak without an adjacent sign change are flagged as
+    touch candidates instead of resolved.  A few passes over the grid find
+    the indices of sign changes and of small values; every other test runs
+    on those indices alone.  Raises IdenticallyZeroError when the grid peak
+    is at most f's tail floor (SISFunction._tail_floor) and ValueError when
+    the scan grid would exceed MAX_SCAN_POINTS.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"interval must be finite and nondegenerate, got {interval}")
-    grid, vals = _scan(f, lo, hi)
-    n = grid.size
-
-    scale = np.max(np.abs(vals))
-    # Below this peak nothing on the grid rises above the tails the
-    # evaluation drops, so no sign change is meaningful.
-    floor = f.params.time_amplitude * sum(abs(c) for c in f.coeffs.coeffs) * EVAL_TAIL_TOL
-    if scale <= floor:
+    vals, start, res = _scan(f, lo, hi)
+    n = vals.size
+    absv = np.abs(vals)
+    scale = absv.max()
+    if scale <= f._tail_floor:
         raise IdenticallyZeroError(
             f"f is numerically zero on [{lo}, {hi}] ({scale:.3e} peak)")
 
     # Signs, not products of values: a product of small values underflows
-    # to 0 and one of large values overflows.
-    sign = np.sign(vals)
-    crossing = sign[:-1] * sign[1:] < 0.0
-    inner = np.arange(1, n - 1)
-    exact = inner[(vals[inner] == 0.0) & (sign[inner - 1] * sign[inner + 1] < 0.0)]
+    # to 0 and one of large values overflows.  Every sign change, and every
+    # exact zero between values of opposite signs, changes vals < 0.
+    neg = vals < 0.0
+    change = np.flatnonzero(neg[:-1] != neg[1:])
+    va, vb = vals[change], vals[change + 1]
+    crossing = (va != 0.0) & (vb != 0.0)
     # Skip noise brackets deep in the tails.
-    brackets = np.nonzero(crossing & (np.maximum(np.abs(vals[:-1]), np.abs(vals[1:]))
-                                      >= 1e-12 * scale))[0]
-    zeros = grid[exact]
+    brackets = change[crossing & (np.maximum(absv[change], absv[change + 1])
+                                  >= 1e-12 * scale)]
+    zeros = np.zeros(0)
     if brackets.size:
-        a, b = grid[brackets], grid[brackets + 1]
+        a, b = (start + brackets) / res, (start + brackets + 1) / res
+        if brackets[0] == 0:
+            a[0] = lo
+        if brackets[-1] == n - 2:
+            b[-1] = hi
         first, coef = f._pieces
-        n_per = f.table.cells_per_unit
-        # Both ends lie in f's cells; the midpoint names the cell of the bracket.
-        idx = np.clip(np.floor(0.5 * (a + b) * n_per) - first, 0, coef.shape[0] - 1)
-        idx = idx.astype(np.intp)
-        refined = _refine_on_pieces(coef[idx], idx + float(first), n_per, a, b,
-                                    sign[brackets])
-        zeros = np.sort(np.concatenate([zeros, refined]))
+        q = res // f.table.cells_per_unit
+        # Bracket i spans the grid step from index start + i, inside one cell.
+        idx = np.clip((start + brackets) // q - first, 0, coef.shape[0] - 1)
+        zeros = _refine_on_pieces(coef[idx], idx + float(first), f.table.cells_per_unit,
+                                  a, b, vals[brackets], vals[brackets + 1])
+    if not crossing.all():
+        # Exact zeros on the grid between values of opposite signs.
+        exact = np.concatenate([change[va == 0.0], change[vb == 0.0] + 1])
+        exact = exact[(exact > 0) & (exact < n - 1)]
+        exact = exact[np.sign(vals[exact - 1]) * np.sign(vals[exact + 1]) < 0.0]
+        zeros = np.sort(np.concatenate([zeros, (start + exact) / res]))
 
-    is_min = (np.abs(vals[inner]) <= np.abs(vals[inner - 1])) & \
-             (np.abs(vals[inner]) <= np.abs(vals[inner + 1]))
-    small = np.abs(vals[inner]) < TOUCH_TOL * scale
-    near_crossing = crossing[inner - 1] | crossing[inner]
-    nonzero_here = np.abs(vals[inner]) > 0.0
-    touches = grid[inner[is_min & small & ~near_crossing & nonzero_here]]
-
+    small = np.flatnonzero(absv[1:-1] < TOUCH_TOL * scale) + 1
+    if small.size:
+        here, left, right = vals[small], vals[small - 1], vals[small + 1]
+        sign = np.sign(here)
+        small = small[(here != 0.0) & (absv[small] <= np.abs(left))
+                      & (absv[small] <= np.abs(right))
+                      & (np.sign(left) * sign >= 0.0) & (sign * np.sign(right) >= 0.0)]
     return PointSet(points=tuple(zeros.tolist()), window=(lo, hi),
-                    touch_points=tuple(touches.tolist()))
+                    touch_points=tuple(((start + small) / res).tolist()))
 
 
 @dataclass(frozen=True)

@@ -533,6 +533,20 @@ def order_one_function(fn_factory, params):
     return fn_factory(params, -1, (4.0 * math.e, -5.0, math.e))
 
 
+def trapezoid_error(ctx, mods, r, n):
+    """Reference: the trapezoid error bound of one n-point grid, from the moduli."""
+    rho = mods[:np.searchsorted(mods, 3.0 * r, side="right")] / r
+    rho = np.minimum(rho, 1.0 / rho)
+    with np.errstate(divide="ignore"):
+        power = rho ** n
+        inner = float(np.sum(power / (1.0 - power)))
+    q = 3.0 ** -n
+    k = math.floor(3.0 * r / ctx.lattice_step)
+    columns = len(ctx.real_zeros) + ctx.order
+    tail = columns * q * (2 * k + 3 + 2 * (k + 1) / (n - 1)) / (1.0 - q)
+    return (inner + tail) / n
+
+
 class TestProvenGrid:
     @pytest.mark.parametrize("kind", ["alternating", "order-one"])
     @pytest.mark.parametrize("r", [2.0, 4.25, 8.0])
@@ -550,11 +564,27 @@ class TestProvenGrid:
         ns = [64 << j for j in range(top.bit_length() - 6)]
         assert ns[-1] == top
         ref, *vals = jensen._contour_averages(ctx, [(r, 1 << 16)] + [(r, n) for n in ns])
+        errors = dict(jensen._trapezoid_errors(ctx, mods, r))
         for n, val in zip(ns, vals):
-            bound = jensen._trapezoid_error(ctx, mods, r, n) \
-                + jensen._trapezoid_error(ctx, mods, r, 1 << 16)
+            bound = errors[n] + errors[1 << 16]
             assert abs(val - ref) * r * r <= bound + 1e-13 * r * r
-        assert jensen._trapezoid_error(ctx, mods, r, top) <= jensen.RHS_TOL * r * r
+        assert errors[top] <= jensen.RHS_TOL * r * r
+
+    @pytest.mark.parametrize("kind", ["alternating", "order-one"])
+    @pytest.mark.parametrize("r", [2.0, 4.25, 8.0])
+    def test_bounds_equal_the_bound_of_each_grid_alone(self, gauss_params, fn_factory,
+                                                       kind, r):
+        # rho formed once per radius gives every grid's bound bit for bit.
+        if kind == "alternating":
+            f = alternating_function(fn_factory, gauss_params, np.random.default_rng(23))
+        else:
+            f = order_one_function(fn_factory, gauss_params)
+        ctx = tp.build_context(f)
+        mods = jensen._known_moduli(ctx, 3.0 * r + 1.0)
+        errors = list(jensen._trapezoid_errors(ctx, mods, r))
+        ns = [64 << j for j in range(13)]
+        assert [n for n, _ in errors] == ns and ns[-1] == jensen.MAX_GRID
+        assert [e for _, e in errors] == [trapezoid_error(ctx, mods, r, n) for n in ns]
 
     @pytest.mark.parametrize("kind", ["alternating", "order-one"])
     def test_standalone_rhs_matches_the_report(self, gauss_params, fn_factory, kind):

@@ -41,6 +41,15 @@ def scan_grid(f, lo, hi):
     return np.concatenate([[lo], inner[(inner > lo) & (inner < hi)], [hi]])
 
 
+def scan_points(f, lo, hi):
+    """The scan grid of find_zeros on [lo, hi] and f's values there, from _scan's
+    values and the (start, res) that place point i, other than the ends, at
+    (start + i)/res."""
+    vals, start, res = tp.sispace._scan(f, lo, hi)
+    grid = np.concatenate([[lo], (start + np.arange(1, vals.size - 1)) / res, [hi]])
+    return grid, vals, res
+
+
 def bisection_scan(f, interval):
     """Reference zero scan: the find_zeros grid, each bracket bisected through eval_f."""
     grid = scan_grid(f, *interval)
@@ -386,12 +395,38 @@ class TestFindZeros:
             assert scan.touch_points == scans[0].touch_points
         assert scans[0].touch_points == (() if middle > 0 else (1.0,))
 
-    @pytest.mark.parametrize("s", [1e-170, 1e-200, 1e300])
+    @pytest.mark.parametrize("s", [1e-170, 1e-200, 1e300, 1e308])
     def test_extreme_coefficients_keep_their_crossing(self, gauss_params, fn_factory, s):
-        # Products of neighbouring scan values underflow to 0 or overflow here.
+        # Products of neighbouring scan values underflow to 0 or overflow
+        # here, and at 1e308 the sum of |c_k| overflows too.
         zeros = tp.find_zeros(fn_factory(gauss_params, 0, (s, -s)), (-5.0, 6.0))
         assert zeros.points == pytest.approx((0.5,), abs=1e-9)
         assert zeros.touch_points == ()
+
+    def test_tail_floor_stays_finite_near_the_largest_double(self, gauss_params,
+                                                             fn_factory):
+        # sum|c_k| is inf here; the floor is formed around max|c_k| instead.
+        f = fn_factory(gauss_params, 0, (1.7e308, 1.7e308))
+        assert math.isfinite(f._tail_floor)
+        zeros = tp.find_zeros(f, (-5.0, 6.0))
+        assert zeros.points == ()
+        assert zeros.touch_points == ()
+
+    def test_exact_zeros_on_the_grid(self, gauss_params, fn_factory):
+        # Cell rows of P(x) = (x + 1)(x - 0.5)(x - 2) in u = 4x - j: P is
+        # exactly 0 at three cell edges, each between scan values of
+        # opposite signs, and changes sign nowhere else.  The zero at 0.5
+        # lies where f goes from >= 0 to < 0, the other two the other way.
+        f = fn_factory(gauss_params, 0, (1.0,))
+        assert f.table.cells_per_unit == 4
+        poly = np.poly1d((-1.0, 0.5, 2.0), r=True)
+        rows = [np.poly1d([0.25, j / 4.0]) for j in range(-16, 16)]
+        coef = np.array([np.concatenate([np.zeros(6), poly(u).coeffs]) for u in rows])
+        f.__dict__["_pieces"] = (-16, coef)
+        zeros = tp.find_zeros(f, (-3.0, 3.0))
+        assert zeros.points == (-1.0, 0.5, 2.0)
+        assert zeros.touch_points == ()
+        assert bisection_scan(f, (-3.0, 3.0)) == ([-1.0, 0.5, 2.0], [])
 
     def test_piece_refinement_matches_bisection(self, fn_factory):
         rng = np.random.default_rng(53)
@@ -415,15 +450,30 @@ class TestFindZeros:
         rows = np.array([[poly.deriv(k)(j) / math.factorial(k) for k in range(3, -1, -1)]
                          for j in cells])
         a, b = np.array([1.5, 4.5, 7.0]), np.array([2.0, 4.75, 7.5])
-        got = tp.sispace._refine_on_pieces(rows, cells, 1, a, b, np.sign(poly(a)))
+        got = tp.sispace._refine_on_pieces(rows, cells, 1, a, b, poly(a), poly(b))
         assert np.max(np.abs(got - roots)) <= tp.sispace.BISECT_TOL
         # Cells of width 1/4, rows in u = 4x - j; two roots on right cell edges.
         a, b = np.array([1.75, 4.5, 7.0]), np.array([2.0, 4.75, 7.25])
         cells = 4.0 * a
         rows = np.array([[poly.deriv(k)(j / 4.0) / math.factorial(k) / 4.0**k
                           for k in range(3, -1, -1)] for j in cells])
-        got = tp.sispace._refine_on_pieces(rows, cells, 4, a, b, np.sign(poly(a)))
+        got = tp.sispace._refine_on_pieces(rows, cells, 4, a, b, poly(a), poly(b))
         assert np.max(np.abs(got - roots)) <= tp.sispace.BISECT_TOL
+
+    def test_newton_step_out_of_the_bracket_is_a_bisection(self):
+        # P(x) = (x + 0.1)(x - 0.75)(x - 1.02) on the unit cell [0, 1): the
+        # secant point of [0, 1] is about 0.933, where P < 0 < P(0), so the
+        # bracket shrinks to [0, 0.933], and Newton's step from there lands
+        # near 1.131, outside it and past the root 1.02 outside [0, 1].
+        poly = np.poly1d((-0.1, 0.75, 1.02), r=True)
+        a, b = np.array([0.0]), np.array([1.0])
+        t0 = a + (b - a) * poly(a) / (poly(a) - poly(b))
+        assert poly(t0) < 0.0 < poly(a)
+        assert t0 - poly(t0) / poly.deriv()(t0) > t0
+        got = tp.sispace._refine_on_pieces(np.array([poly.coeffs]), np.array([0.0]), 1,
+                                           a, b, poly(a), poly(b))
+        assert a[0] <= got[0] <= b[0]
+        assert abs(got[0] - 0.75) <= tp.sispace.BISECT_TOL
 
     @pytest.mark.parametrize("gamma", [GAUSS_RATE_ONE, 1.0, 0.1])
     def test_scan_grid_is_aligned_with_the_cells(self, gamma):
@@ -433,7 +483,8 @@ class TestFindZeros:
         n_per = f.table.cells_per_unit
         q = math.ceil(1.0 / (n_per * tp.sispace.SCAN_STEP))
         lo, hi = f.support_window()
-        grid, vals = tp.sispace._scan(f, lo - 1.37, hi + 0.61)
+        grid, vals, res = scan_points(f, lo - 1.37, hi + 0.61)
+        assert res == n_per * q
         # The whole grid minus the points outside f's cells, where f is 0.
         first, coef = f._pieces
         full = scan_grid(f, lo - 1.37, hi + 0.61)
@@ -476,7 +527,7 @@ class TestFindZeros:
         params = tp.GeneratorParams(1.0, 0.1)
         f = fn_factory(params, -6, np.random.default_rng(5).standard_normal(12))
         assert f.table.cells_per_unit == 40
-        grid, _ = tp.sispace._scan(f, -7.0, 6.0)
+        grid, _, _ = scan_points(f, -7.0, 6.0)
         assert np.allclose(np.diff(grid), 1.0 / 80.0, rtol=0, atol=1e-14)
         assert np.max(np.diff(grid)) <= tp.sispace.SCAN_STEP
         assert grid.size == 13 * 80 + 1
