@@ -105,9 +105,12 @@ def _run_gen(data: dict, seed: int):
 def _run_eval(data: dict, seed: int):
     f = _function_from(data)
     xs = np.asarray(_float_list(_need(data, "x"), "x"))
+    deriv = data.get("deriv", False)
+    if not isinstance(deriv, bool):
+        raise ValueError(f"deriv must be true or false, not {deriv!r}")
     result = {"x": xs.tolist(), "values": eval_f(f, xs).tolist()}
-    rows = [("x", "f", "fprime")] if data.get("deriv") else [("x", "f")]
-    if data.get("deriv"):
+    rows = [("x", "f", "fprime")] if deriv else [("x", "f")]
+    if deriv:
         result["deriv_values"] = eval_deriv(f, xs).tolist()
         rows += list(zip(result["x"], result["values"], result["deriv_values"]))
     else:

@@ -36,8 +36,8 @@ root of P (JensenContext.zero_set_complete).  Then the disk counts are the
 lattice counts, and Rubel & Taylor's bound on the Fourier coefficients of
 log|F| fixes each radius's trapezoid grid in advance with a proven error
 (_trapezoid_errors).  Otherwise a winding number counts the zeros and the
-contour average doubles its grid until two values agree; both read one set
-of nested grids on the half circle (_uncertified_circle).
+contour average doubles its grid until two values agree (_winding_count,
+_doubling_average); both read one nested grid on the half circle (_grid).
 """
 
 from __future__ import annotations
@@ -371,8 +371,7 @@ def count_zeros_disk(ctx: JensenContext, t: float) -> DiskZeroCount:
     """
     t = _radius(t, "t")
     lattice = _lattice_count(_known_moduli(ctx, t + 2.0 * CIRCLE_CLEARANCE), t)
-    total = (lattice if ctx.zero_set_complete
-             else _uncertified_circle(ctx, t, lattice, average=False)[0])
+    total = lattice if ctx.zero_set_complete else _winding_count(ctx, t, lattice, [])
     return DiskZeroCount(total=total, lattice=lattice)
 
 
@@ -513,75 +512,70 @@ def _half_winding(ctx: JensenContext, r: float, theta: np.ndarray, inner: np.nda
     return k if abs(w - k) < 0.01 else None
 
 
-def _uncertified_circle(ctx: JensenContext, r: float, lattice, average: bool) -> tuple:
-    """(winding, rhs, samples) at |z| = r where the zero set is not certified complete.
+def _grid(ctx: JensenContext, r: float, finest: list, n: int) -> list:
+    """[theta, scale, inner]: the n-point _trapezoid grid at |z| = r and _stable_terms there.
 
-    The count runs unless lattice, the known-zero count it must reach, is
-    None; the contour average runs with average.  Both read the trapezoid
-    grids of n points on the half circle (_trapezoid) from one evaluation of
-    1024 points, and each doubling evaluates only the new odd-index points:
+    finest holds them for the finest grid evaluated so far, or is empty, and
+    is refined in place: the first call evaluates the 513 points of the
+    1024-point grid, and each doubling only the new odd-index points.
     linspace(0, pi, n + 1)[::2] equals linspace(0, pi, n/2 + 1) bit for bit
     and a point's value depends on f and that point alone, so a coarser
-    grid, a strided view, holds what a fresh evaluation at its points gives.
-    The count reads the grids from 512 to 2^17 points (_half_winding) until
-    two consecutive ones give the same integer.  The average reads those
-    from MIN_GRID to MAX_GRID until successive values differ by less than
-    1e-7 (with a zero at clearance d the refinement error decays like
-    exp(-n d / r), so the successive difference understates the true error
-    and needs headroom).  samples is the finest n evaluated.  The count
-    raises as soon as it fails; the average only once the count has
-    settled, so a caller that asks for both gets the count's error first.
-    Non-convergence signals a zero on or near the contour and the caller is
-    expected to perturb r.
+    grid, a strided copy, holds what a fresh evaluation at its points gives.
     """
-    wind_n = 0 if lattice is None else 512  # next grid each part reads; 0 once settled
-    avg_n = MIN_GRID if average else 0
-    winding = rhs = failed = None
-    n = 1024
-    theta = np.linspace(0.0, math.pi, n // 2 + 1)
-    scale, inner = _stable_terms(ctx.f, r * np.exp(1j * theta))
-    while True:
-        while 0 < wind_n <= n:
-            # Contiguous copies: ufuncs may round a strided view otherwise.
-            k = _half_winding(ctx, r, theta[::n // wind_n].copy(),
-                              inner[::n // wind_n].copy())
-            if k is not None and k == winding:
-                if k < lattice:
-                    raise PhaseTrackingError(
-                        f"winding count {k} below lattice count {lattice} at |z|={r}")
-                wind_n = 0
-            elif wind_n == 1 << 17:
-                raise PhaseTrackingError(
-                    f"phase tracking did not stabilize at |z|={r} within {wind_n} "
-                    "samples (zero near the contour?)")
-            else:
-                winding, wind_n = k, 2 * wind_n
-        while 0 < avg_n <= n:
-            step = n // avg_n
-            try:
-                cur = _trapezoid(ctx, r, theta[::step].copy(),
-                                 _log_abs(scale[::step].copy(), inner[::step].copy()))
-            except QuadratureError as exc:
-                failed, avg_n = exc, 0
-                break
-            if rhs is not None and abs(cur - rhs) < 1e-7:
-                avg_n = 0
-            elif avg_n == MAX_GRID:
-                failed, avg_n = QuadratureError(
-                    f"contour average at |z|={r} did not converge (zero near the contour?)"), 0
-            else:
-                avg_n *= 2
-            rhs = cur
-        if failed is not None and not wind_n:
-            raise failed
-        if not wind_n and not avg_n:
-            return winding, rhs, n
-        n *= 2
-        theta = np.linspace(0.0, math.pi, n // 2 + 1)
-        coarse = scale, inner
+    if not finest:
+        theta = np.linspace(0.0, math.pi, 513)
+        finest += [theta, *_stable_terms(ctx.f, r * np.exp(1j * theta))]
+    while finest[0].size < n // 2 + 1:
+        theta = np.linspace(0.0, math.pi, 2 * finest[0].size - 1)
         scale, inner = np.empty(theta.shape), np.empty(theta.shape, dtype=complex)
-        scale[::2], inner[::2] = coarse
+        scale[::2], inner[::2] = finest[1:]
         scale[1::2], inner[1::2] = _stable_terms(ctx.f, r * np.exp(1j * theta[1::2]))
+        finest[:] = theta, scale, inner
+    step = (finest[0].size - 1) // (n // 2)
+    # Contiguous copies: ufuncs may round a strided view otherwise.
+    return [part[::step].copy() for part in finest]
+
+
+def _winding_count(ctx: JensenContext, r: float, lattice: int, finest: list) -> int:
+    """F's zero count in |z| <= r by _half_winding on the _grid of 512 to 2^17 points.
+
+    It is the integer that two consecutive grids first give, and it must
+    reach lattice, the known-zero count.  Non-convergence signals a zero on
+    or near the contour and the caller is expected to perturb r.
+    """
+    winding, n = None, 512
+    while True:
+        theta, _, inner = _grid(ctx, r, finest, n)
+        k = _half_winding(ctx, r, theta, inner)
+        if k is not None and k == winding:
+            if k < lattice:
+                raise PhaseTrackingError(
+                    f"winding count {k} below lattice count {lattice} at |z|={r}")
+            return k
+        if n == 1 << 17:
+            raise PhaseTrackingError(
+                f"phase tracking did not stabilize at |z|={r} within {n} "
+                "samples (zero near the contour?)")
+        winding, n = k, 2 * n
+
+
+def _doubling_average(ctx: JensenContext, r: float, finest: list) -> float:
+    """jensen_rhs at r by _trapezoid on the _grid of MIN_GRID to MAX_GRID points.
+
+    It is the first value within 1e-7 of the previous grid's: with a zero at
+    clearance d the refinement error decays like exp(-n d / r), so the
+    successive difference understates the true error and needs headroom.
+    """
+    rhs, n = None, MIN_GRID
+    while True:
+        theta, scale, inner = _grid(ctx, r, finest, n)
+        cur = _trapezoid(ctx, r, theta, _log_abs(scale, inner))
+        if rhs is not None and abs(cur - rhs) < 1e-7:
+            return cur
+        if n == MAX_GRID:
+            raise QuadratureError(
+                f"contour average at |z|={r} did not converge (zero near the contour?)")
+        rhs, n = cur, 2 * n
 
 
 def jensen_rhs(ctx: JensenContext, r: float) -> float:
@@ -590,13 +584,13 @@ def jensen_rhs(ctx: JensenContext, r: float) -> float:
     With a complete zero set (JensenContext.zero_set_complete) the grid is
     _proven_grid, chosen before any sample so that the value errs by at
     most RHS_TOL.  Otherwise the grid is doubled until two values agree
-    (_uncertified_circle).  Either way the rule is _trapezoid's.
+    (_doubling_average).  Either way the rule is _trapezoid's.
     """
     r = _radius(r, "r")
     if ctx.zero_set_complete:
         n = _proven_grid(ctx, _known_moduli(ctx, 3.0 * r + 1.0), r)
         return _contour_averages(ctx, [(r, n)])[0]
-    return _uncertified_circle(ctx, r, None, average=True)[1]
+    return _doubling_average(ctx, r, [])
 
 
 def fit_growth_constant(ctx: JensenContext, radius: float, grid_step: float = 0.1) -> float:
@@ -681,10 +675,9 @@ def verify_base_case(ctx: JensenContext, radii) -> BaseCaseReport:
     any sample is taken, so the right link can fail.  Violations raise with
     diagnostic values.  With a complete zero set every radius and its
     proven grid are fixed first and all contour points are evaluated at
-    once; each row records that grid (samples).  Otherwise one pass of
-    _uncertified_circle per radius gives the winding count, the contour
-    average and the finest grid they evaluated (samples), and a failing
-    count raises before a failing average.
+    once; each row records that grid (samples).  Otherwise _winding_count
+    and then _doubling_average read one nested _grid per radius, so a
+    failing count raises first, and each row records its finest grid.
     """
     rs = [_radius(r, "radii") for r in radii]
     if not rs:
@@ -712,9 +705,10 @@ def verify_base_case(ctx: JensenContext, radii) -> BaseCaseReport:
         if complete:
             steps.append((r, 0, lhs, _proven_grid(ctx, mods, r)))
         else:
-            total, rhs, samples = _uncertified_circle(ctx, r, lattice, average=True)
-            rhss.append(rhs)
-            steps.append((r, total - lattice, lhs, samples))
+            finest = []
+            total = _winding_count(ctx, r, lattice, finest)
+            rhss.append(_doubling_average(ctx, r, finest))
+            steps.append((r, total - lattice, lhs, 2 * (finest[0].size - 1)))
     if complete:
         rhss = _contour_averages(ctx, [(r, n) for r, _, _, n in steps])
 

@@ -293,6 +293,19 @@ class TestCommands:
         assert report["result"]["values"][0] == pytest.approx(1 / math.sqrt(math.pi), abs=1e-8)
         assert report["result"]["deriv_values"][0] == pytest.approx(0.0, abs=1e-8)
 
+    @pytest.mark.parametrize("deriv", ["no", 0, None])
+    def test_eval_deriv_must_be_a_bool(self, tmp_path, capsys, deriv):
+        path = write_config(tmp_path, "e.json", dict(BASE_CONFIGS["eval"], deriv=deriv))
+        assert run(["eval", "--config", path, "--quiet"]) == 2
+        assert "deriv" in capsys.readouterr().err
+
+    def test_eval_deriv_false_gives_values_only(self, tmp_path):
+        path = write_config(tmp_path, "e.json", dict(BASE_CONFIGS["eval"], deriv=False))
+        out = tmp_path / "eval.json"
+        assert run(["eval", "--config", path, "--out", str(out), "--quiet"]) == 0
+        result = json.loads(out.read_text())["result"]
+        assert len(result["values"]) == 2 and "deriv_values" not in result
+
     def test_lemma1_ok(self, tmp_path):
         pts = list(np.arange(-300.0, 301.0))
         path = write_config(tmp_path, "l.json",

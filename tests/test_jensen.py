@@ -475,6 +475,23 @@ class TestHalfCircleGrids:
             r = tp.safe_radius(ctx, r0)
             assert tp.count_zeros_disk(ctx, r).total == full_circle_winding(ctx, r)
 
+    def test_average_drives_the_finest_grid(self, fn_factory, monkeypatch):
+        # At gamma = 5 the odd f's count at r = 4 settles on the 2048-point
+        # grid and its average on the 4096-point one.  The row evaluates the
+        # finer grid's half circle, each point once; the count alone
+        # evaluates the 2048-point grid's and nothing beyond.
+        ctx = tp.build_context(
+            fn_factory(tp.GeneratorParams(1.0, 5.0), -1, (1.0, 0.0, -1.0)))
+        calls = recording_stable_terms(monkeypatch)
+        row = tp.verify_base_case(ctx, [4.0]).rows[0]
+        assert (row.samples, row.extra_zeros) == (4096, 6)
+        assert sum(z.size for z, _ in calls) == row.samples // 2 + 1
+        calls.clear()
+        assert tp.count_zeros_disk(ctx, row.r).extra == 6
+        z = np.sort_complex(np.concatenate([z for z, _ in calls]))
+        theta = np.linspace(0.0, math.pi, 2048 // 2 + 1)
+        assert z.tobytes() == np.sort_complex(row.r * np.exp(1j * theta)).tobytes()
+
     def test_each_part_raises_its_own_error(self, gauss_params, fn_factory):
         # |z| = pi/2 passes through z = i pi/2, a zero over the root w = -1 of
         # P off the real lattice, so both the count and the average fail.
@@ -515,18 +532,25 @@ class TestZeroSetCertificate:
 
     def test_certified_count_skips_the_winding_number(self, gauss_params, fn_factory,
                                                       monkeypatch):
+        # With a complete zero set neither the count, nor the average, nor the
+        # chain builds the nested half-circle grid.
         rng = np.random.default_rng(43)
         ctx = tp.build_context(alternating_function(fn_factory, gauss_params, rng, 40))
         assert ctx.zero_set_complete
-        want = {t: tp.count_zeros_disk(ctx, tp.safe_radius(ctx, t)) for t in (2.0, 4.0, 8.0)}
+        radii = [tp.safe_radius(ctx, t) for t in (2.0, 4.0, 8.0)]
+        counts = [tp.count_zeros_disk(ctx, r) for r in radii]
+        rhss = [tp.jensen_rhs(ctx, r) for r in radii]
+        report = tp.verify_base_case(ctx, [2.0, 4.0, 8.0])
 
         def refuse(*args, **kwargs):
-            raise AssertionError("winding count ran")
+            raise AssertionError("nested half-circle grid built")
 
-        monkeypatch.setattr(jensen, "_uncertified_circle", refuse)
-        for t, count in want.items():
-            assert count.extra == 0
-            assert tp.count_zeros_disk(ctx, tp.safe_radius(ctx, t)) == count
+        for name in ("_grid", "_winding_count", "_doubling_average"):
+            monkeypatch.setattr(jensen, name, refuse)
+        assert all(count.extra == 0 for count in counts)
+        assert [tp.count_zeros_disk(ctx, r) for r in radii] == counts
+        assert [tp.jensen_rhs(ctx, r) for r in radii] == rhss
+        assert tp.verify_base_case(ctx, [2.0, 4.0, 8.0]) == report
 
 
 def order_one_function(fn_factory, params):
