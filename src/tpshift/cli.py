@@ -5,11 +5,12 @@ the library version and a hash of the effective configuration, and identical
 (config, seed) pairs produce byte-identical output files.
 
 Exit codes: 0 success, 2 validation error (bad JSON, schema, preconditions,
-sizes refused before allocating), 3 numerical failure (quadrature, phase
-tracking, an ambiguous order at the origin, or no sign pattern within
-tolerance), 4 a checked mathematical relation failed beyond its slack.  The
-sign search's pattern budget never causes exit 3: it caps the near-tied
-patterns scored after the first accepted one and returns the best so far.
+sizes refused before allocating, an --out path that cannot be written), 3
+numerical failure (quadrature, phase tracking, an ambiguous order at the
+origin, or no sign pattern within tolerance), 4 a checked mathematical
+relation failed beyond its slack.  The sign search's pattern budget never
+causes exit 3: it caps the near-tied patterns scored after the first
+accepted one and returns the best so far.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import sys
 
 import numpy as np
@@ -32,9 +32,8 @@ from .generator import GeneratorParams, decay_radius, ft_eval, time_eval
 from .jensen import build_context, verify_base_case
 from .sigret import (ExperimentConfig, MagnitudeSample, run_threshold_experiment,
                      solve_signs)
-from .sispace import (CoeffSeq, PointSet, SISFunction, _int_value, apply_rolle_op,
-                      check_interlacing, eval_deriv, eval_f, find_zeros,
-                      segment_inequality)
+from .sispace import (CoeffSeq, PointSet, SISFunction, apply_rolle_op, check_interlacing,
+                      eval_deriv, eval_f, find_zeros, segment_inequality)
 
 
 def _config_hash(payload: dict, seed: int) -> str:
@@ -55,56 +54,121 @@ def _load_config(args: argparse.Namespace) -> dict:
         raise ValueError(
             f"malformed JSON in {args.config_path} at line {exc.lineno} "
             f"column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{args.config_path} nests too deeply to read") from exc
     if not isinstance(data, dict):
         raise ValueError("config root must be a JSON object")
     return data
 
 
-def _need(data: dict, key: str):
-    if key not in data:
-        raise ValueError(f"config missing required field {key!r}")
-    return data[key]
+# --- JSON readers: the only code that knows the input format.  A number field
+# takes a JSON number only, and an unknown field is refused at every level. ---
+
+def _fields(obj, name: str, required: tuple, optional: tuple = ()) -> dict:
+    """obj as a JSON object with every required field and no field beyond both lists."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name} must be a JSON object")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"{name} missing required field {key!r}")
+    unknown = set(obj) - set(required) - set(optional)
+    if unknown:
+        raise ValueError(f"{name} has unknown fields {sorted(unknown)}")
+    return obj
 
 
-def _float_list(obj, name: str) -> list:
-    if not isinstance(obj, list) or not obj:
-        raise ValueError(f"{name} must be a nonempty list of numbers")
-    try:
-        vals = [float(v) for v in obj]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{name} must contain numbers: {exc}") from exc
-    if not all(math.isfinite(v) for v in vals):
-        raise ValueError(f"{name} must contain finite numbers")
-    return vals
+def _number(obj, name: str) -> float:
+    """A finite JSON number (int or float) as a float; any other value is refused."""
+    if not isinstance(obj, (int, float)) or isinstance(obj, bool):
+        raise ValueError(f"{name} must be a number, got {obj!r}")
+    if not abs(obj) <= sys.float_info.max:  # NaN, infinities and ints past the doubles
+        raise ValueError(f"{name} must be a finite double, got {obj!r}")
+    return float(obj)
+
+
+def _numbers(obj, name: str, empty: bool = False) -> list:
+    """A JSON list of finite numbers as floats; nonempty unless empty is allowed."""
+    if not isinstance(obj, list) or not (obj or empty):
+        raise ValueError(f"{name} must be a {'' if empty else 'nonempty '}list of numbers")
+    return [_number(v, f"{name}[{i}]") for i, v in enumerate(obj)]
+
+
+def _integer(obj, name: str) -> int:
+    """An integer from JSON: ints and integral floats pass, bools and the rest are refused."""
+    if isinstance(obj, float) and obj.is_integer():
+        obj = int(obj)
+    if not isinstance(obj, int) or isinstance(obj, bool):
+        raise ValueError(f"{name} must be an integer, got {obj!r}")
+    return obj
+
+
+def _pair(obj, name: str, read=_number) -> tuple:
+    if not isinstance(obj, list) or len(obj) != 2:
+        raise ValueError(f"{name} must be [lo, hi]")
+    return tuple(read(v, f"{name}[{i}]") for i, v in enumerate(obj))
+
+
+def _generator(obj) -> GeneratorParams:
+    d = _fields(obj, "generator", ("c0", "gamma"), ("deltas",))
+    return GeneratorParams(_number(d["c0"], "generator.c0"),
+                           _number(d["gamma"], "generator.gamma"),
+                           _numbers(d.get("deltas", []), "generator.deltas", empty=True))
+
+
+def _coeff_seq(obj) -> CoeffSeq:
+    d = _fields(obj, "coeffs", ("offset", "coeffs"))
+    return CoeffSeq(_integer(d["offset"], "coeffs.offset"),
+                    _numbers(d["coeffs"], "coeffs.coeffs"))
+
+
+def _point_set(obj, name: str) -> PointSet:
+    d = _fields(obj, name, ("points", "window"))
+    return PointSet(_numbers(d["points"], f"{name}.points", empty=True),
+                    _numbers(d["window"], f"{name}.window"))
 
 
 def _function_from(data: dict) -> SISFunction:
-    params = GeneratorParams.from_json_dict(_need(data, "generator"))
-    coeffs = CoeffSeq.from_json_dict(_need(data, "coeffs"))
-    return SISFunction(params, coeffs)
+    return SISFunction(_generator(data["generator"]), _coeff_seq(data["coeffs"]))
+
+
+def _experiment_config(data: dict, seed: int) -> ExperimentConfig:
+    """The experiment config; a missing seed takes the --seed value."""
+    d = _fields(data, "config", ("generator", "densities", "trials", "support", "window",
+                                 "max_changes"), ("seed", "noise", "pair_offset"))
+    return ExperimentConfig(generator=_generator(d["generator"]),
+                            densities=_numbers(d["densities"], "densities", empty=True),
+                            trials=_integer(d["trials"], "trials"),
+                            seed=_integer(d.get("seed", seed), "seed"),
+                            support=_pair(d["support"], "support", _integer),
+                            window=_numbers(d["window"], "window"),
+                            max_changes=_integer(d["max_changes"], "max_changes"),
+                            noise=_number(d.get("noise", 0.0), "noise"),
+                            pair_offset=_number(d.get("pair_offset", 0.0), "pair_offset"))
 
 
 # --- command handlers: each returns (result dict, csv rows or None, ok flag) ---
 
 def _run_gen(data: dict, seed: int):
-    params = GeneratorParams.from_json_dict(_need(data, "generator"))
+    _fields(data, "config", ("generator",), ("xi", "x"))
+    params = _generator(data["generator"])
     result = {"params": params.to_json_dict(), "m": params.m,
               "gauss_rate": params.gauss_rate,
               "time_amplitude": params.time_amplitude,
               "peak_value": time_eval(params, 0.0),
               "decay_radius_1e-12": decay_radius(params, 1e-12)}
     if "xi" in data:
-        xs = _float_list(data["xi"], "xi")
+        xs = _numbers(data["xi"], "xi")
         result["ft_values"] = [[v.real, v.imag] for v in (ft_eval(params, x) for x in xs)]
     if "x" in data:
-        xs = _float_list(data["x"], "x")
+        xs = _numbers(data["x"], "x")
         result["time_values"] = [time_eval(params, x) for x in xs]
     return result, None, True
 
 
 def _run_eval(data: dict, seed: int):
+    _fields(data, "config", ("generator", "coeffs", "x"), ("deriv",))
     f = _function_from(data)
-    xs = np.asarray(_float_list(_need(data, "x"), "x"))
+    xs = np.asarray(_numbers(data["x"], "x"))
     deriv = data.get("deriv", False)
     if not isinstance(deriv, bool):
         raise ValueError(f"deriv must be true or false, not {deriv!r}")
@@ -119,11 +183,9 @@ def _run_eval(data: dict, seed: int):
 
 
 def _run_zeros(data: dict, seed: int):
+    _fields(data, "config", ("generator", "coeffs", "interval"))
     f = _function_from(data)
-    interval = _float_list(_need(data, "interval"), "interval")
-    if len(interval) != 2:
-        raise ValueError("interval must be [lo, hi]")
-    zeros = find_zeros(f, (interval[0], interval[1]))
+    zeros = find_zeros(f, _pair(data["interval"], "interval"))
     result = zeros.to_json_dict()
     result["touch_points"] = list(zeros.touch_points)
     rows = [("zero",)] + [(p,) for p in zeros.points]
@@ -131,13 +193,14 @@ def _run_zeros(data: dict, seed: int):
 
 
 def _run_density(data: dict, seed: int):
-    points = PointSet.from_json_dict(_need(data, "points"))
-    radii = _float_list(_need(data, "radii"), "radii")
+    _fields(data, "config", ("points", "radii"), ("alphas",))
+    points = _point_set(data["points"], "points")
+    radii = _numbers(data["radii"], "radii")
     profiles = [circ_density_direct(points, radii)]
     window = points.window
     if all(r <= (window[1] - window[0]) / 2 for r in radii):
         profiles.append(beurling_lower_profile(points, radii))
-    for alpha in _float_list(data.get("alphas", [1.0]), "alphas"):
+    for alpha in _numbers(data.get("alphas", [1.0]), "alphas"):
         profiles.append(circ_density_lattice(points, alpha, radii))
     result = {"profiles": [p.to_json_dict() for p in profiles],
               "estimates": {p.kind: p.extrapolated for p in profiles}}
@@ -148,9 +211,10 @@ def _run_density(data: dict, seed: int):
 
 
 def _run_lemma1(data: dict, seed: int):
-    points = PointSet.from_json_dict(_need(data, "points"))
-    radii = _float_list(_need(data, "radii"), "radii")
-    alphas = _float_list(_need(data, "alphas"), "alphas")
+    _fields(data, "config", ("points", "radii", "alphas"))
+    points = _point_set(data["points"], "points")
+    radii = _numbers(data["radii"], "radii")
+    alphas = _numbers(data["alphas"], "alphas")
     report = check_lemma1(points, alphas, radii)
     rows = [("r", "direct", "beurling", "max_form_gap", "domination_ok")]
     rows += [(w.r, w.direct, w.beurling, w.max_form_gap, w.domination_ok)
@@ -159,8 +223,9 @@ def _run_lemma1(data: dict, seed: int):
 
 
 def _run_jensen(data: dict, seed: int):
+    _fields(data, "config", ("generator", "coeffs", "radii"))
     f = _function_from(data)
-    radii = _float_list(_need(data, "radii"), "radii")
+    radii = _numbers(data["radii"], "radii")
     ctx = build_context(f)
     report = verify_base_case(ctx, radii)
     result = report.to_json_dict()
@@ -174,17 +239,16 @@ def _run_jensen(data: dict, seed: int):
 
 
 def _run_interlace(data: dict, seed: int):
+    _fields(data, "config", ("generator", "coeffs", "interval"), ("ts",))
     f = _function_from(data)
-    interval = _float_list(_need(data, "interval"), "interval")
-    if len(interval) != 2:
-        raise ValueError("interval must be [lo, hi]")
+    interval = _pair(data["interval"], "interval")
+    ts = _numbers(data.get("ts", [5.0, 10.0, 20.0]), "ts")
     if f.params.m == 0:
         raise ValueError("interlace requires a generator with m >= 1")
     f1 = apply_rolle_op(f, f.params.deltas[-1])
-    zf = find_zeros(f, (interval[0], interval[1]))
-    zf1 = find_zeros(f1, (interval[0], interval[1]))
+    zf = find_zeros(f, interval)
+    zf1 = find_zeros(f1, interval)
     inter = check_interlacing(zf, zf1)
-    ts = _float_list(data.get("ts", [5.0, 10.0, 20.0]), "ts")
     segments = [segment_inequality(zf, zf1, t) for t in ts]
     ok = inter.ok and all(s.ok for s in segments)
     result = {"zeros_f": list(zf.points), "zeros_f1": list(zf1.points),
@@ -198,19 +262,14 @@ def _run_interlace(data: dict, seed: int):
 
 
 def _run_retrieve(data: dict, seed: int):
-    params = GeneratorParams.from_json_dict(_need(data, "generator"))
-    sample_obj = _need(data, "sample")
-    if not isinstance(sample_obj, dict):
-        raise ValueError("sample must be an object with points and magnitudes")
-    points = PointSet.from_json_dict(_need(sample_obj, "points"))
-    mags = _float_list(_need(sample_obj, "magnitudes"), "magnitudes")
-    sample = MagnitudeSample(lam=points, magnitudes=tuple(mags))
-    support = _need(data, "support")
-    if not isinstance(support, list) or len(support) != 2:
-        raise ValueError("support must be [klo, khi]")
-    support = tuple(_int_value(k, "support") for k in support)
-    max_changes = _int_value(_need(data, "max_changes"), "max_changes")
-    result = solve_signs(params, sample, support, max_changes)
+    _fields(data, "config", ("generator", "sample", "support", "max_changes"))
+    params = _generator(data["generator"])
+    sample_obj = _fields(data["sample"], "sample", ("points", "magnitudes"))
+    points = _point_set(sample_obj["points"], "sample.points")
+    mags = _numbers(sample_obj["magnitudes"], "sample.magnitudes")
+    sample = MagnitudeSample(lam=points, magnitudes=mags)
+    result = solve_signs(params, sample, _pair(data["support"], "support", _integer),
+                         _integer(data["max_changes"], "max_changes"))
     payload = {"coeffs": result.coeffs.to_json_dict(),
                "signs": list(result.signs.signs),
                "change_points": list(result.signs.change_points),
@@ -226,10 +285,7 @@ def _run_retrieve(data: dict, seed: int):
 
 
 def _run_experiment(data: dict, seed: int):
-    payload = dict(data)
-    payload.setdefault("seed", seed)
-    config = ExperimentConfig.from_json_dict(payload)
-    report = run_threshold_experiment(config)
+    report = run_threshold_experiment(_experiment_config(data, seed))
     rows = [("density", "trials", "successes", "mean_residual")]
     rows += [(w.density, w.trials, w.successes, w.mean_residual)
              for w in report.rows]
@@ -280,8 +336,13 @@ def dispatch(args: argparse.Namespace) -> int:
     else:
         text = _render_json(args.command, result, chash, args.seed)
     if args.out_path:
-        with open(args.out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"tpshift: validation error: cannot write {args.out_path}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return 2
         if not args.quiet:
             print(f"tpshift {args.command}: wrote {args.out_path}")
     elif not args.quiet:

@@ -180,18 +180,6 @@ class GeneratorParams:
     def to_json_dict(self) -> dict:
         return {"c0": self.c0, "gamma": self.gamma, "deltas": list(self.deltas)}
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "GeneratorParams":
-        if not isinstance(d, dict):
-            raise ValueError("generator params must be a JSON object")
-        unknown = set(d) - {"c0", "gamma", "deltas"}
-        if unknown:
-            raise ValueError(f"unknown generator fields: {sorted(unknown)}")
-        try:
-            return cls(float(d["c0"]), float(d["gamma"]), tuple(d.get("deltas", ())))
-        except (KeyError, TypeError, OverflowError) as exc:
-            raise ValueError(f"invalid generator params: {exc}") from exc
-
 
 def ft_eval(params: GeneratorParams, xi):
     """Fourier transform ghat(xi) = c0*exp(-gamma*xi^2) * prod (1+2*pi*i*delta*xi)^-1.

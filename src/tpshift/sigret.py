@@ -34,7 +34,7 @@ import numpy as np
 from .errors import MagnitudeFloorError, RankDeficiencyError, SearchBudgetError
 from .generator import MAX_TABLE_POINTS, GeneratorParams, time_eval
 from .sispace import (MAX_OFFSET, MAX_SCAN_POINTS, CoeffSeq, PointSet, SISFunction,
-                      _int_value, eval_f)
+                      eval_f)
 
 # Acceptance: a pattern fits when its RMS residual drops below this times the
 # peak magnitude.
@@ -582,31 +582,6 @@ class ExperimentConfig:
                 "seed": self.seed, "support": list(self.support),
                 "window": list(self.window), "max_changes": self.max_changes,
                 "noise": self.noise, "pair_offset": self.pair_offset}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ExperimentConfig":
-        if not isinstance(d, dict):
-            raise ValueError("experiment config must be a JSON object")
-        required = {"generator", "densities", "trials", "seed", "support",
-                    "window", "max_changes"}
-        missing = required - set(d)
-        if missing:
-            raise ValueError(f"experiment config missing fields: {sorted(missing)}")
-        unknown = set(d) - required - {"noise", "pair_offset"}
-        if unknown:
-            raise ValueError(f"unknown experiment config fields: {sorted(unknown)}")
-        try:
-            return cls(generator=GeneratorParams.from_json_dict(d["generator"]),
-                       densities=tuple(d["densities"]),
-                       trials=_int_value(d["trials"], "trials"),
-                       seed=_int_value(d["seed"], "seed"),
-                       support=tuple(_int_value(k, "support") for k in d["support"]),
-                       window=tuple(d["window"]),
-                       max_changes=_int_value(d["max_changes"], "max_changes"),
-                       noise=float(d.get("noise", 0.0)),
-                       pair_offset=float(d.get("pair_offset", 0.0)))
-        except (TypeError, OverflowError) as exc:
-            raise ValueError(f"invalid experiment config: {exc}") from exc
 
 
 @dataclass(frozen=True)

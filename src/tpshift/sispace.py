@@ -58,15 +58,6 @@ def _radius(value, name: str) -> float:
     return value
 
 
-def _int_value(obj, name: str) -> int:
-    """An integer from JSON: ints and integral floats pass, bools and the rest are refused."""
-    if isinstance(obj, float) and obj.is_integer():
-        obj = int(obj)
-    if not isinstance(obj, int) or isinstance(obj, bool):
-        raise ValueError(f"{name} must be an integer, got {obj!r}")
-    return obj
-
-
 @dataclass(frozen=True)
 class CoeffSeq:
     """Finitely supported real coefficients c_offset .. c_{offset+n-1}."""
@@ -93,15 +84,6 @@ class CoeffSeq:
 
     def to_json_dict(self) -> dict:
         return {"offset": self.offset, "coeffs": list(self.coeffs)}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "CoeffSeq":
-        if not isinstance(d, dict) or set(d) - {"offset", "coeffs"}:
-            raise ValueError("coefficient sequence must be {'offset': int, 'coeffs': [...]}")
-        try:
-            return cls(_int_value(d["offset"], "offset"), tuple(d["coeffs"]))
-        except (KeyError, TypeError, OverflowError) as exc:
-            raise ValueError(f"invalid coefficient sequence: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -144,15 +126,6 @@ class PointSet:
 
     def to_json_dict(self) -> dict:
         return {"points": list(self.points), "window": list(self.window)}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PointSet":
-        if not isinstance(d, dict) or set(d) - {"points", "window"}:
-            raise ValueError("point set must be {'points': [...], 'window': [lo, hi]}")
-        try:
-            return cls(tuple(d["points"]), tuple(d["window"]))
-        except (KeyError, TypeError, OverflowError) as exc:
-            raise ValueError(f"invalid point set: {exc}") from exc
 
 
 class SISFunction:

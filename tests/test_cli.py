@@ -1,6 +1,8 @@
 import copy
+import functools
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 import tpshift.cli as cli
 from tpshift.errors import ChainViolationError, QuadratureError
-from tpshift.generator import GeneratorParams, log_envelope
+from tpshift.generator import log_envelope
 
 
 def write_config(tmp_path, name, payload):
@@ -183,6 +185,32 @@ class TestValidation:
                                         "bogus": 1}, "radii": [1.0]})
         assert run(["density", "--config", path]) == 2
 
+    @pytest.mark.parametrize("command", sorted(BASE_CONFIGS))
+    def test_unknown_top_level_field_exits_2(self, tmp_path, capsys, command):
+        # A misspelt optional field, such as "alpha" for "alphas", would
+        # otherwise fall back to its default.
+        path = write_config(tmp_path, "cfg.json", dict(BASE_CONFIGS[command], bogus=1))
+        assert run([command, "--config", path, "--quiet"]) == 2
+        assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ['{"points": ' + "[" * 200_000,
+                                      '{"points": ' + "[" * 200_000 + "]" * 200_000 + "}"],
+                             ids=["open", "closed"])
+    def test_deeply_nested_config_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        assert run(["density", "--config", str(path), "--quiet"]) == 2
+        assert "nests too deeply" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", [("no", "such", "dir", "x.json"), ()],
+                             ids=["missing_dir", "directory"])
+    def test_unwritable_out_path_exits_2(self, tmp_path, capsys, out):
+        path = write_config(tmp_path, "cfg.json", BASE_CONFIGS["density"])
+        out_path = str(tmp_path.joinpath(*out))
+        assert run(["density", "--config", path, "--out", out_path, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "validation error" in err and out_path in err and "Traceback" not in err
+
 
 class TestCommands:
     def test_gen_json_report(self, tmp_path):
@@ -223,7 +251,7 @@ class TestCommands:
         assert run(["gen", "--config", path, "--out", str(out), "--quiet"]) == 0
         radius = json.loads(out.read_text())["result"]["decay_radius_1e-12"]
         assert math.isfinite(radius) and radius > 1e5
-        params = GeneratorParams.from_json_dict(generator)
+        params = cli._generator(generator)
         assert max(log_envelope(params, radius), log_envelope(params, -radius)) \
             <= math.log(1e-12)
 
@@ -640,7 +668,9 @@ def test_schema_fuzz_exit_codes_are_documented(tmp_path, data):
 
 # Every numeric leaf of BASE_CONFIGS (a number, or a nonempty list of numbers
 # whose entries all change together) takes each of these values in turn.
-_EXTREMES = (1e300, -1e300, 1e-300, 5e-324, 0.0)
+# 10**400 is a JSON int past the doubles: float() and math.isfinite raise
+# OverflowError on it.
+_EXTREMES = (1e300, -1e300, 1e-300, 5e-324, 0.0, 10**400, -10**400)
 
 
 def _numeric_leaves(config, prefix=()):
@@ -655,6 +685,16 @@ def _numeric_leaves(config, prefix=()):
                                 and all(numeric(v) for v in value)):
             paths.append(prefix + (key,))
     return paths
+
+
+def _with_leaf(base, path, value, each=True):
+    """A copy of base whose field at path is value, or holds value in every
+    entry where the field is a list and each is set."""
+    config = copy.deepcopy(base)
+    parent = functools.reduce(operator.getitem, path[:-1], config)
+    leaf = parent[path[-1]]
+    parent[path[-1]] = [value] * len(leaf) if each and isinstance(leaf, list) else value
+    return config
 
 
 def _nonfinite(obj, path=()):
@@ -675,13 +715,7 @@ def test_extreme_numbers_in_every_numeric_field_keep_the_contract(tmp_path):
     for command, base in BASE_CONFIGS.items():
         for path in _numeric_leaves(base):
             for value in _EXTREMES:
-                config = copy.deepcopy(base)
-                parent = config
-                for key in path[:-1]:
-                    parent = parent[key]
-                leaf = parent[path[-1]]
-                parent[path[-1]] = [value] * len(leaf) if isinstance(leaf, list) else value
-                cfg_path.write_text(json.dumps(config))
+                cfg_path.write_text(json.dumps(_with_leaf(base, path, value)))
                 out.unlink(missing_ok=True)
                 case = (command, path, value)
                 try:
@@ -698,4 +732,24 @@ def test_extreme_numbers_in_every_numeric_field_keep_the_contract(tmp_path):
                     violations += [case + hit for hit in _nonfinite(json.loads(out.read_text()))
                                    if not (command == "experiment" and math.isnan(hit[1])
                                            and hit[0][-1] == "mean_residual")]
+    assert not violations
+
+
+def test_non_numbers_in_numeric_fields_exit_2_naming_the_field(tmp_path, capsys):
+    # A string, bool, null or list is not a number, in a number field or as
+    # a list entry, and a digit string is not a list: "1.0" and true were
+    # once read as 1.0, and "05" as the window [0, 5].
+    cfg_path = tmp_path / "cfg.json"
+    violations = []
+    for command, base in BASE_CONFIGS.items():
+        for path in _numeric_leaves(base):
+            configs = [_with_leaf(base, path, value) for value in ("1.0", True, None, [])]
+            if isinstance(functools.reduce(operator.getitem, path, base), list):
+                configs.append(_with_leaf(base, path, "12", each=False))
+            for config in configs:
+                cfg_path.write_text(json.dumps(config))
+                code = run([command, "--config", str(cfg_path), "--quiet"])
+                err = capsys.readouterr().err
+                if code != 2 or ".".join(path) not in err:
+                    violations.append((command, path, config, code, err))
     assert not violations

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import tpshift as tp
+from tpshift import cli
 
 
 def inverse_ft_trapezoid(params, x, n=400_001, deriv=False):
@@ -97,12 +98,11 @@ class TestParamsValidation:
             assert tp.GeneratorParams(1.0, 1.0, deltas).deltas == deltas
 
     def test_json_round_trip(self, m2_params):
-        again = tp.GeneratorParams.from_json_dict(m2_params.to_json_dict())
-        assert again == m2_params
+        assert cli._generator(m2_params.to_json_dict()) == m2_params
 
     def test_json_rejects_unknown_field(self):
-        with pytest.raises(ValueError):
-            tp.GeneratorParams.from_json_dict({"c0": 1, "gamma": 1, "extra": 2})
+        with pytest.raises(ValueError, match="extra"):
+            cli._generator({"c0": 1, "gamma": 1, "extra": 2})
 
 
 class TestTimeEval:

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg.lapack import dgeqrf, dorgqr
 
 import tpshift as tp
-from tpshift import sigret
+from tpshift import cli, sigret
 from tpshift.errors import RankDeficiencyError, SearchBudgetError
 
 
@@ -514,7 +514,7 @@ class TestExperiment:
                                     seed=0, support=(-2, 2), window=(-4.0, 4.0),
                                     max_changes=5)
         with pytest.raises(ValueError):
-            tp.ExperimentConfig.from_json_dict({"generator": {"c0": 1, "gamma": 1}})
+            cli._experiment_config({"generator": {"c0": 1, "gamma": 1}}, 0)
         # A negative seed is refused here, not by numpy inside the first trial.
         for trials in (0, 1):
             with pytest.raises(ValueError, match="seed"):
@@ -545,8 +545,7 @@ class TestExperiment:
         cfg = tp.ExperimentConfig(generator=gauss_params, densities=(2.5,), trials=3,
                                   seed=7, support=(-4, 4), window=(-6.0, 6.0),
                                   max_changes=10)
-        again = tp.ExperimentConfig.from_json_dict(cfg.to_json_dict())
-        assert again == cfg
+        assert cli._experiment_config(cfg.to_json_dict(), 0) == cfg
 
     def test_zero_trials_empty_report(self, gauss_params):
         cfg = tp.ExperimentConfig(generator=gauss_params, densities=(2.5,), trials=0,

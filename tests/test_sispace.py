@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import tpshift as tp
+from tpshift import cli
 from tpshift.errors import IdenticallyZeroError
 from tpshift.sispace import MAX_RADIUS, MIN_RADIUS
 
@@ -101,13 +102,13 @@ class TestCoeffSeqAndPointSet:
             with pytest.raises(ValueError):
                 tp.PointSet(points=(), window=window)
         with pytest.raises(ValueError):
-            tp.PointSet.from_json_dict({"points": [0.0], "window": [1]})
+            cli._point_set({"points": [0.0], "window": [1]}, "points")
 
     def test_json_round_trips(self):
         c = tp.CoeffSeq(-3, (0.5, -1.0, 2.0))
-        assert tp.CoeffSeq.from_json_dict(c.to_json_dict()) == c
+        assert cli._coeff_seq(c.to_json_dict()) == c
         p = tp.PointSet(points=(0.0, 1.5), window=(-1.0, 2.0))
-        assert tp.PointSet.from_json_dict(p.to_json_dict()) == p
+        assert cli._point_set(p.to_json_dict(), "points") == p
 
 
 class TestEvalF:
